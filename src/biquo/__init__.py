@@ -14,7 +14,6 @@ from .arith import (
     CubeClass,
     Gaussian,
     SquareClass,
-    conjugate_class,
     cube_class_mod_q,
     factor,
     gaussian_factor,
@@ -63,7 +62,7 @@ from .nodal import (
     tangent_cone,
 )
 from .poly import HomPoly, parse_poly
-from .report import ScanReport, scan, scan_t1, scan_t2, scan_t3
+from .report import ScanReport, scan
 
 __all__ = [
     "BinaryCubic",
@@ -82,7 +81,6 @@ __all__ = [
     "TernaryCubic",
     "TorusActionMatrix",
     "circle_bundle_degree4",
-    "conjugate_class",
     "cube_class_mod_q",
     "det_cubic",
     "factor",
@@ -99,9 +97,6 @@ __all__ = [
     "rank_one_elements",
     "rotate_alpha_beta",
     "scan",
-    "scan_t1",
-    "scan_t2",
-    "scan_t3",
     "singular_points",
     "square_class",
     "stabilizer_oracle",

@@ -128,11 +128,6 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
     return sign, dict(sorted(out.items()))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational."""
-    return Fraction(text.strip())
-
-
 def format_rational(q: Fraction) -> str:
     """Render as "p/q", omitting the denominator when it is 1."""
     return str(q)
@@ -520,8 +515,3 @@ def cube_class_mod_q(z: Gaussian) -> CubeClass:
             p = int(prime.norm())
             residues[p] = residues.get(p, 0) - exp
     return CubeClass.from_mapping(residues)
-
-
-def conjugate_class(c: CubeClass) -> CubeClass:
-    """The class of the complex conjugate: every residue negated mod 3."""
-    return c.conjugate()

@@ -296,6 +296,11 @@ def _height(q: Fraction) -> int:
     return abs(q.numerator) * q.denominator
 
 
+def _dropped_index(y: Sequence[Fraction]) -> int:
+    """Index of y's nonzero entry of largest height (ties: the largest index)."""
+    return max((_height(c), i) for i, c in enumerate(y) if c != 0)[1]
+
+
 def circle_bundle_degree4(base, y) -> CircleBundleData:
     """W = V/<y> with its product map S^2 W -> H^4(base)/(y V).
 
@@ -312,8 +317,7 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     n = base.h2_dim()
     if len(y) != n:
         raise ValueError("Euler class has the wrong length")
-    heights = [(_height(c), i) for i, c in enumerate(y) if c != 0]
-    drop = max(heights)[1]
+    drop = _dropped_index(y)
     w_indices = tuple(i for i in range(n) if i != drop)
 
     mult = multiplication_map(n, base.h4_dim(), base.pair_product_coords, y)

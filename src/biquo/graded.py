@@ -6,9 +6,10 @@ relation multiples; everything reduces to exact row reduction.  No
 Groebner machinery: all computations here live in degree <= 2n+2.
 
 Quotient bases are the lexicographically first independent monomial
-subsets, which pins deterministic coordinates for serialization.  Rings
-are immutable; computed graded pieces are cached per degree (idempotent
-writes, so concurrent readers are safe).
+subsets, which pins deterministic coordinates for serialization; each
+graded piece is a ``linalg.QuotientSpace``, the one place that basis is
+built.  Rings are immutable; computed graded pieces are cached per
+degree (idempotent writes, so concurrent readers are safe).
 """
 
 from __future__ import annotations
@@ -43,36 +44,6 @@ def hilbert_coefficients(
     return series
 
 
-@dataclass
-class DegreePiece:
-    """Internal: the data of one even graded piece of a quotient."""
-
-    monos: list[tuple[int, ...]]
-    rel_rows: list[list[Fraction]]
-    rel_pivots: list[int]
-    basis: list[tuple[int, ...]]
-    reduced_basis: list[list[Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, vec: list[Fraction]) -> list[Fraction]:
-        """Coordinates of a monomial-space vector in the quotient basis."""
-        residue = linalg.reduce_against(vec, self.rel_rows, self.rel_pivots)
-        if not self.basis:
-            if any(x != 0 for x in residue):
-                raise ValueError("vector does not reduce to zero in a zero piece")
-            return []
-        rows = [
-            [self.reduced_basis[j][i] for j in range(len(self.basis))]
-            for i in range(len(self.monos))
-        ]
-        sol = linalg.solve(rows, residue)
-        assert sol is not None, "quotient basis failed to span a residue"
-        return sol
-
-
 class GradedQuotient:
     """Q[x1..xn] modulo homogeneous degree-4 relations, up to max_degree."""
 
@@ -90,7 +61,7 @@ class GradedQuotient:
         self.generators = generators
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree
-        self._pieces: dict[int, DegreePiece] = {}
+        self._pieces: dict[int, linalg.QuotientSpace] = {}
 
     def __repr__(self) -> str:
         rels = ", ".join(r.to_str() for r in self.relations)
@@ -98,7 +69,8 @@ class GradedQuotient:
 
     # -- graded pieces ------------------------------------------------------
 
-    def piece(self, degree: int) -> DegreePiece:
+    def piece(self, degree: int) -> linalg.QuotientSpace:
+        """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations."""
         if degree % 2 or degree < 0 or degree > self.max_degree:
             raise ValueError(
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
@@ -118,21 +90,7 @@ class GradedQuotient:
                         shifted = tuple(a + b for a, b in zip(e, mono))
                         row[index[shifted]] = c
                     rows.append(row)
-        rel_rows, rel_pivots = linalg.rref(rows) if rows else ([], [])
-        # lexicographically first independent monomial subset
-        basis, reduced = [], []
-        span_rows = [row[:] for row in rel_rows]
-        span_pivots = rel_pivots[:]
-        for m in monos:
-            vec = [Fraction(0)] * len(monos)
-            vec[index[m]] = Fraction(1)
-            residue = linalg.reduce_against(vec, span_rows, span_pivots)
-            if any(x != 0 for x in residue):
-                basis.append(m)
-                reduced.append(linalg.reduce_against(vec, rel_rows, rel_pivots))
-                merged, pivots = linalg.rref(span_rows + [residue])
-                span_rows, span_pivots = merged, pivots
-        piece = DegreePiece(monos, rel_rows, rel_pivots, basis, reduced)
+        piece = linalg.QuotientSpace(len(monos), rows)
         self._pieces[degree] = piece
         return piece
 
@@ -142,8 +100,8 @@ class GradedQuotient:
     def poly_coords(self, poly: HomPoly) -> list[Fraction]:
         """Coordinates of a polynomial's class in its degree's quotient basis."""
         piece = self.piece(poly.degree)
-        vec = [Fraction(0)] * len(piece.monos)
-        index = {m: i for i, m in enumerate(piece.monos)}
+        index = {m: i for i, m in enumerate(monomials(self.generators, poly.weight))}
+        vec = [Fraction(0)] * piece.ambient_dim
         for e, c in poly.coeffs.items():
             vec[index[e]] = c
         return piece.coords(vec)
@@ -212,7 +170,7 @@ class GradedQuotient:
 
     def relation_span(self, degree: int) -> tuple[list[list[Fraction]], list[int]]:
         piece = self.piece(degree)
-        return piece.rel_rows, piece.rel_pivots
+        return piece.span_rows, piece.span_pivots
 
     def same_ideal_through(self, other: "GradedQuotient", max_degree: int) -> bool:
         """Degreewise equality of the relation spans up to max_degree."""

@@ -22,19 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .arith import CubeClass, Gaussian, SquareClass, cube_class_mod_q, square_class
 from .biquotient import (
+    _dropped_index,
     klein_ring,
     quotient_ring,
     t1_action_matrix,
 )
-from .graded import QuadricSystem
+from .graded import QuadricSystem, gram_to_poly
 from .nodal import (
     TernaryCubic,
+    _normalize_point,
     det_cubic,
     inflection_lines,
     resultant_in_var,
@@ -250,14 +252,6 @@ def t2_quadratic_form(a0, a1) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _default_complement(y: Sequence[Fraction]) -> list[int]:
-    heights = [
-        (abs(c.numerator) * c.denominator, i) for i, c in enumerate(y) if c != 0
-    ]
-    drop = max(heights)[1]
-    return [i for i in range(5) if i != drop]
-
-
 def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> SquareClass:
     """Square class of the determinant of the form induced on V/<y>.
 
@@ -270,9 +264,9 @@ def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> Square
     y = list(bundle.y)
     assert all(v == 0 for v in linalg.mat_vec(gram, y)), "y must lie in the radical"
     if complement is None:
+        drop = _dropped_index(y)
         vectors = [
-            [Fraction(int(i == j)) for j in range(5)]
-            for i in _default_complement(y)
+            [Fraction(int(i == j)) for j in range(5)] for i in range(5) if i != drop
         ]
     else:
         vectors = [[Fraction(c) for c in vec] for vec in complement]
@@ -418,21 +412,6 @@ class RankOneClassification:
         return bool(self.degenerate_lines)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, int, int]:
-    den = 1
-    for c in vec:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return (ints[0], ints[1], ints[2])
-
-
 class _QuadExt:
     """Arithmetic in Q[theta]/(theta^2 + g1*theta + g0), elements (a, b)."""
 
@@ -517,19 +496,6 @@ def _conic_gram(phi: Sequence[Fraction]) -> list[list[Fraction]]:
     ]
 
 
-def _conic_poly(gram: list[list[Fraction]]) -> HomPoly:
-    terms = {}
-    for i in range(3):
-        for j in range(i, 3):
-            e = [0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            c = gram[i][j] if i == j else 2 * gram[i][j]
-            if c:
-                terms[tuple(e)] = c
-    return HomPoly(3, 2, terms)
-
-
 def _conic_u_slice(gram, ext: _QuadExt, theta, w=Fraction(1)):
     """Q(u, theta, w) as a quadratic in u with _QuadExt coefficients."""
     th = theta
@@ -571,7 +537,7 @@ def rank_one_elements(
     flat = [QuadricSystem._flatten(g) for g in system.basis]
     annihilator = linalg.kernel_basis(flat, 6)
     conics = [_conic_gram(phi) for phi in annihilator]
-    conic_polys = [_conic_poly(g) for g in conics]
+    conic_polys = [gram_to_poly(g) for g in conics]
 
     rational: list[tuple[int, int, int]] = []
     orbits: list[RankOneOrbit] = []
@@ -604,7 +570,7 @@ def rank_one_elements(
         nonzero = [s for s in slices if s]
         if not nonzero:
             # every conic vanishes on the whole line: positive-dimensional
-            base = _primitive([Fraction(0), Fraction(v0), Fraction(w0)])
+            base = _normalize_point([Fraction(0), Fraction(v0), Fraction(w0)])
             degenerate.append((base, (1, 0, 0)))
             if base not in rational:
                 rational.append(base)
@@ -616,7 +582,7 @@ def rank_one_elements(
             continue
         rest = common
         for u0 in rational_roots(common):
-            pt = _primitive([u0, Fraction(v0), Fraction(w0)])
+            pt = _normalize_point([u0, Fraction(v0), Fraction(w0)])
             if pt not in rational:
                 rational.append(pt)
             while True:
@@ -745,9 +711,9 @@ def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
     # canonical: base = primitive trace on {w = 0} (that is D), direction
     # = primitive rep of B; base + t*direction ~ B + theta*D with
     # theta = (kb/kd)/t
-    base = _primitive(D)
+    base = _normalize_point(D)
     kb = next(Fraction(x) / y for x, y in zip(base, D) if y != 0)
-    direction = _primitive(B)
+    direction = _normalize_point(B)
     kd = next(Fraction(x) / y for x, y in zip(direction, B) if y != 0)
     num = (Fraction(0), kb / kd)
     den = (Fraction(1), Fraction(0))
@@ -769,7 +735,7 @@ def _vertical_orbit(minpoly: UPoly, v0: int, w0: int, line_hint) -> RankOneOrbit
         hd = [Fraction(x) for x in line_hint[1]]
         base, direction, num, den = _hint_parametrization(Bv, Dv, hb, hd)
         return RankOneOrbit(_minpoly_from_mobius(g1, g0, num, den), base, direction)
-    base = _primitive(Bv)
+    base = _normalize_point(Bv)
     sigma = Fraction(base[1], v0) if v0 else Fraction(base[2], w0)
     # base + t*(1,0,0) ~ (t/sigma, v0, w0): the roots move to sigma*u
     return RankOneOrbit(

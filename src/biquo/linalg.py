@@ -1,8 +1,10 @@
 """Small dense exact linear algebra over Q (lists of Fractions).
 
-Matrices are lists of row lists.  Everything is Gaussian elimination;
-the sizes in this project stay below ~40x40, so no pivoting cleverness
-is needed beyond exactness.
+Matrices are lists of row lists.  Everything is Gaussian elimination
+with no pivoting cleverness beyond exactness; the largest matrices here
+are the relation spans of graded pieces (126 columns for the degree-8
+piece of a rank-6 ring).  ``QuotientSpace`` gives a coordinate space
+modulo a span its lex-first basis and the coordinates in it.
 """
 
 from __future__ import annotations
@@ -75,18 +77,6 @@ def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
 
 def mat_vec(rows: Matrix, v: Vector) -> Vector:
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
-        for row in a
-    ]
-
-
-def transpose(rows: Matrix) -> Matrix:
-    return [list(col) for col in zip(*rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -162,29 +152,21 @@ class QuotientSpace:
 
     The quotient basis consists of the first coordinate vectors (in
     index order) that stay independent modulo the span, which makes the
-    coordinates deterministic.
+    coordinates deterministic.  e_i is one of them iff no span element
+    has i as its last nonzero index, i.e. iff i is not a pivot of the
+    span's rref taken with the columns reversed.  That rref, mapped back
+    to index order, is ``span_rows``/``span_pivots``; a vector's residue
+    against it vanishes off the basis, so the residue read at the basis
+    indices is the vector's coordinates.
     """
 
     def __init__(self, ambient_dim: int, span_rows: Matrix):
         self.ambient_dim = ambient_dim
-        self.span_rows, self.span_pivots = (
-            rref(span_rows) if span_rows else ([], [])
-        )
-        basis_idx: list[int] = []
-        reduced: Matrix = []
-        rows = [r[:] for r in self.span_rows]
-        pivots = self.span_pivots[:]
-        for i in range(ambient_dim):
-            vec = [Fraction(int(k == i)) for k in range(ambient_dim)]
-            residue = reduce_against(vec, rows, pivots)
-            if any(x != 0 for x in residue):
-                basis_idx.append(i)
-                reduced.append(
-                    reduce_against(vec, self.span_rows, self.span_pivots)
-                )
-                rows, pivots = rref(rows + [residue])
-        self.basis_indices = basis_idx
-        self._reduced = reduced
+        rows, pivots = rref([row[::-1] for row in span_rows])
+        self.span_rows = [row[::-1] for row in reversed(rows)]
+        self.span_pivots = [ambient_dim - 1 - c for c in reversed(pivots)]
+        taken = set(self.span_pivots)
+        self.basis_indices = [i for i in range(ambient_dim) if i not in taken]
 
     @property
     def dim(self) -> int:
@@ -192,13 +174,4 @@ class QuotientSpace:
 
     def coords(self, vec: Vector) -> Vector:
         residue = reduce_against(list(vec), self.span_rows, self.span_pivots)
-        if not self.basis_indices:
-            assert all(x == 0 for x in residue)
-            return []
-        rows = [
-            [self._reduced[j][i] for j in range(self.dim)]
-            for i in range(self.ambient_dim)
-        ]
-        sol = solve(rows, residue)
-        assert sol is not None
-        return sol
+        return [residue[i] for i in self.basis_indices]

@@ -206,9 +206,6 @@ class HomPoly:
             for k, terms in sorted(out.items())
         }
 
-    def max_exponent(self, v: int) -> int:
-        return max((e[v] for e in self.coeffs), default=0)
-
     # -- text form -----------------------------------------------------------
 
     def to_str(self, names: Sequence[str] | None = None) -> str:

@@ -135,15 +135,3 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
         distinct_count=distinct,
         tool_version=__version__,
     )
-
-
-def scan_t1(radius: int, jobs: int = 1) -> ScanReport:
-    return scan("t1", radius, jobs)
-
-
-def scan_t2(radius: int, jobs: int = 1) -> ScanReport:
-    return scan("t2", radius, jobs)
-
-
-def scan_t3(radius: int, jobs: int = 1) -> ScanReport:
-    return scan("t3", radius, jobs)

@@ -34,17 +34,6 @@ def up_deg(p: UPoly) -> int:
     return len(p) - 1  # zero polynomial: -1
 
 
-def up_add(p: UPoly, q: UPoly) -> UPoly:
-    n = max(len(p), len(q))
-    return up_trim(
-        [
-            (p[i] if i < len(p) else Fraction(0))
-            + (q[i] if i < len(q) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
 def up_scale(p: UPoly, c: Fraction) -> UPoly:
     c = Fraction(c)
     return [] if c == 0 else [x * c for x in p]
@@ -85,10 +74,6 @@ def up_gcd(p: UPoly, q: UPoly) -> UPoly:
     while b:
         a, b = b, up_divmod(a, b)[1]
     return up_monic(a)
-
-
-def up_derivative(p: UPoly) -> UPoly:
-    return up_trim([p[i] * i for i in range(1, len(p))])
 
 
 def up_eval(p: UPoly, x: Fraction) -> Fraction:

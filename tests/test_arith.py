@@ -7,7 +7,6 @@ from biquo.arith import (
     CubeClass,
     Gaussian,
     SquareClass,
-    conjugate_class,
     cube_class_mod_q,
     factor,
     gaussian_factor,
@@ -202,11 +201,11 @@ def test_cube_class_homomorphism():
 
 
 def test_conjugate_class():
-    assert conjugate_class(CubeClass(())) == CubeClass(())
-    assert conjugate_class(CubeClass.from_mapping({5: 1})).as_dict() == {5: 2}
+    assert CubeClass(()).conjugate() == CubeClass(())
+    assert CubeClass.from_mapping({5: 1}).conjugate().as_dict() == {5: 2}
     z = Gaussian(12, 16)
     mirror = Gaussian(16, 12)  # equals i * conj(z), and i is a cube
-    assert cube_class_mod_q(mirror) == conjugate_class(cube_class_mod_q(z))
+    assert cube_class_mod_q(mirror) == cube_class_mod_q(z).conjugate()
 
 
 def test_gaussian_rejects_zero():
