@@ -11,6 +11,7 @@ cubes and rational scalars, and two classes in Q*/(Q*)^2.
 __version__ = "0.1.0"
 
 from .arith import (
+    CertificateError,
     CubeClass,
     Gaussian,
     SquareClass,
@@ -66,6 +67,7 @@ from .report import ScanReport, scan
 
 __all__ = [
     "BinaryCubic",
+    "CertificateError",
     "CubeClass",
     "DegenerateFamilyMember",
     "Gaussian",

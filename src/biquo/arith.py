@@ -10,12 +10,18 @@ numbers are pairs of Fractions.  The two canonical forms are
     sending each split prime p = 1 (mod 4) to the order difference at
     the two conjugate Gaussian primes above p, taken mod 3.
 
+``Gaussian`` is the input and output type; Gaussian factoring itself
+runs on integer pairs (re, im), dividing by a+bi as (x+yi)(a-bi)/(a^2+b^2)
+with an exactness test on both parts.  The exactness certificates raise
+``CertificateError``, so they survive ``python -O``.
+
 All values are immutable after construction and all functions are pure,
 so everything is safe to use from parallel workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +31,13 @@ _TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class CertificateError(AssertionError):
+    """An internal exactness certificate failed: the result cannot be trusted.
+
+    Raised explicitly, so the checks also run under ``python -O``.
+    """
 
 
 def is_prime(n: int) -> bool:
@@ -151,8 +164,9 @@ class Gaussian:
     im: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # arithmetic results are Fractions already; skip the re-conversion
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -187,14 +201,15 @@ class Gaussian:
     def __pow__(self, k: int) -> "Gaussian":
         if k < 0:
             return Gaussian(1, 0) / self ** (-k)
-        out = Gaussian(1, 0)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Gaussian(1, 0) if out is None else out
 
     def conjugate(self) -> "Gaussian":
         return Gaussian(self.re, -self.im)
@@ -258,19 +273,14 @@ def parse_gaussian(text: str) -> Gaussian:
 
 ONE = Gaussian(1, 0)
 I = Gaussian(0, 1)
-_UNITS = (Gaussian(1, 0), Gaussian(0, 1), Gaussian(-1, 0), Gaussian(0, -1))
 
 
-def split_prime_rep(p: int) -> Gaussian:
-    """The canonical Gaussian prime a+bi with a > b > 0 and a^2+b^2 = p.
+@functools.lru_cache(maxsize=4096)
+def _split_pair(p: int) -> tuple[int, int]:
+    """(a, b) with a > b > 0 and a^2 + b^2 = p, for a prime p = 1 (mod 4).
 
     Uses a square root of -1 mod p followed by Euclidean descent
-    (Cornacchia).  Only defined for primes p = 1 (mod 4).
-
-    >>> split_prime_rep(5)
-    Gaussian(2, 1)
-    >>> split_prime_rep(13)
-    Gaussian(3, 2)
+    (Cornacchia).
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a split prime (need p = 1 mod 4)")
@@ -284,15 +294,37 @@ def split_prime_rep(p: int) -> Gaussian:
     while b > limit:
         a, b = b, a % b
     c = math.isqrt(p - b * b)
-    assert b * b + c * c == p, (p, b, c)
-    hi, lo = max(b, c), min(b, c)
-    return Gaussian(hi, lo)
+    if b * b + c * c != p:
+        raise CertificateError(f"Cornacchia descent failed for p = {p}: {b}, {c}")
+    return max(b, c), min(b, c)
 
 
-def _exact_div(z: Gaussian, w: Gaussian) -> Gaussian | None:
-    """z / w when the quotient is a Gaussian integer, else None."""
-    q = z / w
-    return q if q.is_integral() else None
+def split_prime_rep(p: int) -> Gaussian:
+    """The canonical Gaussian prime a+bi with a > b > 0 and a^2+b^2 = p.
+
+    Only defined for primes p = 1 (mod 4).
+
+    >>> split_prime_rep(5)
+    Gaussian(2, 1)
+    >>> split_prime_rep(13)
+    Gaussian(3, 2)
+    """
+    return Gaussian(*_split_pair(p))
+
+
+def _strip(x: int, y: int, a: int, b: int) -> tuple[int, int, int]:
+    """Divide x+yi by a+bi while the quotient stays a Gaussian integer.
+
+    Returns the last quotient and the number of divisions.  The quotient
+    is (x+yi)(a-bi)/n with n = a^2+b^2, exact iff n divides both parts.
+    """
+    n = a * a + b * b
+    k = 0
+    while True:
+        re, im = x * a + y * b, y * a - x * b
+        if re % n or im % n:
+            return x, y, k
+        x, y, k = re // n, im // n, k + 1
 
 
 @dataclass(frozen=True)
@@ -317,6 +349,9 @@ class GaussianFactorization:
 def gaussian_factor(z: Gaussian) -> GaussianFactorization:
     """Factor a nonzero Gaussian integer into canonical primes.
 
+    The divisions run on the integer pair (re, im); Gaussians are built
+    only for the result.
+
     >>> gaussian_factor(Gaussian(2, 1)).factors
     ((Gaussian(2, 1), 1),)
     >>> gaussian_factor(Gaussian(5, 0)).factors
@@ -326,40 +361,31 @@ def gaussian_factor(z: Gaussian) -> GaussianFactorization:
         raise ValueError("cannot factor zero")
     if not z.is_integral():
         raise ValueError(f"{z} is not a Gaussian integer")
-    norm = int(z.norm())
+    x, y = z.re.numerator, z.im.numerator
+    norm = x * x + y * y
     _, norm_factors = factor(norm) if norm > 1 else (1, {})
-    remaining = z
     found: list[tuple[Gaussian, int]] = []
-    for p, e in sorted(norm_factors.items()):
+    for p, e in norm_factors.items():
         if p == 2:
-            ram = Gaussian(1, 1)
-            for _ in range(e):
-                remaining = remaining / ram
-            found.append((ram, e))
+            x, y, k = _strip(x, y, 1, 1)
+            found.append((Gaussian(1, 1), k))
         elif p % 4 == 3:
             # inert: the norm exponent is twice the prime exponent
-            assert e % 2 == 0, (z, p)
-            inert = Gaussian(p, 0)
-            for _ in range(e // 2):
-                remaining = remaining / inert
-            found.append((inert, e // 2))
+            if e % 2:
+                raise CertificateError(f"odd norm exponent at inert {p} in {z}")
+            x, y, k = _strip(x, y, p, 0)
+            found.append((Gaussian(p, 0), k))
         else:
-            pi = split_prime_rep(p)
-            k = 0
-            while True:
-                q = _exact_div(remaining, pi)
-                if q is None:
-                    break
-                remaining, k = q, k + 1
+            a, b = _split_pair(p)
+            x, y, k = _strip(x, y, a, b)
             if k:
-                found.append((pi, k))
-            if k < e:
-                pibar = pi.conjugate()
-                for _ in range(e - k):
-                    remaining = remaining / pibar
-                found.append((pibar, e - k))
-    assert remaining in _UNITS, (z, remaining)
-    return GaussianFactorization(remaining, tuple(found))
+                found.append((Gaussian(a, b), k))
+            x, y, kbar = _strip(x, y, a, -b)
+            if kbar:
+                found.append((Gaussian(a, -b), kbar))
+    if x * x + y * y != 1:
+        raise CertificateError(f"{z} leaves the non-unit remainder {x}{y:+}i")
+    return GaussianFactorization(Gaussian(x, y), tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +531,11 @@ def cube_class_mod_q(z: Gaussian) -> CubeClass:
     if not z:
         raise ValueError("zero has no cube class")
     scale = z.re.denominator * z.im.denominator
-    w = z * Gaussian(scale, 0)  # rational scaling: same class
+    w = Gaussian(z.re * scale, z.im * scale)  # rational scaling: same class
     residues: dict[int, int] = {}
     for prime, exp in gaussian_factor(w).factors:
-        if prime.im > 0 and prime.re > prime.im:  # canonical split rep
-            p = int(prime.norm())
-            residues[p] = residues.get(p, 0) + exp
-        elif prime.im < 0:
-            p = int(prime.norm())
-            residues[p] = residues.get(p, 0) - exp
+        a, b = prime.re.numerator, prime.im.numerator
+        if b and a != b:  # a split prime: a+bi canonical, a-bi its conjugate
+            p = a * a + b * b
+            residues[p] = residues.get(p, 0) + (exp if b > 0 else -exp)
     return CubeClass.from_mapping(residues)

@@ -174,18 +174,21 @@ class KleinRing:
 
     DIM = 5
 
-    def __init__(self):
-        self._entries: dict[tuple[int, int, int], Fraction] = {}
-        third = Fraction(1, 3)
-        for i in range(5):
-            key = tuple(sorted((i, i, (i + 1) % 5)))
-            self._entries[key] = third
+    # one entry per sorted index triple of the cubic's monomials
+    _entries: dict[tuple[int, int, int], Fraction] = {
+        tuple(sorted((i, i, (i + 1) % 5))): Fraction(1, 3) for i in range(5)
+    }
 
     def trilinear(self, u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
-        for key, val in self._entries.items():
-            for a, b, c in set(permutations(key)):
-                total += val * u[a] * v[b] * w[c]
+        for a, b, c, val in _KLEIN_TERMS:
+            x = u[a]
+            if x:
+                y = v[b]
+                if y:
+                    z = w[c]
+                    if z:
+                        total += val * x * y * z
         return total
 
     def cubic(self, u: Sequence[Fraction]) -> Fraction:
@@ -211,6 +214,15 @@ class KleinRing:
 
     def kernel_of_square_map(self) -> QuadricSystem:
         return square_map_kernel(self.DIM, self.pair_product_coords)
+
+
+# The full symmetric tensor as (a, b, c, value) terms: every distinct
+# permutation of every entry, built once.
+_KLEIN_TERMS = tuple(
+    (a, b, c, val)
+    for key, val in KleinRing._entries.items()
+    for a, b, c in sorted(set(permutations(key)))
+)
 
 
 @dataclass(frozen=True)

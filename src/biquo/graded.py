@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
+from .arith import CertificateError
 from .poly import HomPoly, monomials
 
 
@@ -135,7 +136,8 @@ class GradedQuotient:
 
     def h2_dim(self) -> int:
         dim = self.graded_dim(2)
-        assert dim == self.generators, "degree-2 piece must be the generator span"
+        if dim != self.generators:
+            raise CertificateError("degree-2 piece must be the generator span")
         return dim
 
     def h4_dim(self) -> int:

@@ -26,8 +26,16 @@ from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .arith import CubeClass, Gaussian, SquareClass, cube_class_mod_q, square_class
+from .arith import (
+    CertificateError,
+    CubeClass,
+    Gaussian,
+    SquareClass,
+    cube_class_mod_q,
+    square_class,
+)
 from .biquotient import (
+    KleinBundleInput,
     _dropped_index,
     klein_ring,
     quotient_ring,
@@ -96,7 +104,8 @@ class T1Invariant:
             raise ValueError("alpha and beta must not both vanish")
         first = cube_class_mod_q(Gaussian(alpha, beta))
         second = cube_class_mod_q(Gaussian(beta, alpha))
-        assert second == first.conjugate(), "mirror class must be the conjugate"
+        if second != first.conjugate():
+            raise CertificateError("mirror class must be the conjugate")
         pair = sorted((first, second), key=lambda c: c.serialize())
         return cls((pair[0], pair[1]))
 
@@ -174,7 +183,8 @@ def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
     ]
     out = F.substitute(sub)
     new_cone = tangent_cone(out)
-    assert new_cone.is_multiple_of_circle(), "cone normalization failed"
+    if not new_cone.is_multiple_of_circle():
+        raise CertificateError("cone normalization failed")
     return out
 
 
@@ -208,7 +218,8 @@ def t1_invariant_pipeline(b1: int, c1: int) -> T1Invariant:
         raise ValueError("(b1, c1) = (0, 0) is excluded")
     ring = quotient_ring(t1_action_matrix(b1, c1))
     net = ring.kernel_of_square_map()
-    assert net.dim == 3, "kernel net of the family ring must be 3-dimensional"
+    if net.dim != 3:
+        raise CertificateError("kernel net of the family ring must be 3-dimensional")
     return t1_invariant_from_net(net)
 
 
@@ -242,7 +253,10 @@ def t2_quadratic_form(a0, a1) -> tuple[tuple[Fraction, ...], ...]:
     Equals the displayed band matrix with rows built from a0, a1 and
     a2 = a0^2/a1, up to one global constant (1/3 from polarization).
     """
-    bundle = klein_ring(a0, a1)
+    return _klein_gram(klein_ring(a0, a1))
+
+
+def _klein_gram(bundle: KleinBundleInput) -> tuple[tuple[Fraction, ...], ...]:
     ring = bundle.ring
     basis = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     z = list(bundle.z)
@@ -260,9 +274,10 @@ def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> Square
     does not depend on the choice, and equals square_class(-a0*a1).
     """
     bundle = klein_ring(a0, a1)
-    gram = [list(row) for row in t2_quadratic_form(a0, a1)]
+    gram = _klein_gram(bundle)
     y = list(bundle.y)
-    assert all(v == 0 for v in linalg.mat_vec(gram, y)), "y must lie in the radical"
+    if any(linalg.mat_vec(gram, y)):
+        raise CertificateError("y must lie in the radical")
     if complement is None:
         drop = _dropped_index(y)
         vectors = [
@@ -275,9 +290,14 @@ def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> Square
     induced = [
         [
             sum(
-                va * gram[r][s] * vb
-                for r, va in enumerate(vec_a)
-                for s, vb in enumerate(vec_b)
+                (
+                    va * gram[r][s] * vb
+                    for r, va in enumerate(vec_a)
+                    if va
+                    for s, vb in enumerate(vec_b)
+                    if vb
+                ),
+                Fraction(0),
             )
             for vec_b in vectors
         ]
@@ -315,6 +335,31 @@ class MonicQuadratic:
         return f"t^2 + ({self.p1})*t + ({self.p0})"
 
 
+# Parameter-free parts of the t3 reduction, built once: the variables,
+# x1 x2, the degree-2 monomials with their index, the coefficient rows of
+# the fixed quadrics x1^2, x2^2, x3^2 - x1 x2 and of x3^2, and 2 x3.
+# t3_kernel_system builds the same system on its own, as the reference
+# the tests hold these constants to.
+_X1, _X2, _X3 = (HomPoly.variable(3, i) for i in range(3))
+_X1X2 = _X1 * _X2
+_T3_MONOS = monomials(3, 2)
+_T3_INDEX = {m: i for i, m in enumerate(_T3_MONOS)}
+
+
+def _t3_vector(p: HomPoly) -> list[Fraction]:
+    out = [Fraction(0)] * len(_T3_MONOS)
+    for e, coeff in p.coeffs.items():
+        out[_T3_INDEX[e]] = coeff
+    return out
+
+
+_T3_FIXED_ROWS = tuple(
+    tuple(_t3_vector(p)) for p in (_X1 * _X1, _X2 * _X2, _X3 * _X3 - _X1X2)
+)
+_X3_SQUARED = tuple(_t3_vector(_X3 * _X3))
+_TWO_X3 = _X3.scale(2)
+
+
 def t3_kernel_system(a, b, c) -> QuadricSystem:
     """span(x1^2, x2^2, x3^2 - x1 x2, (a x1 + b x2 + c x3)^2 - x1 x2)."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -327,6 +372,15 @@ def t3_kernel_system(a, b, c) -> QuadricSystem:
     )
 
 
+def _t3_relation_rows(a: Fraction, b: Fraction, c: Fraction) -> list:
+    """Coefficient rows of ``t3_kernel_system(a, b, c)``'s quadrics, from the
+    hoisted constants plus the one parameter-dependent quadric."""
+    if a == 0 or b == 0 or c == 0:
+        raise ValueError("parameters must be nonzero")
+    ell = HomPoly.linear([a, b, c])
+    return [*_T3_FIXED_ROWS, _t3_vector(ell * ell - _X1X2)]
+
+
 def t3_membership_quadratic(a, b, c) -> MonicQuadratic:
     """The monic quadratic whose roots t put (a x1 + b x2 + t x3)^2 in the system.
 
@@ -335,33 +389,21 @@ def t3_membership_quadratic(a, b, c) -> MonicQuadratic:
     t^2 + (1/c)(-c^2 - 2ab + 1) t + 2ab.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    system = t3_kernel_system(a, b, c)
-    monos = monomials(3, 2)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def coeff_vector(p: HomPoly) -> list[Fraction]:
-        out = [Fraction(0)] * len(monos)
-        for e, coeff in p.coeffs.items():
-            out[index[e]] = coeff
-        return out
-
-    rows = [coeff_vector(p) for p in system.polys()]
     # quotient basis (lex-first): expect the classes of x1 x2 and x1 x3
-    quotient = linalg.QuotientSpace(len(monos), rows)
-    assert [monos[i] for i in quotient.basis_indices] == [(1, 1, 0), (1, 0, 1)], (
-        "unexpected quotient basis for the kernel system"
-    )
-    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
-    base = x1.scale(a) + x2.scale(b)
+    quotient = linalg.QuotientSpace(len(_T3_MONOS), _t3_relation_rows(a, b, c))
+    if [_T3_MONOS[i] for i in quotient.basis_indices] != [(1, 1, 0), (1, 0, 1)]:
+        raise CertificateError("unexpected quotient basis for the kernel system")
+    base = HomPoly.linear([a, b, 0])
     parts = [
-        coeff_vector(base * base),                         # t^0
-        coeff_vector((base * x3).scale(2)),                # t^1
-        coeff_vector(x3 * x3),                             # t^2
+        _t3_vector(base * base),                           # t^0
+        _t3_vector(base * _TWO_X3),                        # t^1
+        _X3_SQUARED,                                       # t^2
     ]
     coords = [quotient.coords(v) for v in parts]
-    assert all(co[1] == 0 for co in coords), "reduction must kill the x1*x3 class"
-    lead = coords[2][0]
-    assert lead == 1, "x3^2 must reduce to exactly the class of x1*x2"
+    if any(co[1] != 0 for co in coords):
+        raise CertificateError("reduction must kill the x1*x3 class")
+    if coords[2][0] != 1:
+        raise CertificateError("x3^2 must reduce to exactly the class of x1*x2")
     return MonicQuadratic(coords[1][0], coords[0][0])
 
 

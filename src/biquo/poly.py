@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
+from .arith import CertificateError
+
 
 def monomials(nvars: int, weight: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, descending lex.
@@ -39,7 +41,8 @@ class HomPoly:
     def __init__(self, nvars: int, weight: int, terms: Mapping[tuple[int, ...], object] = ()):
         coeffs: dict[tuple[int, ...], Fraction] = {}
         for exps, c in dict(terms).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -291,5 +294,6 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Hom
             raise ValueError("terms are not homogeneous")
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    assert weight is not None
+    if weight is None:
+        raise CertificateError(f"no term parsed from {text!r}")
     return HomPoly(nvars, weight, terms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -112,6 +113,8 @@ def _grid(family: str, radius: int) -> list[tuple[int, ...]]:
 def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
     """Scan all parameters with coordinates up to the radius.
 
+    ``jobs`` worker processes share the rows, at most one per CPU.
+
     >>> scan("t1", 1).distinct_count
     2
     """
@@ -121,6 +124,7 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
         raise ValueError(f"unknown family {family!r}")
     grid = _grid(family, radius)
     func = _ROW_FUNCS[family]
+    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only add overhead
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(func, grid, chunksize=64)

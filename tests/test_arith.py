@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from biquo.arith import (
+    _TRIAL_LIMIT,
     CubeClass,
     Gaussian,
     SquareClass,
@@ -17,6 +22,7 @@ from biquo.arith import (
     split_prime_rep,
     square_class,
 )
+from biquo.report import scan
 
 
 def trial_division_prime(n: int) -> bool:
@@ -224,3 +230,119 @@ def test_serialization_roundtrips():
     assert parse_square_class("-10") == SquareClass(-1, (2, 5))
     cls = square_class(Fraction(-75, 2))
     assert parse_square_class(cls.serialize()) == cls
+
+
+def zzi_valuation(z, prime) -> int:
+    # independent oracle: exact divisions in sympy's Gaussian integer domain
+    from sympy.polys.domains import ZZ_I
+
+    count = 0
+    while True:
+        q, r = ZZ_I.div(z, prime)
+        if r:
+            return count
+        z, count = q, count + 1
+
+
+def test_gaussian_factor_and_cube_class_match_sympy_zzi():
+    pytest.importorskip("sympy")
+    from sympy import factorint
+    from sympy.polys.domains import ZZ_I
+
+    rng = random.Random(11)
+    units = [Gaussian(1, 0), Gaussian(0, 1), Gaussian(-1, 0), Gaussian(0, -1)]
+    big_p, big_q = 1000033, 1000037  # split primes above the trial limit
+    assert big_p % 4 == big_q % 4 == 1 and is_prime(big_p) and is_prime(big_q)
+    cases = list(units)
+    cases += [u * Gaussian(1, 1) ** k for u in units for k in (1, 2, 5)]
+    cases += [u * Gaussian(p, 0) ** k for u in units for p in (3, 7, 11) for k in (1, 2)]
+    for p in (5, 13, 17, 29, 37):
+        pi = split_prime_rep(p)
+        cases += [pi * pi, pi * pi.conjugate(), pi.conjugate() ** 2]
+    cases.append(split_prime_rep(big_p) * split_prime_rep(big_q).conjugate())
+    for _ in range(60):
+        cases.append(Gaussian(rng.randint(-500, 500), rng.randint(-500, 500)))
+    cases = [z for z in cases if z]
+    assert any(z.norm() > _TRIAL_LIMIT**2 for z in cases)  # the Pollard path runs
+
+    for z in cases:
+        x, y = int(z.re), int(z.im)
+        zz = ZZ_I(x, y)
+        f = gaussian_factor(z)
+        assert f.value() == z
+        assert f.unit in units
+        for prime, exp in f.factors:
+            a, b = int(prime.re), int(prime.im)
+            if (a, b) == (1, 1):
+                pass  # the ramified prime
+            elif b == 0:
+                assert a % 4 == 3 and is_prime(a)
+            else:  # a+bi with a > b > 0, or its conjugate
+                assert Gaussian(a, abs(b)) == split_prime_rep(a * a + b * b)
+            assert exp == zzi_valuation(zz, ZZ_I(a, b)) > 0
+        # every Gaussian prime dividing z appears, with the canonical shapes
+        expected = set()
+        for p in factorint(x * x + y * y):
+            if p == 2:
+                expected.add((1, 1))
+            elif p % 4 == 3:
+                expected.add((p, 0))
+            else:
+                a, b = int(split_prime_rep(p).re), int(split_prime_rep(p).im)
+                expected |= {
+                    pr for pr in ((a, b), (a, -b)) if zzi_valuation(zz, ZZ_I(*pr))
+                }
+        assert {(int(p.re), int(p.im)) for p, _ in f.factors} == expected
+
+    # cube classes of non-integral inputs: clear denominators, then split
+    # primes' order differences mod 3 from the oracle
+    for _ in range(40):
+        z = Gaussian(
+            Fraction(rng.randint(-300, 300), rng.randint(1, 40)),
+            Fraction(rng.randint(-300, 300), rng.randint(1, 40)),
+        )
+        if not z:
+            continue
+        w = z * (z.re.denominator * z.im.denominator)
+        zz = ZZ_I(int(w.re), int(w.im))
+        expected = {}
+        for p in factorint(int(w.norm())):
+            if p % 4 == 1:
+                g = split_prime_rep(p)
+                a, b = int(g.re), int(g.im)
+                diff = zzi_valuation(zz, ZZ_I(a, b)) - zzi_valuation(zz, ZZ_I(a, -b))
+                if diff % 3:
+                    expected[p] = diff % 3
+        assert cube_class_mod_q(z).as_dict() == expected, z
+
+
+def test_certificates_survive_optimized_mode():
+    # under -O every assert vanishes; the certificates must still raise
+    script = """
+import sys
+import biquo
+from biquo import arith
+from biquo.checks import verify
+from biquo.report import scan
+
+assert False, "unreachable under -O"
+print(scan("t1", 2).to_json(), end="")
+if not all(result.ok for result in verify("arith")):
+    sys.exit(4)
+arith._split_pair = lambda p: (p, 1)  # a wrong representative
+try:
+    arith.gaussian_factor(arith.Gaussian(5, 0))
+except biquo.CertificateError as exc:
+    sys.stderr.write(f"certificate: {exc}")
+else:
+    sys.exit(3)
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == scan("t1", 2).to_json()
+    assert "certificate:" in proc.stderr

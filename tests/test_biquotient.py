@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -120,6 +121,30 @@ def test_klein_trilinear_symmetric_and_cubic():
         vals = {ring.trilinear(*perm) for perm in itertools.permutations((u, v, w))}
         assert len(vals) == 1
         assert ring.cubic(u) == sum(u[i] ** 2 * u[(i + 1) % 5] for i in range(5))
+
+
+def test_klein_trilinear_matches_permutation_expansion():
+    # the prebuilt tensor against re-expanding each entry's permutations
+    ring = KleinRing()
+    rng = random.Random(8)
+
+    def expanded(u, v, w):
+        total = Fraction(0)
+        for key, val in KleinRing._entries.items():
+            for a, b, c in set(itertools.permutations(key)):
+                total += val * u[a] * v[b] * w[c]
+        return total
+
+    for _ in range(30):
+        u, v, w = (
+            [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 7)) * rng.randint(0, 1)
+                for _ in range(5)
+            ]
+            for _ in range(3)
+        )
+        for args in itertools.permutations((u, v, w)):
+            assert ring.trilinear(*args) == expanded(*args)
 
 
 def test_klein_ring_kernel_is_z():

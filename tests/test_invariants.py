@@ -388,6 +388,26 @@ def test_t3_kernel_system_matches_bundle():
             assert big.contains(lifted)
 
 
+def test_t3_row_relations_span_the_kernel_system():
+    # the hoisted constant rows plus the per-row quadric must span exactly
+    # the public kernel system (canonical rref on both sides)
+    from biquo.invariants import _t3_relation_rows
+    from biquo.poly import monomials
+
+    monos = monomials(3, 2)
+    rng = random.Random(9)
+    for _ in range(30):
+        a, b, c = (
+            Fraction(rng.randint(1, 9) * rng.choice([1, -1]), rng.randint(1, 6))
+            for _ in range(3)
+        )
+        system_rows = [
+            [p.coefficient(m) for m in monos] for p in t3_kernel_system(a, b, c).polys()
+        ]
+        row_rows = [list(r) for r in _t3_relation_rows(a, b, c)]
+        assert linalg.rref(row_rows) == linalg.rref(system_rows)
+
+
 # ---------------------------------------------------------------------------
 # rank-one classification
 # ---------------------------------------------------------------------------

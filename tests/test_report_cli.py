@@ -36,6 +36,33 @@ def test_scan_parallel_matches_serial():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_scan_clamps_jobs_to_cpu_count(monkeypatch):
+    import biquo.report as report
+
+    started = []
+
+    class FakePool:  # records the worker count and runs the rows in-process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(report, "Pool", FakePool)
+    monkeypatch.setattr(report.os, "cpu_count", lambda: 3)
+    assert scan("t1", 1, jobs=64).to_json() == scan("t1", 1).to_json()
+    assert started == [3]
+    monkeypatch.setattr(report.os, "cpu_count", lambda: None)
+    scan("t1", 1, jobs=64)
+    assert started == [3]  # one CPU (or unknown): serial, no pool
+
+
 def test_scan_rows_sorted_and_complete():
     report = scan("t1", 2)
     params = [row[0] for row in report.rows]
