@@ -24,8 +24,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .graded import (
     GradedQuotient,
@@ -54,7 +52,11 @@ class TorusActionMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TorusActionMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        try:
+            entries = tuple(tuple(int(x) for x in row) for row in rows)
+        except TypeError as exc:
+            raise ValueError("weight matrix must be a list of integer rows") from exc
+        return cls(entries)
 
     @classmethod
     def parse(cls, text: str) -> "TorusActionMatrix":
@@ -99,6 +101,8 @@ def stabilizer_oracle(A, m: int) -> bool:
     Enumerates all of (Z/m)^S for each coordinate subset S, so it is
     completely independent of the determinant criterion in ``is_free``.
     """
+    import numpy as np  # numpy stays off the CLI import path
+
     if not 2 <= m <= 12:
         raise ValueError("oracle torsion order must be between 2 and 12")
     A = _as_matrix(A)

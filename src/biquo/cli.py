@@ -38,6 +38,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for a rational like "-3/4"; "1/0" is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biquo",
@@ -59,12 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t1.add_argument("--b1", type=int, required=True)
     p_t1.add_argument("--c1", type=int, required=True)
     p_t2 = inv_sub.add_parser("t2")
-    p_t2.add_argument("--a0", type=Fraction, required=True)
-    p_t2.add_argument("--a1", type=Fraction, required=True)
+    p_t2.add_argument("--a0", type=_rational, required=True)
+    p_t2.add_argument("--a1", type=_rational, required=True)
     p_t3 = inv_sub.add_parser("t3")
-    p_t3.add_argument("--a", type=Fraction, required=True)
-    p_t3.add_argument("--b", type=Fraction, required=True)
-    p_t3.add_argument("--c", type=Fraction, required=True)
+    p_t3.add_argument("--a", type=_rational, required=True)
+    p_t3.add_argument("--b", type=_rational, required=True)
+    p_t3.add_argument("--c", type=_rational, required=True)
     for rational_parser in (p_t1, p_t2, p_t3):
         rational_parser._negative_number_matcher = _NEGATIVE_VALUE
 
@@ -149,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateFamilyMember as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -59,6 +59,8 @@ class GradedQuotient:
                 raise ValueError("relation has the wrong number of variables")
             if r.weight != 2 or r.is_zero():
                 raise ValueError("relations must be nonzero of cohomological degree 4")
+        if max_degree is not None and max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         self.generators = generators
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree

@@ -41,20 +41,20 @@ from .biquotient import (
     quotient_ring,
     t1_action_matrix,
 )
-from .graded import QuadricSystem, gram_to_poly
+from .graded import QuadricSystem
 from .nodal import (
     TernaryCubic,
+    _eliminants,
+    _line_gcd,
     _normalize_point,
     det_cubic,
     inflection_lines,
-    resultant_in_var,
     singular_points,
     tangent_cone,
 )
 from .poly import HomPoly, monomials
 from .univar import (
     UPoly,
-    bf_is_zero,
     bf_rational_proj_roots,
     bf_to_upoly,
     is_rational_square,
@@ -62,7 +62,6 @@ from .univar import (
     up,
     up_divmod,
     up_factor,
-    up_gcd,
 )
 
 
@@ -526,35 +525,15 @@ class _QuadExt:
         return [self.mul(c, inv_lead) for c in current]
 
 
-def _conic_gram(phi: Sequence[Fraction]) -> list[list[Fraction]]:
-    # phi pairs with Gram-entry coordinates (g00,g01,g02,g11,g12,g22); the
-    # square l*l has Gram l_i l_j, so the membership condition on (u,v,w)
-    # is the conic with HALF of phi's cross entries off the diagonal
-    half = Fraction(1, 2)
-    return [
-        [phi[0], half * phi[1], half * phi[2]],
-        [half * phi[1], phi[3], half * phi[4]],
-        [half * phi[2], half * phi[4], phi[5]],
-    ]
-
-
-def _conic_u_slice(gram, ext: _QuadExt, theta, w=Fraction(1)):
-    """Q(u, theta, w) as a quadratic in u with _QuadExt coefficients."""
-    th = theta
-    wq = ext.scalar(w)
-    c2 = ext.scalar(gram[0][0])
-    c1 = ext.add(
-        ext.mul(ext.scalar(2 * gram[0][1]), th),
-        ext.mul(ext.scalar(2 * gram[0][2]), wq),
-    )
-    c0 = ext.add(
-        ext.add(
-            ext.mul(ext.scalar(gram[1][1]), ext.mul(th, th)),
-            ext.mul(ext.scalar(2 * gram[1][2]), ext.mul(th, wq)),
-        ),
-        ext.mul(ext.scalar(gram[2][2]), ext.mul(wq, wq)),
-    )
-    return [c0, c1, c2]
+def _ext_slice(p: HomPoly, ext: _QuadExt) -> list:
+    """p(u, theta, 1) as a polynomial in u with _QuadExt coefficients."""
+    theta_pows = [ext.scalar(1)]
+    for _ in range(p.weight):
+        theta_pows.append(ext.mul(theta_pows[-1], ext.theta()))
+    out = [ext.scalar(0)] * (p.weight + 1)
+    for e, c in p.coeffs.items():
+        out[e[0]] = ext.add(out[e[0]], ext.mul(ext.scalar(c), theta_pows[e[1]]))
+    return out
 
 
 def rank_one_elements(
@@ -577,50 +556,34 @@ def rank_one_elements(
     if not 2 <= 6 - system.dim <= 3:
         raise ValueError("system dimension must be 3 or 4")
     flat = [QuadricSystem._flatten(g) for g in system.basis]
-    annihilator = linalg.kernel_basis(flat, 6)
-    conics = [_conic_gram(phi) for phi in annihilator]
-    conic_polys = [gram_to_poly(g) for g in conics]
+    # phi pairs with the Gram entries (g00, g01, g02, g11, g12, g22) and the
+    # square l*l has Gram l_i l_j, so phi is the conic on monomials(3, 2)
+    conics = [
+        HomPoly(3, 2, zip(monomials(3, 2), phi))
+        for phi in linalg.kernel_basis(flat, 6)
+    ]
 
     rational: list[tuple[int, int, int]] = []
     orbits: list[RankOneOrbit] = []
     degenerate: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
 
     # the direction (1, 0, 0) escapes the elimination chart
-    if all(g[0][0] == 0 for g in conics):
+    if all(p.coefficient((2, 0, 0)) == 0 for p in conics):
         rational.append((1, 0, 0))
 
-    eliminant = None
-    for i in range(len(conic_polys)):
-        for j in range(i + 1, len(conic_polys)):
-            r = resultant_in_var(conic_polys[i], conic_polys[j], 0)
-            if not bf_is_zero(r):
-                eliminant = r
-                break
-        if eliminant is not None:
-            break
+    eliminant = next(_eliminants(conics), None)
     if eliminant is None:
         raise ValueError("every eliminant vanishes: rank-one locus is degenerate")
 
     # rational directions (v0 : w0)
     for v0, w0 in bf_rational_proj_roots(eliminant):
-        slices = []
-        for g in conics:
-            c2 = g[0][0]
-            c1 = 2 * g[0][1] * v0 + 2 * g[0][2] * w0
-            c0 = g[1][1] * v0 * v0 + 2 * g[1][2] * v0 * w0 + g[2][2] * w0 * w0
-            slices.append(up([c0, c1, c2]))
-        nonzero = [s for s in slices if s]
-        if not nonzero:
+        common = _line_gcd(conics, v0, w0)
+        if common is None:
             # every conic vanishes on the whole line: positive-dimensional
             base = _normalize_point([Fraction(0), Fraction(v0), Fraction(w0)])
             degenerate.append((base, (1, 0, 0)))
             if base not in rational:
                 rational.append(base)
-            continue
-        common = nonzero[0]
-        for s in nonzero[1:]:
-            common = up_gcd(common, s)
-        if not common or len(common) == 1:
             continue
         rest = common
         for u0 in rational_roots(common):
@@ -722,8 +685,7 @@ def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
     """
     g1, g0 = fac[1], fac[0]
     ext = _QuadExt(g1, g0)
-    theta = ext.theta()
-    slices = [_conic_u_slice(g, ext, theta) for g in conics]
+    slices = [_ext_slice(p, ext) for p in conics]
     nonzero = [s for s in slices if not all(ext.is_zero(c) for c in s)]
     if not nonzero:
         return None
@@ -733,8 +695,7 @@ def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
     if len(common) > 2:
         raise NotImplementedError("conjugate pairs of whole lines are out of scope")
     u = ext.mul(ext.sub(ext.scalar(0), common[0]), ext.inv(common[1]))
-    for g in conics:
-        coeffs = _conic_u_slice(g, ext, theta)
+    for coeffs in slices:
         acc = ext.scalar(0)
         upow = ext.scalar(1)
         for c in coeffs:

@@ -12,6 +12,14 @@ projecting onto the harmonic complement of (mu^2+nu^2)*(linear); for a
 node-shaped input the non-harmonic component vanishes identically, and
 the elimination carries one universal constant which is divided out so
 the result is exact, not just exact-up-to-scale.
+
+Rational common zeros of a few forms (the singular points of a cubic
+here, the squares in a system of conics in ``invariants``) come from
+one elimination: ``_eliminants`` removes lam from each pair of forms,
+and ``_line_gcd`` takes the forms' gcd in lam on each line (lam, mu0,
+nu0).  ``singular_points`` runs one loop over directions (mu0 : nu0),
+fed either by the rational roots of the eliminants (a certified answer)
+or by a bounded search when every eliminant vanishes.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from math import gcd
+from typing import Iterator, Sequence
 
 from .graded import QuadricSystem
 from .poly import HomPoly
@@ -161,11 +170,9 @@ def det_cubic(net: QuadricSystem) -> TernaryCubic:
 # ---------------------------------------------------------------------------
 
 
-def _binary_coeff_form(p: HomPoly, vars_pair: tuple[int, int]) -> list[Fraction]:
-    """A polynomial in two of the variables as a binary coefficient list."""
-    s, t = vars_pair
-    d = p.weight
-    out = [Fraction(0)] * (d + 1)
+def _binary_coeff_form(p: HomPoly, t: int) -> list[Fraction]:
+    """A binary form as a coefficient list indexed by the exponent of var t."""
+    out = [Fraction(0)] * (p.weight + 1)
     for e, c in p.coeffs.items():
         out[e[t]] += c
     return out
@@ -174,49 +181,52 @@ def _binary_coeff_form(p: HomPoly, vars_pair: tuple[int, int]) -> list[Fraction]
 def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
     """Res_var(f, g) as a binary form in the two remaining variables.
 
-    Uses the Sylvester determinant at the actual degrees in ``var``; if a
-    polynomial does not involve ``var`` the usual degenerate conventions
-    apply (Res(c, g) = c^deg(g), Res of two constants = 1).
+    The Sylvester determinant at the actual degrees in ``var``: when one
+    form does not involve ``var`` the matrix is diagonal and the result
+    is c^deg; two forms free of ``var`` give the constant 1 by
+    convention.  That constant certifies nothing about common zeros, so
+    callers must not eliminate with such a pair; ``_eliminants`` takes
+    the gcd of the two binary forms instead.
     """
-    rest = tuple(i for i in range(3) if i != var)
     cf = f.coefficients_in_var(var)
     cg = g.coefficients_in_var(var)
     df = max(cf) if cf else 0
     dg = max(cg) if cg else 0
-    zero = HomPoly.zero(3, 0)
-
-    def coeff(table, k):
-        return table.get(k, zero)
-
     if df == 0 and dg == 0:
         return [Fraction(1)]
-    if df == 0:
-        base = coeff(cf, 0)
-        out = base
-        for _ in range(dg - 1):
-            out = out * base
-        return _binary_coeff_form(out, rest)
-    if dg == 0:
-        base = coeff(cg, 0)
-        out = base
-        for _ in range(df - 1):
-            out = out * base
-        return _binary_coeff_form(out, rest)
-
+    zero = HomPoly.zero(3, 0)
     size = df + dg
     rows: list[list[HomPoly]] = []
     for shift in range(dg):
         row = [zero] * size
         for k in range(df + 1):
-            row[shift + df - k] = coeff(cf, k)
+            row[shift + df - k] = cf.get(k, zero)
         rows.append(row)
     for shift in range(df):
         row = [zero] * size
         for k in range(dg + 1):
-            row[shift + dg - k] = coeff(cg, k)
+            row[shift + dg - k] = cg.get(k, zero)
         rows.append(row)
-    det = _poly_det(rows)
-    return _binary_coeff_form(det, rest)
+    return _binary_coeff_form(_poly_det(rows), max(i for i in range(3) if i != var))
+
+
+def _eliminants(polys: Sequence[HomPoly]) -> Iterator[list[Fraction]]:
+    """The nonzero eliminant in (mu, nu) of each pair of nonzero forms.
+
+    A pair's eliminant is its resultant in lam, or the gcd of the two
+    binary forms when neither involves lam.  Every common zero off
+    [1, 0, 0] has its (mu : nu) among the roots of each eliminant.  Lazy,
+    so a caller that needs only the first computes one resultant.
+    """
+    nonzero = [p for p in polys if not p.is_zero()]
+    for i, f in enumerate(nonzero):
+        for g in nonzero[i + 1 :]:
+            if any(e[0] for p in (f, g) for e in p.coeffs):
+                r = resultant_in_var(f, g, 0)
+            else:
+                r = bf_gcd(_binary_coeff_form(f, 2), _binary_coeff_form(g, 2))
+            if not bf_is_zero(r):
+                yield r
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +249,6 @@ class SingularLocus:
 
 
 def _normalize_point(coords: Sequence[Fraction]) -> tuple[int, int, int]:
-    from math import gcd
-
     den = 1
     for c in coords:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -270,18 +278,33 @@ def _lam_slice(p: HomPoly, mu0: int, nu0: int) -> UPoly:
     return up_trim([out.get(i, Fraction(0)) for i in range(size)])
 
 
+def _line_gcd(polys: Sequence[HomPoly], mu0: int, nu0: int) -> UPoly | None:
+    """The gcd in lam of the forms on the line (lam, mu0, nu0).
+
+    None when every form vanishes on the whole line.
+    """
+    common = None
+    for p in polys:
+        s = _lam_slice(p, mu0, nu0)
+        if s:
+            common = s if common is None else up_gcd(common, s)
+    return common
+
+
 def singular_points(
     F: TernaryCubic, search_height: int = 50
 ) -> SingularLocus:
     """All rational projective singular points of a nonzero cubic.
 
     For the scanned family (node shape with definite tangent cone) the
-    answer is closed-form.  Otherwise lam is eliminated from the three
-    partials by pairwise resultants; the gcd of the eliminants has
-    finitely many rational roots, each checked exactly, which certifies
-    completeness.  If every eliminant degenerates to zero the locus may
-    be positive-dimensional and a bounded search of directions with
-    coordinates up to ``search_height`` runs instead (not a proof).
+    answer is closed-form.  Otherwise one loop runs over directions
+    (mu0 : nu0), takes the rational lam-roots of the partials' gcd on each
+    line and re-checks every point exactly.  The directions are the
+    rational roots of the gcd of the eliminants, which certifies
+    completeness; when every eliminant vanishes the locus may be
+    positive-dimensional and the directions with coordinates up to
+    ``search_height`` are searched instead (not a proof).  A whole
+    singular line of directions also clears ``complete``.
     """
     if F.is_zero():
         raise ValueError("the zero cubic is singular everywhere")
@@ -298,77 +321,35 @@ def singular_points(
                 pts.append((1, 0, 0))
             return SingularLocus(tuple(pts), True, "family-closed-form")
 
-    # a singular point with (mu,nu) != (0,0) zeroes every pairwise
-    # eliminant, so the gcd of the nonzero ones carries all candidates
-    resultants = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if partials[i].is_zero() or partials[j].is_zero():
-            continue
-        r = resultant_in_var(partials[i], partials[j], 0)
-        if not bf_is_zero(r):
-            resultants.append(r)
+    eliminant = None
+    for r in _eliminants(partials):
+        eliminant = r if eliminant is None else bf_gcd(eliminant, r)
+    if eliminant is not None:
+        directions = bf_rational_proj_roots(eliminant)
+        complete, method = True, "resultant-elimination"
+    else:
+        directions = [(1, 0)] + [
+            (mu0, nu0)
+            for mu0 in range(-search_height, search_height + 1)
+            for nu0 in range(1, search_height + 1)
+            if gcd(mu0, nu0) == 1
+        ]
+        complete, method = False, "bounded-search"
 
-    if not resultants:
-        return _bounded_search(F, partials, search_height)
-
-    g = resultants[0]
-    for r in resultants[1:]:
-        g = bf_gcd(g, r)
     points: list[tuple[int, int, int]] = []
-    complete = True
     if _is_singular_at(partials, (1, 0, 0)):
         points.append((1, 0, 0))
-    candidates = bf_rational_proj_roots(g) if len(g) > 1 else []
-    for mu0, nu0 in candidates:
-        slices = [_lam_slice(p, mu0, nu0) for p in partials]
-        nonzero = [s for s in slices if s]
-        if not nonzero:
+    for mu0, nu0 in directions:
+        common = _line_gcd(partials, mu0, nu0)
+        if common is None:
             # the whole line of directions (mu0:nu0) is singular
             complete = False
             continue
-        common = nonzero[0]
-        for s in nonzero[1:]:
-            common = up_gcd(common, s)
-        if not common:
-            complete = False
-            continue
-        if len(common) == 1:
-            continue  # no common lam at this direction
         for lam0 in rational_roots(common):
             pt = _normalize_point([lam0, Fraction(mu0), Fraction(nu0)])
             if _is_singular_at(partials, pt) and pt not in points:
                 points.append(pt)
-    return SingularLocus(tuple(sorted(points)), complete, "resultant-elimination")
-
-
-def _bounded_search(
-    F: TernaryCubic, partials: list[HomPoly], height: int
-) -> SingularLocus:
-    from math import gcd
-
-    points: list[tuple[int, int, int]] = []
-    if _is_singular_at(partials, (1, 0, 0)):
-        points.append((1, 0, 0))
-    directions = [(1, 0)]
-    for mu0 in range(-height, height + 1):
-        for nu0 in range(1, height + 1):
-            if gcd(abs(mu0), nu0) == 1:
-                directions.append((mu0, nu0))
-    for mu0, nu0 in directions:
-        slices = [_lam_slice(p, mu0, nu0) for p in partials]
-        nonzero = [s for s in slices if s]
-        if not nonzero:
-            continue
-        common = nonzero[0]
-        for s in nonzero[1:]:
-            common = up_gcd(common, s)
-        if not common or len(common) == 1:
-            continue
-        for lam0 in rational_roots(common):
-            pt = _normalize_point([lam0, Fraction(mu0), Fraction(nu0)])
-            if _is_singular_at(partials, pt) and pt not in points:
-                points.append(pt)
-    return SingularLocus(tuple(sorted(points)), False, "bounded-search")
+    return SingularLocus(tuple(sorted(points)), complete, method)
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,24 @@ def test_rank_one_whole_conic_degenerate():
     assert {(1, 0, 0), (0, 1, 0)} <= set(cls.rational)
 
 
+def test_rank_one_lam_free_conics():
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    # the first two annihilator conics lack x1; (t, 0, 1)^2 lies in the span
+    # exactly when t^2 + 2t = 1
+    system = QuadricSystem.from_polys(
+        [-x1 * x2, -x1 * x1 + x1 * x2 - x3 * x3, 2 * (x1 * x3 + x3 * x3)]
+    )
+    cls = rank_one_elements(system)
+    assert len(cls.orbits) == 1
+    orbit = cls.orbits[0]
+    assert orbit.min_poly == MonicQuadratic(Fraction(2), Fraction(-1))
+    assert (orbit.base, orbit.direction) == ((0, 0, 1), (1, 0, 0))
+    # both annihilator conics lack x1, and x2^2 is in the span with x1^2
+    cls = rank_one_elements(QuadricSystem.from_polys([x1 * x1, x1 * x2, x1 * x3, x2 * x2]))
+    assert cls.rational == ((0, 1, 0), (1, 0, 0))
+    assert cls.degenerate_lines == (((0, 1, 0), (1, 0, 0)),)
+
+
 def test_rank_one_splitting_class_invariance():
     rng = random.Random(10)
     done = 0

@@ -12,10 +12,12 @@ from biquo.nodal import (
     TernaryCubic,
     det_cubic,
     inflection_lines,
+    resultant_in_var,
     singular_points,
     tangent_cone,
 )
 from biquo.oracles import inflection_residual
+from biquo.poly import HomPoly, monomials
 
 
 def family_cubic(alpha, beta):
@@ -157,6 +159,76 @@ def test_singular_points_triangle():
     locus = singular_points(TernaryCubic.from_coefficients({(1, 1, 1): 1}))
     assert set(locus.points) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert locus.complete
+
+
+def test_singular_points_bounded_search_on_a_singular_line():
+    # lam^2 mu is singular along lam = 0, so every eliminant vanishes and
+    # only the directions of height <= 2 are searched
+    locus = singular_points(
+        TernaryCubic.from_coefficients({(2, 1, 0): 1}), search_height=2
+    )
+    assert locus.method == "bounded-search" and not locus.complete
+    assert locus.points == (
+        (0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 1, 0),
+        (0, 1, 1), (0, 1, 2), (0, 2, -1), (0, 2, 1),
+    )
+
+
+def test_singular_points_lam_free_pair_of_partials():
+    # -2 lam^3 + mu^2 nu: the partials 2 mu nu and mu^2 both lack lam, so
+    # their resultant in lam is the constant 1; their gcd mu finds the cusp
+    locus = singular_points(TernaryCubic.from_coefficients({(3, 0, 0): -2, (0, 2, 1): 1}))
+    assert locus.points == ((0, 0, 1),) and locus.complete
+    # mu^3 - mu^2 nu is singular along the whole line mu = 0
+    locus = singular_points(TernaryCubic.from_coefficients({(0, 3, 0): 1, (0, 2, 1): -1}))
+    assert locus.points == ((1, 0, 0),) and not locus.complete
+
+
+def _random_form(rng, weight, free_of=None):
+    # sparse integer coefficients; free_of drops every monomial in that variable
+    terms = {
+        e: rng.randint(-4, 4)
+        for e in monomials(3, weight)
+        if (free_of is None or e[free_of] == 0) and rng.random() < 0.6
+    }
+    return HomPoly(3, weight, terms)
+
+
+def test_resultant_in_var_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:3")
+
+    def to_expr(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
+            for e, c in p.coeffs.items()
+        )
+
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(120):
+        var = rng.randrange(3)
+        f = _random_form(rng, rng.randint(1, 3), var if rng.random() < 0.3 else None)
+        g = _random_form(rng, rng.randint(1, 3), var if rng.random() < 0.3 else None)
+        if f.is_zero() or g.is_zero():
+            continue
+        s, t = (xs[i] for i in range(3) if i != var)
+        form = resultant_in_var(f, g, var)
+        got = sum(
+            sympy.Rational(c.numerator, c.denominator) * s ** (len(form) - 1 - k) * t**k
+            for k, c in enumerate(form)
+        )
+        # sympy 1.14 returns Res(g, f) when deg f < deg g, so it is only
+        # asked with the higher degree first: Res(f, g) = (-1)^(df dg) Res(g, f)
+        df, dg = (max(e[var] for e in p.coeffs) for p in (f, g))
+        if df >= dg:
+            want = sympy.resultant(to_expr(f), to_expr(g), xs[var])
+        else:
+            want = (-1) ** (df * dg) * sympy.resultant(to_expr(g), to_expr(f), xs[var])
+        assert sympy.expand(got - want) == 0, (f, g, var)
+        checked += 1
+    assert checked > 80
 
 
 def test_singular_points_rejects_zero():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +13,16 @@ from biquo.invariants import parse_t1_invariant
 from biquo.report import DEGENERATE, ScanReport, scan
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args: str, code: str = "from biquo.cli import main; sys.exit(main())"):
+    """Run the CLI (or other code) in a fresh interpreter, as a shell would."""
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
 
 
 def golden_counts():
@@ -242,3 +255,33 @@ def test_cli_verify_failure_exit_1(monkeypatch, capsys):
 
 def test_cli_bad_matrix_exit_2(capsys):
     assert main(["free", "--matrix", "1,0;2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring", "--matrix", "[1,2]"],
+        ["ring", "--matrix", "1", "--max-degree", "-3"],
+        ["scan", "t1", "--radius", "1", "--out", "{missing}/x.json"],
+    ],
+    ids=["matrix-not-rows", "negative-max-degree", "unwritable-out"],
+)
+def test_cli_bad_input_exit_2_one_line(argv, tmp_path):
+    proc = run_cli(*(a.format(missing=tmp_path / "missing") for a in argv))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_cli_bad_rational_is_a_usage_error():
+    # Fraction("1/0") raises ZeroDivisionError, which argparse does not catch
+    proc = run_cli("invariant", "t2", "--a0", "1/0", "--a1", "1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --a0: invalid rational value: '1/0'" in proc.stderr.splitlines()[-1]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = run_cli(code="import biquo.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
