@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-_TRIAL_LIMIT = 10**6
+# Trial division stops at this prime bound and Pollard rho takes the cofactor.
+# Below 10^8 the bound never binds (the t1 scan factors integers < 4 * 10^6).
+_TRIAL_LIMIT = 10**4
 
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -19,6 +19,7 @@ bundle data over either kind of base.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -53,10 +54,10 @@ class TorusActionMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TorusActionMatrix":
         try:
-            entries = tuple(tuple(int(x) for x in row) for row in rows)
+            rows = [list(row) for row in rows]
         except TypeError as exc:
             raise ValueError("weight matrix must be a list of integer rows") from exc
-        return cls(entries)
+        return cls(tuple(tuple(_weight(x) for x in row) for row in rows))
 
     @classmethod
     def parse(cls, text: str) -> "TorusActionMatrix":
@@ -69,6 +70,16 @@ class TorusActionMatrix:
 
     def __str__(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
+
+
+def _weight(x) -> int:
+    """x as an int if it is an integer (not a bool); ValueError otherwise."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"weight {x!r} is not an integer")
 
 
 def _as_matrix(A) -> TorusActionMatrix:

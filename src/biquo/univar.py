@@ -7,13 +7,15 @@ Binary forms of degree d in (s, t) are coefficient lists
 
 Factorization is complete through degree 4 (rational roots, quadratic
 discriminants, and the resolvent cubic for quartics), which covers every
-eliminant this project produces.
+eliminant this project produces.  Rational roots are found on the
+primitive integer multiple of a polynomial with integer arithmetic only;
+a Fraction is built just for each root found.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import factor
 
@@ -76,13 +78,6 @@ def up_gcd(p: UPoly, q: UPoly) -> UPoly:
     return up_monic(a)
 
 
-def up_eval(p: UPoly, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def _divisors(n: int) -> list[int]:
     _, fac = factor(n)
     out = [1]
@@ -92,7 +87,15 @@ def _divisors(n: int) -> list[int]:
 
 
 def rational_roots(p: UPoly) -> list[Fraction]:
-    """All distinct rational roots, exactly (rational root theorem)."""
+    """All distinct rational roots, exactly, in increasing order.
+
+    Rational root theorem on integers: p is scaled to integer
+    coefficients and divided by their gcd, so a root in lowest terms
+    s/d has s dividing the constant term and d the leading one.  Each
+    coprime candidate is tested by the homogeneous Horner value
+    sum ip[k] s^k d^(n-k), an integer that is zero exactly at a root;
+    only the roots become Fractions.
+    """
     p = up_trim(p[:])
     if not p:
         raise ValueError("the zero polynomial has every root")
@@ -103,15 +106,22 @@ def rational_roots(p: UPoly) -> list[Fraction]:
             p = p[1:]
     if up_deg(p) < 1:
         return roots
-    from math import lcm
-
     den = lcm(*[c.denominator for c in p])
-    ip = [int(c * den) for c in p]
-    for num in _divisors(abs(ip[0])):
-        for d in _divisors(abs(ip[-1])):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if cand not in roots and up_eval(p, cand) == 0:
-                    roots.append(cand)
+    ip = [c.numerator * (den // c.denominator) for c in p]
+    content = gcd(*ip)
+    ip = [c // content for c in ip]
+    n = len(ip) - 1
+    for d in _divisors(abs(ip[-1])):
+        d_pow = [d**j for j in range(n + 1)]
+        for num in _divisors(abs(ip[0])):
+            if gcd(num, d) != 1:
+                continue
+            for s in (num, -num):
+                acc = ip[n]
+                for k in range(n - 1, -1, -1):
+                    acc = acc * s + ip[k] * d_pow[n - k]
+                if acc == 0:
+                    roots.append(Fraction(s, d))
     return sorted(roots)
 
 
@@ -212,15 +222,6 @@ def bf_degree(form: list[Fraction]) -> int:
 
 def bf_is_zero(form: list[Fraction]) -> bool:
     return all(c == 0 for c in form)
-
-
-def bf_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def bf_valuations(form: list[Fraction]) -> tuple[int, int]:

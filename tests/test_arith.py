@@ -54,6 +54,13 @@ def test_factor_pollard_branch():
     assert sign == 1 and fac == {1000003: 1, 1000033: 1}
 
 
+def test_factor_two_primes_above_trial_limit():
+    # both primes lie far above the trial limit, so Pollard rho splits them
+    assert 1000033 > _TRIAL_LIMIT and 1000037 > _TRIAL_LIMIT
+    assert factor(1000033 * 1000037) == (1, {1000033: 1, 1000037: 1})
+    assert factor(-3 * 10007**2 * 10009) == (-1, {3: 1, 10007: 2, 10009: 1})
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)

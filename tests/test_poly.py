@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from biquo.poly import HomPoly, monomials, parse_poly
 from biquo.univar import (
     bf_divide_exact,
     bf_gcd,
-    bf_mul,
     bf_rational_proj_roots,
     rational_roots,
     up,
+    up_deg,
     up_divmod,
     up_factor,
     up_gcd,
@@ -19,6 +20,15 @@ from biquo.univar import (
 
 def V(n, i):
     return HomPoly.variable(n, i)
+
+
+def bf_mul(a, b):
+    """Product of two binary forms (coefficient lists in s^(d-k) t^k)."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_monomial_order():
@@ -80,6 +90,90 @@ def test_quartic_factorization():
     doubled = up_mul(up([-2, 0, 1]), up([-2, 0, 1]))
     _, facs = up_factor(doubled)
     assert facs == [([Fraction(-2), Fraction(0), Fraction(1)], 2)]
+
+
+def test_rational_roots_many_candidates():
+    # 120 x 120 divisor pairs of the constant and leading terms (a t3
+    # membership quartic of the verify suite)
+    quartic = up([1190640, -116160, -2090880, 116160, 900240])
+    assert rational_roots(quartic) == [-1, 1]
+    content, facs = up_factor(quartic)
+    assert content == 900240
+    assert facs == [
+        (up([Fraction(-41, 31), Fraction(4, 31), 1]), 1),
+        (up([-1, 1]), 1),
+        (up([1, 1]), 1),
+    ]
+
+
+def test_rational_roots_exact_on_primitive_integer_form():
+    # content 6, Fraction coefficients, a double root and a zero root
+    p = up_mul(up([0, Fraction(6, 7)]), up_mul(up([3, -2]), up([3, -2])))
+    assert rational_roots(p) == [0, Fraction(3, 2)]
+    assert rational_roots(up([Fraction(-1, 3), 0, 3])) == [Fraction(-1, 3), Fraction(1, 3)]
+    assert rational_roots(up([1, 0, 1])) == []
+    assert rational_roots(up([5])) == []
+    with pytest.raises(ValueError):
+        rational_roots([Fraction(0)])
+
+
+def _seeded_poly(rng: random.Random, degree: int):
+    """A random rational scalar times linear, x and quadratic factors.
+
+    Roots have both signs and denominators up to 6; factors repeat.
+    """
+    scalar = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 6))
+    p, factors = up([scalar]), []
+    while up_deg(p) < degree:
+        room = degree - up_deg(p)
+        kind = rng.randrange(5)
+        if factors and kind == 0:
+            f = rng.choice(factors)
+        elif kind == 1:
+            f = up([0, 1])
+        elif kind == 2 and room >= 2:
+            f = up([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 4)])
+        else:
+            f = up([-rng.randint(-12, 12), rng.randint(1, 6)])
+        if 0 < up_deg(f) <= room:
+            factors.append(f)
+            p = up_mul(p, f)
+    return p
+
+
+def _sympy_poly(p):
+    import sympy
+
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _fraction(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+def test_rational_roots_match_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for trial in range(300):
+        p = _seeded_poly(rng, 1 + trial % 6)
+        want = sorted(_fraction(r) for r in _sympy_poly(p).ground_roots())
+        assert rational_roots(p) == want, p
+
+
+def test_up_factor_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for trial in range(200):
+        p = _seeded_poly(rng, 1 + trial % 4)
+        _, sym = _sympy_poly(p).factor_list()
+        want = sorted(
+            (tuple(_fraction(c) for c in reversed(f.monic().all_coeffs())), m)
+            for f, m in sym
+        )
+        content, facs = up_factor(p)
+        assert content == p[-1]
+        assert sorted((tuple(f), m) for f, m in facs) == want, p
 
 
 def test_binary_forms():

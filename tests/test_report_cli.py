@@ -263,8 +263,13 @@ def test_cli_bad_matrix_exit_2(capsys):
         ["ring", "--matrix", "[1,2]"],
         ["ring", "--matrix", "1", "--max-degree", "-3"],
         ["scan", "t1", "--radius", "1", "--out", "{missing}/x.json"],
+        ["free", "--matrix", "[[1.7]]"],
+        ["ring", "--matrix", "[[true]]"],
     ],
-    ids=["matrix-not-rows", "negative-max-degree", "unwritable-out"],
+    ids=[
+        "matrix-not-rows", "negative-max-degree", "unwritable-out",
+        "float-weight", "bool-weight",
+    ],
 )
 def test_cli_bad_input_exit_2_one_line(argv, tmp_path):
     proc = run_cli(*(a.format(missing=tmp_path / "missing") for a in argv))
