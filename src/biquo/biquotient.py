@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -61,15 +62,22 @@ class TorusActionMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "TorusActionMatrix":
-        """Accepts semicolon-separated rows ("1,0,0;2,1,1;4,2,1") or JSON."""
+        """Accepts JSON or semicolon-separated rows ("1,0,0;2,1,1;4,2,1") of
+        ASCII ``-?[0-9]+`` entries, with optional whitespace around each."""
         text = text.strip()
         if text.startswith("["):
             return cls.from_rows(json.loads(text))
-        rows = [chunk.split(",") for chunk in text.split(";")]
+        rows = [[x.strip() for x in chunk.split(",")] for chunk in text.split(";")]
+        bad = [x for row in rows for x in row if not _INTEGER.fullmatch(x)]
+        if bad:
+            raise ValueError(f"weight {bad[0]!r} is not an integer")
         return cls.from_rows([[int(x) for x in row] for row in rows])
 
     def __str__(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
+
+
+_INTEGER = re.compile("-?[0-9]+")
 
 
 def _weight(x) -> int:
@@ -348,8 +356,7 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     w_indices = tuple(i for i in range(n) if i != drop)
 
     mult = multiplication_map(n, base.h4_dim(), base.pair_product_coords, y)
-    y_span = [list(col) for col in zip(*mult.matrix)] if mult.matrix else []
-    target = linalg.QuotientSpace(base.h4_dim(), [row for row in y_span])
+    target = linalg.QuotientSpace(base.h4_dim(), zip(*mult.matrix))
 
     def w_pair_coords(a: int, b: int) -> list[Fraction]:
         i, j = w_indices[a], w_indices[b]

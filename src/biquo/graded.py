@@ -84,15 +84,14 @@ class GradedQuotient:
         weight = degree // 2
         monos = monomials(self.generators, weight)
         index = {m: i for i, m in enumerate(monos)}
+        multipliers = monomials(self.generators, weight - 2) if weight >= 2 else []
         rows = []
-        if weight >= 2:
-            for rel in self.relations:
-                for mono in monomials(self.generators, weight - 2):
-                    row = [Fraction(0)] * len(monos)
-                    for e, c in rel.coeffs.items():
-                        shifted = tuple(a + b for a, b in zip(e, mono))
-                        row[index[shifted]] = c
-                    rows.append(row)
+        for rel in self.relations:
+            terms = rel.coeffs.items()
+            for mono in multipliers:
+                rows.append({
+                    index[tuple(a + b for a, b in zip(e, mono))]: c for e, c in terms
+                })
         piece = linalg.QuotientSpace(len(monos), rows)
         self._pieces[degree] = piece
         return piece
@@ -104,10 +103,7 @@ class GradedQuotient:
         """Coordinates of a polynomial's class in its degree's quotient basis."""
         piece = self.piece(poly.degree)
         index = {m: i for i, m in enumerate(monomials(self.generators, poly.weight))}
-        vec = [Fraction(0)] * piece.ambient_dim
-        for e, c in poly.coeffs.items():
-            vec[index[e]] = c
-        return piece.coords(vec)
+        return piece.coords({index[e]: c for e, c in poly.coeffs.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -172,20 +168,13 @@ class GradedQuotient:
             self.max_degree,
         )
 
-    def relation_span(self, degree: int) -> tuple[list[list[Fraction]], list[int]]:
-        piece = self.piece(degree)
-        return piece.span_rows, piece.span_pivots
-
     def same_ideal_through(self, other: "GradedQuotient", max_degree: int) -> bool:
         """Degreewise equality of the relation spans up to max_degree."""
         if self.generators != other.generators:
             return False
-        for d in range(4, max_degree + 1, 2):
-            mine, my_piv = self.relation_span(d)
-            theirs, their_piv = other.relation_span(d)
-            if my_piv != their_piv or mine != theirs:
-                return False
-        return True
+        return all(
+            self.piece(d).same_span(other.piece(d)) for d in range(4, max_degree + 1, 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -202,9 +191,8 @@ class QuadricSystem:
                 raise ValueError("Gram matrix has the wrong shape")
             if any(g[i][j] != g[j][i] for i in range(k) for j in range(k)):
                 raise ValueError("Gram matrix is not symmetric")
-        if self.basis and linalg.rank([self._flatten(g) for g in self.basis]) != len(
-            self.basis
-        ):
+        n = k * (k + 1) // 2
+        if linalg.QuotientSpace(n, map(self._flatten, self.basis)).dim != n - self.dim:
             raise ValueError("quadric basis is linearly dependent")
 
     @staticmethod
@@ -217,9 +205,8 @@ class QuadricSystem:
         return len(self.basis)
 
     def contains(self, gram) -> bool:
-        rows = [self._flatten(g) for g in self.basis]
-        reduced, pivots = linalg.rref(rows)
-        return linalg.in_span(self._flatten(gram), reduced, pivots)
+        flat = self._flatten(gram)
+        return linalg.QuotientSpace(len(flat), map(self._flatten, self.basis)).contains(flat)
 
     def polys(self) -> list[HomPoly]:
         return [gram_to_poly(g) for g in self.basis]

@@ -335,8 +335,8 @@ class MonicQuadratic:
 
 
 # Parameter-free parts of the t3 reduction, built once: the variables,
-# x1 x2, the degree-2 monomials with their index, the coefficient rows of
-# the fixed quadrics x1^2, x2^2, x3^2 - x1 x2 and of x3^2, and 2 x3.
+# x1 x2, the degree-2 monomials with their index, the span of the fixed
+# quadrics x1^2, x2^2, x3^2 - x1 x2, the coefficient row of x3^2, and 2 x3.
 # t3_kernel_system builds the same system on its own, as the reference
 # the tests hold these constants to.
 _X1, _X2, _X3 = (HomPoly.variable(3, i) for i in range(3))
@@ -345,17 +345,14 @@ _T3_MONOS = monomials(3, 2)
 _T3_INDEX = {m: i for i, m in enumerate(_T3_MONOS)}
 
 
-def _t3_vector(p: HomPoly) -> list[Fraction]:
-    out = [Fraction(0)] * len(_T3_MONOS)
-    for e, coeff in p.coeffs.items():
-        out[_T3_INDEX[e]] = coeff
-    return out
+def _t3_vector(p: HomPoly) -> dict[int, Fraction]:
+    return {_T3_INDEX[e]: coeff for e, coeff in p.coeffs.items()}
 
 
-_T3_FIXED_ROWS = tuple(
-    tuple(_t3_vector(p)) for p in (_X1 * _X1, _X2 * _X2, _X3 * _X3 - _X1X2)
+_T3_FIXED_SPAN = linalg.QuotientSpace(
+    len(_T3_MONOS), map(_t3_vector, (_X1 * _X1, _X2 * _X2, _X3 * _X3 - _X1X2))
 )
-_X3_SQUARED = tuple(_t3_vector(_X3 * _X3))
+_X3_SQUARED = _t3_vector(_X3 * _X3)
 _TWO_X3 = _X3.scale(2)
 
 
@@ -371,13 +368,13 @@ def t3_kernel_system(a, b, c) -> QuadricSystem:
     )
 
 
-def _t3_relation_rows(a: Fraction, b: Fraction, c: Fraction) -> list:
-    """Coefficient rows of ``t3_kernel_system(a, b, c)``'s quadrics, from the
-    hoisted constants plus the one parameter-dependent quadric."""
+def _t3_parameter_row(a: Fraction, b: Fraction, c: Fraction) -> dict[int, Fraction]:
+    """Coefficient row of the one parameter-dependent quadric of
+    ``t3_kernel_system(a, b, c)``; ``_T3_FIXED_SPAN`` spans the others."""
     if a == 0 or b == 0 or c == 0:
         raise ValueError("parameters must be nonzero")
     ell = HomPoly.linear([a, b, c])
-    return [*_T3_FIXED_ROWS, _t3_vector(ell * ell - _X1X2)]
+    return _t3_vector(ell * ell - _X1X2)
 
 
 def t3_membership_quadratic(a, b, c) -> MonicQuadratic:
@@ -389,7 +386,9 @@ def t3_membership_quadratic(a, b, c) -> MonicQuadratic:
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     # quotient basis (lex-first): expect the classes of x1 x2 and x1 x3
-    quotient = linalg.QuotientSpace(len(_T3_MONOS), _t3_relation_rows(a, b, c))
+    quotient = linalg.QuotientSpace(
+        len(_T3_MONOS), [_t3_parameter_row(a, b, c)], base=_T3_FIXED_SPAN
+    )
     if [_T3_MONOS[i] for i in quotient.basis_indices] != [(1, 1, 0), (1, 0, 1)]:
         raise CertificateError("unexpected quotient basis for the kernel system")
     base = HomPoly.linear([a, b, 0])
@@ -670,10 +669,8 @@ def _hint_parametrization(B, D, hb, hd):
 def _use_hint(line_points: list[list[Fraction]], line_hint) -> bool:
     if line_hint is None:
         return False
-    span_rows, pivots = linalg.rref([p[:] for p in line_points])
-    return linalg.in_span(
-        [Fraction(x) for x in line_hint[0]], span_rows, pivots
-    ) and linalg.in_span([Fraction(x) for x in line_hint[1]], span_rows, pivots)
+    line = linalg.QuotientSpace(3, line_points)
+    return all(line.contains(point) for point in line_hint)
 
 
 def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:

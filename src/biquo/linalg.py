@@ -1,18 +1,20 @@
-"""Small dense exact linear algebra over Q (lists of Fractions).
+"""Exact linear algebra over Q.
 
-Matrices are lists of row lists.  Everything is Gaussian elimination
-with no pivoting cleverness beyond exactness; the largest matrices here
-are the relation spans of graded pieces (126 columns for the degree-8
-piece of a rank-6 ring).  ``QuotientSpace`` gives a coordinate space
-modulo a span its lex-first basis and the coordinates in it.
+Dense matrices are lists of Fraction rows (``rref``, ``det``, ``solve``,
+``kernel_basis``).  ``QuotientSpace`` gives a coordinate space modulo a
+span its lex-first basis and the coordinates in it, over a sparse
+integer echelon: a graded piece of a rank-7 ring has 1716 columns, but
+a relation multiple has at most seven nonzero integer entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 
 def frac_rows(rows) -> Matrix:
@@ -43,24 +45,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0])
-
-
-def reduce_against(vec: Vector, basis: Matrix, pivots: list[int]) -> Vector:
-    """Residue of vec after eliminating the pivot coordinates of an rref basis."""
-    v = vec[:]
-    for row, c in zip(basis, pivots):
-        if v[c] != 0:
-            factor = v[c]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return v
-
-
-def in_span(vec: Vector, basis: Matrix, pivots: list[int]) -> bool:
-    return all(x == 0 for x in reduce_against(vec, basis, pivots))
-
-
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the right kernel {x : A x = 0}, one vector per free column."""
     basis, pivots = rref(rows)
@@ -77,12 +61,6 @@ def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
 
 def mat_vec(rows: Matrix, v: Vector) -> Vector:
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
 
 
 def det(rows: Matrix) -> Fraction:
@@ -122,15 +100,6 @@ def int_det(rows: list[list[int]]) -> int:
     return out
 
 
-def inverse(rows: Matrix) -> Matrix:
-    n = len(rows)
-    aug = [row[:] + ident_row for row, ident_row in zip(rows, identity(n))]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
 def solve(rows: Matrix, rhs: Vector) -> Vector | None:
     """One exact solution of A x = b, or None if inconsistent.
 
@@ -147,31 +116,87 @@ def solve(rows: Matrix, rhs: Vector) -> Vector | None:
     return x
 
 
+def _integer_row(row) -> tuple[SparseRow, int]:
+    """The nonzero entries of a dense or ``{column: value}`` row of ints or
+    Fractions, times the lcm of their denominators; returns (row, lcm)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    nonzero = [(j, x) for j, x in items if x]
+    den = lcm(*(x.denominator for _, x in nonzero))
+    return {j: x.numerator * (den // x.denominator) for j, x in nonzero}, den
+
+
+def _eliminate(row: SparseRow, pivot: SparseRow, c: int) -> tuple[SparseRow, int]:
+    """m*row - q*pivot with the entry at column c cancelled, and m > 0."""
+    a, b = row[c], pivot[c]
+    g = gcd(a, b)
+    q, m = a // g, b // g
+    out = {j: m * x for j, x in row.items()} if m != 1 else dict(row)
+    for j, y in pivot.items():
+        x = out.get(j, 0) - q * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out, m
+
+
 class QuotientSpace:
     """A coordinate space modulo a span, with a lex-first basis.
 
-    The quotient basis consists of the first coordinate vectors (in
-    index order) that stay independent modulo the span, which makes the
-    coordinates deterministic.  e_i is one of them iff no span element
-    has i as its last nonzero index, i.e. iff i is not a pivot of the
-    span's rref taken with the columns reversed.  That rref, mapped back
-    to index order, is ``span_rows``/``span_pivots``; a vector's residue
-    against it vanishes off the basis, so the residue read at the basis
-    indices is the vector's coordinates.
+    The basis is the first coordinate vectors (in index order) that stay
+    independent modulo the span: e_i is one iff no span element has i as
+    its last nonzero index.  The span is a fraction-free echelon, one
+    primitive ``{column: int}`` row per pivot (its largest column, with a
+    positive entry); a new row is reduced against the pivot owning its
+    largest column until that column is free or the row vanishes.  A
+    vector reduced through the pivots in descending order is the unique
+    element of vec + span vanishing at every pivot: its coordinates.
+    Rows and vectors are dense or ``{column: value}``, of ints or
+    Fractions; ``base`` starts from another space's echelon.
     """
 
-    def __init__(self, ambient_dim: int, span_rows: Matrix):
+    def __init__(self, ambient_dim: int, rows, base: "QuotientSpace | None" = None):
+        if base is not None and base.ambient_dim != ambient_dim:
+            raise ValueError("base space has another ambient dimension")
         self.ambient_dim = ambient_dim
-        rows, pivots = rref([row[::-1] for row in span_rows])
-        self.span_rows = [row[::-1] for row in reversed(rows)]
-        self.span_pivots = [ambient_dim - 1 - c for c in reversed(pivots)]
-        taken = set(self.span_pivots)
-        self.basis_indices = [i for i in range(ambient_dim) if i not in taken]
+        echelon = {} if base is None else dict(base._echelon)
+        for row in rows:
+            row, _ = _integer_row(row)
+            while row and (c := max(row)) in echelon:
+                row, _ = _eliminate(row, echelon[c], c)
+            if row:
+                g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
+                echelon[c] = {j: x // g for j, x in row.items()}
+        self._echelon = echelon
+        self._order = sorted(echelon, reverse=True)
+        self.basis_indices = [i for i in range(ambient_dim) if i not in echelon]
 
     @property
     def dim(self) -> int:
         return len(self.basis_indices)
 
-    def coords(self, vec: Vector) -> Vector:
-        residue = reduce_against(list(vec), self.span_rows, self.span_pivots)
-        return [residue[i] for i in self.basis_indices]
+    def _residue(self, vec) -> tuple[SparseRow, int]:
+        """(r, s) with r/s the vector's residue, which vanishes at every pivot."""
+        row, scale = _integer_row(vec)
+        for c in self._order:
+            if c in row:
+                row, m = _eliminate(row, self._echelon[c], c)
+                scale *= m
+        return row, scale
+
+    def coords(self, vec) -> list[Fraction]:
+        residue, scale = self._residue(vec)
+        return [Fraction(residue.get(i, 0), scale) for i in self.basis_indices]
+
+    def contains(self, vec) -> bool:
+        """Whether the vector lies in the span."""
+        return not self._residue(vec)[0]
+
+    def same_span(self, other: "QuotientSpace") -> bool:
+        """Whether both spaces divide the same ambient space by the same span."""
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.dim == other.dim
+            and all(other.contains(row) for row in self._echelon.values())
+            and all(self.contains(row) for row in other._echelon.values())
+        )

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -16,6 +17,17 @@ def V(n, i):
 
 def family_ring(b1, c1):
     return quotient_ring(t1_action_matrix(b1, c1))
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def inverse(rows):
+    n = len(rows)
+    reduced, pivots = linalg.rref([row + unit for row, unit in zip(rows, identity(n))])
+    assert pivots[:n] == list(range(n)), "matrix is singular"
+    return [row[n:] for row in reduced]
 
 
 def binomial_series(n, degree):
@@ -103,15 +115,43 @@ def test_kernel_plus_rank():
 
 def test_change_of_variables_identity_and_inverse():
     ring = family_ring(2, 3)
-    assert ring.change_of_variables(linalg.identity(3)).same_ideal_through(ring, 6)
+    assert ring.change_of_variables(identity(3)).same_ideal_through(ring, 6)
     rng = random.Random(7)
     for _ in range(10):
         while True:
             P = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
             if linalg.det(P) != 0:
                 break
-        back = ring.change_of_variables(P).change_of_variables(linalg.inverse(P))
+        back = ring.change_of_variables(P).change_of_variables(inverse(P))
         assert back.same_ideal_through(ring, 6)
+
+
+def test_same_ideal_through_detects_a_perturbed_relation():
+    ring = family_ring(2, 3)
+    x = [V(3, i) for i in range(3)]
+    rng = random.Random(13)
+    for _ in range(12):
+        rels = list(ring.relations)
+        i, a, b = rng.randrange(3), rng.randrange(3), rng.randrange(3)
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 4))  # > 0: x1^2 stays nonzero
+        rels[i] = rels[i] + (x[a] * x[b]).scale(c)
+        moved = GradedQuotient(3, rels)
+        # x1^2 is itself a relation, so only that perturbation keeps the ideal
+        same = (a, b) == (0, 0)
+        assert ring.same_ideal_through(moved, 6) is same
+        assert moved.same_ideal_through(ring, 6) is same
+
+
+def test_rank_seven_ring_builds_in_under_a_second():
+    rng = random.Random(7)
+    A = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(7)]
+         for i in range(7)]
+    start = time.process_time()
+    ring = quotient_ring(A)
+    dims = [ring.graded_dim(d) for d in range(0, 15, 2)]
+    assert ring.is_complete_intersection()
+    assert time.process_time() - start < 1.0
+    assert dims == [comb(7, w) for w in range(8)]
 
 
 def test_change_of_variables_rejects_singular():

@@ -389,9 +389,9 @@ def test_t3_kernel_system_matches_bundle():
 
 
 def test_t3_row_relations_span_the_kernel_system():
-    # the hoisted constant rows plus the per-row quadric must span exactly
-    # the public kernel system (canonical rref on both sides)
-    from biquo.invariants import _t3_relation_rows
+    # the hoisted span of the fixed quadrics plus the per-row quadric must
+    # span exactly the public kernel system
+    from biquo.invariants import _T3_FIXED_SPAN, _t3_parameter_row
     from biquo.poly import monomials
 
     monos = monomials(3, 2)
@@ -404,8 +404,10 @@ def test_t3_row_relations_span_the_kernel_system():
         system_rows = [
             [p.coefficient(m) for m in monos] for p in t3_kernel_system(a, b, c).polys()
         ]
-        row_rows = [list(r) for r in _t3_relation_rows(a, b, c)]
-        assert linalg.rref(row_rows) == linalg.rref(system_rows)
+        row = _t3_parameter_row(a, b, c)
+        assert [row.get(i, 0) for i in range(6)] == system_rows[3]
+        extended = linalg.QuotientSpace(6, [row], base=_T3_FIXED_SPAN)
+        assert extended.same_span(linalg.QuotientSpace(6, system_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from biquo.arith import parse_square_class
-from biquo.cli import main
+from biquo.cli import MAX_RANK, main
 from biquo.invariants import parse_t1_invariant
 from biquo.report import DEGENERATE, ScanReport, scan
 
@@ -23,6 +23,10 @@ def run_cli(*args: str, code: str = "from biquo.cli import main; sys.exit(main()
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def identity_text(k: int) -> str:
+    return ";".join(",".join(str(int(i == j)) for j in range(k)) for i in range(k))
 
 
 def golden_counts():
@@ -265,10 +269,14 @@ def test_cli_bad_matrix_exit_2(capsys):
         ["scan", "t1", "--radius", "1", "--out", "{missing}/x.json"],
         ["free", "--matrix", "[[1.7]]"],
         ["ring", "--matrix", "[[true]]"],
+        ["free", "--matrix", "1_0"],
+        ["ring", "--matrix", identity_text(MAX_RANK + 1)],
+        ["free", "--matrix", identity_text(MAX_RANK + 1)],
     ],
     ids=[
         "matrix-not-rows", "negative-max-degree", "unwritable-out",
-        "float-weight", "bool-weight",
+        "float-weight", "bool-weight", "underscore-weight",
+        "ring-above-rank-limit", "free-above-rank-limit",
     ],
 )
 def test_cli_bad_input_exit_2_one_line(argv, tmp_path):
@@ -276,6 +284,11 @@ def test_cli_bad_input_exit_2_one_line(argv, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_cli_accepts_the_rank_limit(capsys):
+    assert main(["free", "--matrix", identity_text(MAX_RANK)]) == 0
+    assert capsys.readouterr().out == "free\n"
 
 
 def test_cli_bad_rational_is_a_usage_error():
