@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -143,11 +144,6 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
     return sign, dict(sorted(out.items()))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", omitting the denominator when it is 1."""
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -222,9 +218,6 @@ class Gaussian:
     def is_integral(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __repr__(self) -> str:
         def short(q: Fraction):
             return q.numerator if q.denominator == 1 else q
@@ -233,13 +226,13 @@ class Gaussian:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return format_rational(self.re)
+            return str(self.re)
         im_abs = abs(self.im)
-        im_txt = "i" if im_abs == 1 else f"{format_rational(im_abs)}i"
+        im_txt = "i" if im_abs == 1 else f"{im_abs}i"
         sign = "+" if self.im > 0 else "-"
         if self.re == 0:
             return f"{im_txt}" if self.im > 0 else f"-{im_txt}"
-        return f"{format_rational(self.re)}{sign}{im_txt}"
+        return f"{self.re}{sign}{im_txt}"
 
 
 def _as_gaussian(value) -> Gaussian:
@@ -250,13 +243,24 @@ def _as_gaussian(value) -> Gaussian:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian number")
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """A literal "p" or "p/q": ASCII digits, an optional sign and q > 0."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid rational literal {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def parse_gaussian(text: str) -> Gaussian:
     """Parse "a+bi" with rational parts, e.g. "3/4-2i", "5", "16i", "-i"."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty Gaussian number")
     if not s.endswith("i"):
-        return Gaussian(Fraction(s), 0)
+        return Gaussian(_parse_rational(s), 0)
     # split off the imaginary term at the last top-level sign
     split = 0
     for k in range(len(s) - 1, 0, -1):
@@ -269,12 +273,8 @@ def parse_gaussian(text: str) -> Gaussian:
     elif im_txt == "-":
         im_part = Fraction(-1)
     else:
-        im_part = Fraction(im_txt)
-    return Gaussian(Fraction(re_txt) if re_txt else Fraction(0), im_part)
-
-
-ONE = Gaussian(1, 0)
-I = Gaussian(0, 1)
+        im_part = _parse_rational(im_txt)
+    return Gaussian(_parse_rational(re_txt) if re_txt else Fraction(0), im_part)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -514,7 +514,10 @@ def parse_cube_class(text: str) -> CubeClass:
     residues = {}
     for chunk in text.split(","):
         p_txt, r_txt = chunk.split(":")
-        residues[int(p_txt)] = int(r_txt)
+        p = int(p_txt)
+        if p in residues or p % 4 != 1 or not is_prime(p):
+            raise ValueError(f"{p_txt!r} is not a new split prime p = 1 (mod 4)")
+        residues[p] = int(r_txt)
     return CubeClass.from_mapping(residues)
 
 

@@ -288,44 +288,6 @@ class CircleBundleData:
     target_dim: int
     image_dim: int
 
-    def kernel_in_base(self) -> QuadricSystem:
-        """The full preimage of the kernel in S^2 of the base's H^2.
-
-        Chart-independent: the span of the kernel quadrics (written in
-        the chosen representatives) together with y * H^2, which is the
-        kernel of S^2 V -> H^4(base)/(y V).  Two bundles with the same
-        Euler class give the same system even when they drop different
-        coordinates.
-        """
-        n = len(self.y)
-        flats = []
-        for g in self.kernel.basis:
-            lifted = [[Fraction(0)] * n for _ in range(n)]
-            for a, i in enumerate(self.w_indices):
-                for b, j in enumerate(self.w_indices):
-                    lifted[i][j] = g[a][b]
-            flats.append(
-                [lifted[i][j] for i in range(n) for j in range(i, n)]
-            )
-        for i in range(n):
-            prod = [[Fraction(0)] * n for _ in range(n)]
-            for j in range(n):
-                half = self.y[j] / 2
-                prod[i][j] += half
-                prod[j][i] += half
-            flats.append([prod[r][s] for r in range(n) for s in range(r, n)])
-        basis_rows, _ = linalg.rref(flats)
-        grams = []
-        for row in basis_rows:
-            g = [[Fraction(0)] * n for _ in range(n)]
-            idx = 0
-            for r in range(n):
-                for s in range(r, n):
-                    g[r][s] = g[s][r] = row[idx]
-                    idx += 1
-            grams.append(tuple(tuple(x) for x in g))
-        return QuadricSystem(n, tuple(grams))
-
 
 def _height(q: Fraction) -> int:
     return abs(q.numerator) * q.denominator

@@ -14,7 +14,7 @@ degree (idempotent writes, so concurrent readers are safe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -120,12 +120,6 @@ class GradedQuotient:
             self.graded_dim(d) == expected[d] for d in range(0, self.max_degree + 1, 2)
         )
 
-    def product_in_quotient(self, u: HomPoly, v: HomPoly) -> list[Fraction]:
-        """Degree-4 quotient coordinates of the product of two degree-2 classes."""
-        if u.degree != 2 or v.degree != 2:
-            raise ValueError("both factors must have cohomological degree 2")
-        return self.poly_coords(u * v)
-
     def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
         """Coordinates of x_i * x_j in the degree-4 quotient basis."""
         xi = HomPoly.variable(self.generators, i)
@@ -183,6 +177,7 @@ class QuadricSystem:
 
     ambient_dim: int
     basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _span: linalg.QuotientSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = self.ambient_dim
@@ -192,8 +187,10 @@ class QuadricSystem:
             if any(g[i][j] != g[j][i] for i in range(k) for j in range(k)):
                 raise ValueError("Gram matrix is not symmetric")
         n = k * (k + 1) // 2
-        if linalg.QuotientSpace(n, map(self._flatten, self.basis)).dim != n - self.dim:
+        span = linalg.QuotientSpace(n, map(self._flatten, self.basis))
+        if span.dim != n - self.dim:
             raise ValueError("quadric basis is linearly dependent")
+        object.__setattr__(self, "_span", span)
 
     @staticmethod
     def _flatten(gram) -> list[Fraction]:
@@ -205,8 +202,7 @@ class QuadricSystem:
         return len(self.basis)
 
     def contains(self, gram) -> bool:
-        flat = self._flatten(gram)
-        return linalg.QuotientSpace(len(flat), map(self._flatten, self.basis)).contains(flat)
+        return self._span.contains(self._flatten(gram))
 
     def polys(self) -> list[HomPoly]:
         return [gram_to_poly(g) for g in self.basis]
@@ -256,17 +252,13 @@ def square_map_kernel(
     columns = [pair_coords(i, j) for i, j in pairs]
     target_dim = len(columns[0]) if columns else 0
     rows = [[col[r] for col in columns] for r in range(target_dim)]
-    kernel = linalg.kernel_basis(rows, len(pairs))
-    grams = []
-    for vec in kernel:
-        g = [[Fraction(0)] * nvars for _ in range(nvars)]
-        for (i, j), c in zip(pairs, vec):
-            if i == j:
-                g[i][i] = c
-            else:
-                g[i][j] = g[j][i] = c / 2
-        grams.append(tuple(tuple(row) for row in g))
-    return QuadricSystem(nvars, tuple(grams))
+    # the pairs run in monomials(nvars, 2) order: a kernel vector holds
+    # a quadric's coefficients
+    quadrics = [
+        HomPoly(nvars, 2, zip(monomials(nvars, 2), vec))
+        for vec in linalg.kernel_basis(rows, len(pairs))
+    ]
+    return QuadricSystem(nvars, tuple(poly_to_gram(q) for q in quadrics))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,8 @@ def parse_t1_invariant(text: str) -> T1Invariant:
     pair = (parse_cube_class(left), parse_cube_class(right))
     if [c.serialize() for c in pair] != sorted(c.serialize() for c in pair):
         raise ValueError("pair is not canonically sorted")
+    if pair[1] != pair[0].conjugate():
+        raise ValueError("the two classes are not conjugate")
     return T1Invariant(pair)
 
 
@@ -429,14 +431,15 @@ def t3_discriminant_class(a, b, c) -> SquareClass:
 class RankOneOrbit:
     """A conjugate pair of rank-one members on a rational line.
 
-    The line is parametrized as base + t * direction (both primitive
-    integer points); min_poly is the monic quadratic in t cutting out
-    the pair.
+    The line is parametrized as base + t * direction; min_poly is the
+    monic quadratic in t cutting out the pair.  Both points are primitive
+    integer points, or, for a hinted line, the hint's rational points
+    given exactly (as Fractions).
     """
 
     min_poly: MonicQuadratic
-    base: tuple[int, int, int]
-    direction: tuple[int, int, int]
+    base: tuple[Fraction | int, Fraction | int, Fraction | int]
+    direction: tuple[Fraction | int, Fraction | int, Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -545,10 +548,15 @@ def rank_one_elements(
     Rational solutions come from exact elimination; conjugate pairs are
     verified inside the quadratic extension and reported by the monic
     minimal polynomial of the parameter along their rational line.
-    ``line_hint = (base, direction)`` fixes that parametrization when an
-    orbit's line matches (the family pipeline passes (a, b, 0) and
+    ``line_hint = (base, direction)`` fixes that parametrization when it
+    spans an orbit's line (the family pipeline passes (a, b, 0) and
     (0, 0, 1), reproducing the membership quadratic literally); without
     a hint the line is parametrized from its primitive trace points.
+    A line of squares is reported in ``degenerate_lines`` as two integer
+    points spanning it, which also join ``rational``: a line through
+    [1, 0, 0] on which every conic vanishes, or a line L = 0 dividing
+    every conic (then every eliminant vanishes, and the common zero of
+    the cofactors conic / L, if any, is rational too).
     """
     if system.ambient_dim != 3:
         raise ValueError("rank-one classification needs quadrics on a 3-space")
@@ -562,17 +570,19 @@ def rank_one_elements(
         for phi in linalg.kernel_basis(flat, 6)
     ]
 
-    rational: list[tuple[int, int, int]] = []
+    rational: set[tuple[int, int, int]] = set()
     orbits: list[RankOneOrbit] = []
     degenerate: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
 
     # the direction (1, 0, 0) escapes the elimination chart
     if all(p.coefficient((2, 0, 0)) == 0 for p in conics):
-        rational.append((1, 0, 0))
+        rational.add((1, 0, 0))
 
     eliminant = next(_eliminants(conics), None)
     if eliminant is None:
-        raise ValueError("every eliminant vanishes: rank-one locus is degenerate")
+        # every pair of conics shares a factor: the squares fill a line
+        line, members = _common_line(conics)
+        return RankOneClassification(_verified(rational | members, system), (), (line,))
 
     # rational directions (v0 : w0)
     for v0, w0 in bf_rational_proj_roots(eliminant):
@@ -581,14 +591,11 @@ def rank_one_elements(
             # every conic vanishes on the whole line: positive-dimensional
             base = _normalize_point([Fraction(0), Fraction(v0), Fraction(w0)])
             degenerate.append((base, (1, 0, 0)))
-            if base not in rational:
-                rational.append(base)
+            rational.add(base)
             continue
         rest = common
         for u0 in rational_roots(common):
-            pt = _normalize_point([u0, Fraction(v0), Fraction(w0)])
-            if pt not in rational:
-                rational.append(pt)
+            rational.add(_normalize_point([u0, Fraction(v0), Fraction(w0)]))
             while True:
                 quot, rem = up_divmod(rest, up([-u0, 1]))
                 if rem:
@@ -611,17 +618,47 @@ def rank_one_elements(
         if orbit is not None:
             orbits.append(orbit)
 
-    rational = [pt for pt in rational if _verify_rational(pt, system)]
     return RankOneClassification(
-        tuple(sorted(rational)), tuple(orbits), tuple(degenerate)
+        _verified(rational, system), tuple(orbits), tuple(degenerate)
     )
 
 
-def _verify_rational(pt, system: QuadricSystem) -> bool:
-    u, v, w = (Fraction(x) for x in pt)
-    ell = [u, v, w]
-    gram = tuple(tuple(ell[i] * ell[j] for j in range(3)) for i in range(3))
-    return system.contains(gram)
+def _verified(points, system: QuadricSystem) -> tuple[tuple[int, int, int], ...]:
+    """The points whose squares lie in the system, sorted."""
+    squares = {pt: [[x * y for y in pt] for x in pt] for pt in points}
+    return tuple(sorted(pt for pt, gram in squares.items() if system.contains(gram)))
+
+
+def _common_line(conics: list[HomPoly]):
+    """The line L = 0 dividing every conic, as two primitive integer points
+    spanning it, and the rational members: those points and the common
+    zero of the cofactors conic / L, when they have one.
+
+    The shape handled is a rational L with L(1, 0, 0) != 0: on each line
+    (lam, mu, nu) through [1, 0, 0] the conics' gcd in lam is then the
+    linear factor at L's point, except on the one direction through the
+    cofactors' common zero, so two of (1 : 0), (0 : 1), (1 : 1) give two
+    points of L.  Any other shape raises ValueError.
+    """
+    points = []
+    for mu, nu in ((1, 0), (0, 1), (1, 1)):
+        common = _line_gcd(conics, mu, nu)
+        if common is not None and len(common) == 2:
+            points.append(_normalize_point([-common[0], Fraction(mu), Fraction(nu)]))
+    if len(points) < 2:
+        raise ValueError("every eliminant vanishes, but no common line avoids [1,0,0]")
+    points = points[:2]
+    [ell] = linalg.kernel_basis(linalg.frac_rows(points), 3)
+    # conic = L * M is linear in M: column j holds the coefficients of L * x_j
+    products = [HomPoly.linear(ell) * HomPoly.variable(3, j) for j in range(3)]
+    monos = monomials(3, 2)
+    rows = [[p.coefficient(m) for p in products] for m in monos]
+    cofactors = [linalg.solve(rows, [q.coefficient(m) for m in monos]) for q in conics]
+    if None in cofactors:
+        raise ValueError("every eliminant vanishes, but no line divides every conic")
+    zeros = linalg.kernel_basis(cofactors, 3)
+    members = {*points, *(_normalize_point(z) for z in zeros if len(zeros) == 1)}
+    return (points[0], points[1]), members
 
 
 def _minpoly_from_mobius(
@@ -644,33 +681,6 @@ def _minpoly_from_mobius(
     if c2 == 0:
         raise ValueError("parametrization sends one conjugate point to infinity")
     return MonicQuadratic(c1 / c2, c0 / c2)
-
-
-def _hint_parametrization(B, D, hb, hd):
-    """(base, direction, num, den) for the hinted parametrization.
-
-    Solutions are B + theta*D; the hint wants them as hb + t*hd.  In the
-    (hb, hd) coordinates B = (xb, yb) and D = (xd, yd), so the point
-    B + theta*D has t = (yb + theta*yd)/(xb + theta*xd); inverting,
-    theta = (xb*t - yb)/(yd - xd*t).
-    """
-    rows = [[hb[i], hd[i]] for i in range(3)]
-    sol_b = linalg.solve(rows, B)
-    sol_d = linalg.solve(rows, D)
-    if sol_b is None or sol_d is None:
-        raise ValueError("hint does not span the orbit's line")
-    xb, yb = sol_b
-    xd, yd = sol_d
-    base = (int(hb[0]), int(hb[1]), int(hb[2]))
-    direction = (int(hd[0]), int(hd[1]), int(hd[2]))
-    return base, direction, (xb, -yb), (-xd, yd)
-
-
-def _use_hint(line_points: list[list[Fraction]], line_hint) -> bool:
-    if line_hint is None:
-        return False
-    line = linalg.QuotientSpace(3, line_points)
-    return all(line.contains(point) for point in line_hint)
 
 
 def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
@@ -703,21 +713,9 @@ def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
     p, q = u  # u = p + q*theta, so the solutions are B + theta*D below
     B = [p, Fraction(0), Fraction(1)]
     D = [q, Fraction(1), Fraction(0)]
-    if _use_hint([B, D], line_hint):
-        hb = [Fraction(x) for x in line_hint[0]]
-        hd = [Fraction(x) for x in line_hint[1]]
-        base, direction, num, den = _hint_parametrization(B, D, hb, hd)
-        return RankOneOrbit(_minpoly_from_mobius(g1, g0, num, den), base, direction)
     # canonical: base = primitive trace on {w = 0} (that is D), direction
-    # = primitive rep of B; base + t*direction ~ B + theta*D with
-    # theta = (kb/kd)/t
-    base = _normalize_point(D)
-    kb = next(Fraction(x) / y for x, y in zip(base, D) if y != 0)
-    direction = _normalize_point(B)
-    kd = next(Fraction(x) / y for x, y in zip(direction, B) if y != 0)
-    num = (Fraction(0), kb / kd)
-    den = (Fraction(1), Fraction(0))
-    return RankOneOrbit(_minpoly_from_mobius(g1, g0, num, den), base, direction)
+    # = primitive rep of B
+    return _orbit(g1, g0, B, D, (_normalize_point(D), _normalize_point(B)), line_hint)
 
 
 def _vertical_orbit(minpoly: UPoly, v0: int, w0: int, line_hint) -> RankOneOrbit:
@@ -726,18 +724,28 @@ def _vertical_orbit(minpoly: UPoly, v0: int, w0: int, line_hint) -> RankOneOrbit
     The solutions are (u, v0, w0) with u running over the roots of the
     monic quadratic ``minpoly``.
     """
-    g1 = minpoly[1] / minpoly[2]
-    g0 = minpoly[0] / minpoly[2]
-    Bv = [Fraction(0), Fraction(v0), Fraction(w0)]
-    Dv = [Fraction(1), Fraction(0), Fraction(0)]
-    if _use_hint([Bv, Dv], line_hint):
-        hb = [Fraction(x) for x in line_hint[0]]
-        hd = [Fraction(x) for x in line_hint[1]]
-        base, direction, num, den = _hint_parametrization(Bv, Dv, hb, hd)
-        return RankOneOrbit(_minpoly_from_mobius(g1, g0, num, den), base, direction)
-    base = _normalize_point(Bv)
-    sigma = Fraction(base[1], v0) if v0 else Fraction(base[2], w0)
-    # base + t*(1,0,0) ~ (t/sigma, v0, w0): the roots move to sigma*u
-    return RankOneOrbit(
-        MonicQuadratic(g1 * sigma, g0 * sigma * sigma), base, (1, 0, 0)
-    )
+    B = [Fraction(0), Fraction(v0), Fraction(w0)]
+    D = [Fraction(1), Fraction(0), Fraction(0)]
+    g1, g0 = minpoly[1] / minpoly[2], minpoly[0] / minpoly[2]
+    return _orbit(g1, g0, B, D, (_normalize_point(B), (1, 0, 0)), line_hint)
+
+
+def _orbit(g1, g0, B, D, canonical, line_hint) -> RankOneOrbit:
+    """The conjugate pair B + theta*D, theta^2 + g1 theta + g0 = 0, as
+    base + t*direction.
+
+    (base, direction) is the hint when it spans the line of B and D, and
+    the ``canonical`` pair otherwise.  With B = xb*base + yb*direction and
+    D = xd*base + yd*direction, the point B + theta*D is base + t*direction
+    for theta = (xb*t - yb)/(yd - xd*t).
+    """
+    base, direction = canonical
+    if line_hint is not None:
+        hint = [tuple(Fraction(x) for x in point) for point in line_hint]
+        if linalg.QuotientSpace(3, [B, D]).same_span(linalg.QuotientSpace(3, hint)):
+            base, direction = hint
+    rows = [list(row) for row in zip(base, direction)]
+    xb, yb = linalg.solve(rows, B)
+    xd, yd = linalg.solve(rows, D)
+    min_poly = _minpoly_from_mobius(g1, g0, (xb, -yb), (-xd, yd))
+    return RankOneOrbit(min_poly, base, direction)

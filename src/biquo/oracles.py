@@ -17,7 +17,7 @@ from .invariants import MonicQuadratic
 from .nodal import BinaryCubic, TernaryCubic
 
 
-def numeric_inflection_roots(F: TernaryCubic, tol: float = 1e-8) -> list[complex]:
+def numeric_inflection_roots(F: TernaryCubic) -> list[complex]:
     """Directions [s : 1] of the solutions of F = Hess(F) = 0 off the node.
 
     Works on node-shaped cubics with tangent cone a multiple of

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .arith import CertificateError
+from .arith import CertificateError, _parse_rational
 
 
 def monomials(nvars: int, weight: int) -> list[tuple[int, ...]]:
@@ -277,7 +277,7 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Hom
             if not part:
                 raise ValueError(f"cannot parse term {chunk!r}")
             if part[0].isdigit():
-                coeff *= Fraction(part)
+                coeff *= _parse_rational(part)
                 continue
             if "^" in part:
                 name, _, power = part.partition("^")
@@ -296,4 +296,7 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Hom
         terms[key] = terms.get(key, Fraction(0)) + coeff
     if weight is None:
         raise CertificateError(f"no term parsed from {text!r}")
-    return HomPoly(nvars, weight, terms)
+    poly = HomPoly(nvars, weight, terms)
+    if poly.is_zero():
+        raise ValueError(f"the terms of {text!r} cancel")
+    return poly

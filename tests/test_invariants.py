@@ -357,6 +357,42 @@ def test_t3_degenerate_rejected():
         t3_discriminant_class(1, 2, 1)  # 2ab = 4 = (c + 1)^2
 
 
+def _kernel_in_base(bundle) -> QuadricSystem:
+    """The full preimage of the bundle's kernel in S^2 of the base's H^2.
+
+    Chart-independent: the span of the kernel quadrics (written in the
+    chosen representatives) together with y * H^2, which is the kernel of
+    S^2 V -> H^4(base)/(y V).  Two bundles with the same Euler class give
+    the same system even when they drop different coordinates.
+    """
+    n = len(bundle.y)
+    flats = []
+    for g in bundle.kernel.basis:
+        lifted = [[Fraction(0)] * n for _ in range(n)]
+        for a, i in enumerate(bundle.w_indices):
+            for b, j in enumerate(bundle.w_indices):
+                lifted[i][j] = g[a][b]
+        flats.append([lifted[i][j] for i in range(n) for j in range(i, n)])
+    for i in range(n):
+        prod = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(n):
+            half = bundle.y[j] / 2
+            prod[i][j] += half
+            prod[j][i] += half
+        flats.append([prod[r][s] for r in range(n) for s in range(r, n)])
+    basis_rows, _ = linalg.rref(flats)
+    grams = []
+    for row in basis_rows:
+        g = [[Fraction(0)] * n for _ in range(n)]
+        idx = 0
+        for r in range(n):
+            for s in range(r, n):
+                g[r][s] = g[s][r] = row[idx]
+                idx += 1
+        grams.append(tuple(tuple(x) for x in g))
+    return QuadricSystem(n, tuple(grams))
+
+
 def test_t3_kernel_system_matches_bundle():
     # the direct system is written in the chart dropping x4, so compare
     # the chart-independent preimages inside S^2 of the base's H^2
@@ -374,7 +410,7 @@ def test_t3_kernel_system_matches_bundle():
             base, x[3] - (x[0].scale(a) + x[1].scale(b) + x[2].scale(c))
         )
         assert bundle.kernel.dim == 4
-        big = bundle.kernel_in_base()
+        big = _kernel_in_base(bundle)
         assert big.dim == 8
         # the displayed quadrics, injected along the chart's section
         for gram in t3_kernel_system(a, b, c).basis:
@@ -440,6 +476,55 @@ def test_rank_one_matches_membership_quadratic():
         assert cls.orbits[0].min_poly == q
         assert rank_one_residual(system, a, b, q) < 1e-9
         done += 1
+
+
+def test_rank_one_hinted_base_is_the_hint_exactly():
+    # a non-integer hint used to be reported truncated, as (2, 3, 0)
+    a, b, c = Fraction(5, 2), Fraction(3), Fraction(1)
+    cls = rank_one_elements(t3_kernel_system(a, b, c), line_hint=((a, b, 0), (0, 0, 1)))
+    [orbit] = cls.orbits
+    assert orbit.base == (Fraction(5, 2), 3, 0) and orbit.direction == (0, 0, 1)
+    assert orbit.min_poly == t3_membership_quadratic(a, b, c)
+    # a hint off the orbit's line leaves the canonical parametrization
+    plain = rank_one_elements(t3_kernel_system(a, b, c))
+    assert rank_one_elements(t3_kernel_system(a, b, c), line_hint=((1, 0, 0), (0, 1, 0))) == plain
+
+
+def _square_in(system, pt) -> bool:
+    return system.contains([[Fraction(u * v) for v in pt] for u in pt])
+
+
+def _assert_lines_are_squares(system, cls):
+    for p, q in cls.degenerate_lines:
+        for s, t in ((1, 0), (0, 1), (1, 1), (2, -3)):
+            assert _square_in(system, [s * u + t * v for u, v in zip(p, q)])
+    assert all(_square_in(system, pt) for pt in cls.rational)
+
+
+def test_rank_one_common_line_of_two_conics():
+    # the annihilator conics x1 x2 and x1 x3 share the factor x1, so every
+    # eliminant vanishes: the squares fill x1 = 0, plus x1^2 itself
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    system = QuadricSystem.from_polys([4 * x2 * x2, 4 * x1 * x1, x3 * x3, 2 * x2 * x3])
+    cls = rank_one_elements(system)
+    assert cls.degenerate_lines == (((0, 1, 0), (0, 0, 1)),)
+    assert cls.rational == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert not cls.orbits
+    _assert_lines_are_squares(system, cls)
+    assert not _square_in(system, (1, 1, 0))
+
+
+def test_rank_one_common_line_of_three_conics():
+    # the squares of the span of u = x1 + x2 and v = x2 + x3: the line
+    # l1 - l2 + l3 = 0, and no member off it
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    u, v = x1 + x2, x2 + x3
+    system = QuadricSystem.from_polys([u * u, u * v, v * v])
+    cls = rank_one_elements(system)
+    assert cls.degenerate_lines == (((1, 1, 0), (1, 0, -1)),)
+    assert cls.rational == ((1, 0, -1), (1, 1, 0)) and not cls.orbits
+    _assert_lines_are_squares(system, cls)
+    assert not _square_in(system, (1, 0, 0))
 
 
 def test_rank_one_three_dim_span():
