@@ -43,9 +43,16 @@ EXIT_BAD_INPUT = 2
 MAX_RANK = 8
 
 
+# ASCII integers, p/q and plain decimals: Fraction() alone would also take
+# exponents, and "1e10000000" takes it seconds to expand
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
+
+
 def _rational(text: str) -> Fraction:
-    """argparse type for a rational like "-3/4"; "1/0" is a usage error."""
+    """argparse type for a rational like "-3/4" or "1.5"; "1/0" is a usage error."""
     try:
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem
-from .poly import HomPoly
+from .poly import HomPoly, _mul_terms
 from .univar import (
     UPoly,
     bf_divide_exact,
@@ -90,9 +89,8 @@ class TernaryCubic:
         return [self.poly.partial(i) for i in range(3)]
 
     def hessian(self) -> "TernaryCubic":
-        second = [
-            [self.poly.partial(i).partial(j) for j in range(3)] for i in range(3)
-        ]
+        first = self.partials()
+        second = [[d.partial(j) for j in range(3)] for d in first]
         return TernaryCubic(_poly_det(second))
 
     def evaluate(self, point) -> Fraction:
@@ -130,24 +128,44 @@ class TernaryCubic:
 
 
 def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
-    """Determinant of a small matrix of homogeneous polynomials."""
+    """Determinant of a small matrix of homogeneous polynomials.
+
+    Cofactor expansion along the top remaining row on term dicts, skipping
+    zero entries and minors with no nonzero permutation product; each
+    minor is computed once per column set, as (weight, terms) or None.  A
+    matrix with no nonzero permutation product gives ``HomPoly.zero(nvars,
+    0)``; otherwise the result has the weight of those products, even when
+    they cancel.
+    """
     n = len(mat)
     nvars = mat[0][0].nvars
-    total: HomPoly | None = None
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = mat[0][perm[0]]
-        for i in range(1, n):
-            term = term * mat[i][perm[i]]
-        if term.is_zero():
-            continue
-        term = term.scale(sign)
-        total = term if total is None else total + term
-    return total if total is not None else HomPoly.zero(nvars, 0)
+    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {
+        (): (0, {(0,) * nvars: Fraction(1)})
+    }
+
+    def minor(cols: tuple[int, ...]) -> tuple[int, dict] | None:
+        """The minor on the last len(cols) rows."""
+        if cols in minors:
+            return minors[cols]
+        row = mat[n - len(cols)]
+        weight, terms = None, {}
+        for k, j in enumerate(cols):
+            entry = row[j]
+            sub = minor(cols[:k] + cols[k + 1 :]) if entry.coeffs else None
+            if sub is None:
+                continue
+            weight = entry.weight + sub[0]
+            for e, c in _mul_terms(entry.coeffs, sub[1]).items():
+                c = -c if k % 2 else c
+                terms[e] = terms[e] + c if e in terms else c
+        if weight is not None:
+            minors[cols] = weight, {e: c for e, c in terms.items() if c}
+        else:
+            minors[cols] = None
+        return minors[cols]
+
+    det = minor(tuple(range(n)))
+    return HomPoly.zero(nvars, 0) if det is None else HomPoly._trusted(nvars, *det)
 
 
 def det_cubic(net: QuadricSystem) -> TernaryCubic:

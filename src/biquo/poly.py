@@ -7,6 +7,19 @@ cohomological degree of a polynomial is twice its weight.
 
 Terms print in graded lex order ("3*x1^2*x3 + x2^3" style), which fixes
 a deterministic text form; ``parse_poly`` inverts it.
+
+Which paths validate: ``HomPoly(...)``, ``zero``, ``variable``,
+``linear`` and ``parse_poly`` check every exponent tuple (``nvars``
+non-negative ints summing to ``weight``), coerce every coefficient to a
+Fraction and drop zeros, and so do ``+``, ``-``, ``*``, ``scale`` and
+``substitute``, which build their results through ``HomPoly(...)``.
+``partial`` and ``coefficients_in_var``, which only re-key the terms of
+a valid polynomial, and ``nodal._poly_det``, which multiplies term dicts
+with ``_mul_terms``, wrap their results with the private
+``HomPoly._trusted`` instead, without checks.  They rely on the dict they
+pass being clean: int-tuple keys of length ``nvars`` that sum to the
+weight, and nonzero Fraction values (``_mul_terms`` leaves cancelled
+coefficients as zeros, and its callers drop them).
 """
 
 from __future__ import annotations
@@ -63,6 +76,15 @@ class HomPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, weight: int, coeffs: dict) -> "HomPoly":
+        """Wrap a clean dict without checks (see the module docstring)."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "weight", weight)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int, weight: int) -> "HomPoly":
         return cls(nvars, weight, {})
 
@@ -107,11 +129,13 @@ class HomPoly:
         return hash((self.nvars, self.weight, frozenset(self.coeffs.items())))
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
+        """The sum; a zero operand of another weight takes the other's weight."""
         self._check_compatible(other)
         merged = dict(self.coeffs)
         for e, c in other.coeffs.items():
             merged[e] = merged.get(e, Fraction(0)) + c
-        return HomPoly(self.nvars, self.weight, merged)
+        weight = other.weight if other.coeffs and not self.coeffs else self.weight
+        return HomPoly(self.nvars, weight, merged)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -130,12 +154,9 @@ class HomPoly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HomPoly(self.nvars, self.weight + other.weight, out)
+        return HomPoly(
+            self.nvars, self.weight + other.weight, _mul_terms(self.coeffs, other.coeffs)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -151,13 +172,13 @@ class HomPoly:
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, i: int) -> "HomPoly":
+        # distinct terms with e[i] > 0 stay distinct, and c * e[i] != 0
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.coeffs.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[i]
-        return HomPoly(self.nvars, max(self.weight - 1, 0), out)
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+        return HomPoly._trusted(self.nvars, max(self.weight - 1, 0), out)
 
     def substitute(self, matrix: Sequence[Sequence]) -> "HomPoly":
         """Apply x_i -> sum_j matrix[i][j] * x_j."""
@@ -205,7 +226,7 @@ class HomPoly:
             rest[v] = 0
             out.setdefault(k, {})[tuple(rest)] = c
         return {
-            k: HomPoly(self.nvars, self.weight - k, terms)
+            k: HomPoly._trusted(self.nvars, self.weight - k, terms)
             for k, terms in sorted(out.items())
         }
 
@@ -239,6 +260,16 @@ class HomPoly:
 
     def __repr__(self) -> str:
         return f"HomPoly({self.nvars}, {self.weight}, {self.to_str()!r})"
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts; a coefficient that cancels stays as 0."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
 
 
 def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> HomPoly:

@@ -6,6 +6,7 @@ import pytest
 
 from biquo.graded import QuadricSystem
 from biquo.invariants import t1_relation_net
+from biquo import nodal
 from biquo.nodal import (
     BinaryCubic,
     BinaryQuadratic,
@@ -337,3 +338,115 @@ def test_swap_exchanges_alpha_beta():
     cubic = BinaryCubic.harmonic(Fraction(2), Fraction(-7))
     swapped = cubic.swapped()
     assert (swapped.alpha, swapped.beta) == (Fraction(-7), Fraction(2))
+
+
+# -- _poly_det against a permutation expansion and sympy -----------------------
+
+
+def _permutation_det(mat):
+    """Sum over all n! permutations; zero(nvars, 0) when every product is zero."""
+    n, nvars = len(mat), mat[0][0].nvars
+    total = None
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = mat[0][perm[0]]
+        for i in range(1, n):
+            term = term * mat[i][perm[i]]
+        if term.is_zero():
+            continue
+        term = term.scale((-1) ** inversions)
+        total = term if total is None else total + term
+    return total if total is not None else HomPoly.zero(nvars, 0)
+
+
+def _sparse_poly_matrix(rng, n, nvars):
+    """Entry (i, j) of weight r_i + c_j, about half of them zero."""
+    r = [rng.randint(0, 1) for _ in range(n)]
+    c = [rng.randint(0, 2) for _ in range(n)]
+    mat = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            w = r[i] + c[j]
+            if rng.random() < 0.5:
+                row.append(HomPoly.zero(nvars, rng.choice((0, w))))
+                continue
+            monos = monomials(nvars, w)
+            chosen = rng.sample(monos, rng.randint(1, min(2, len(monos))))
+            row.append(HomPoly(nvars, w, {e: rng.randint(-2, 2) or 1 for e in chosen}))
+        mat.append(row)
+    if n > 1 and rng.random() < 0.25:  # a repeated row: products cancel
+        i, j = rng.sample(range(n), 2)
+        mat[i] = list(mat[j])
+    return mat
+
+
+def _sylvester_matrices(monkeypatch):
+    """The matrices resultant_in_var hands to _poly_det for seeded forms."""
+    seen = []
+    det = nodal._poly_det
+
+    def recording(mat):
+        seen.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(nodal, "_poly_det", recording)
+    rng = random.Random(21)
+    for _ in range(40):
+        var = rng.randrange(3)
+        f = _random_form(rng, rng.randint(1, 3), var if rng.random() < 0.2 else None)
+        g = _random_form(rng, rng.randint(1, 3))
+        if not (f.is_zero() or g.is_zero()):
+            resultant_in_var(f, g, var)
+    inflection_lines(family_cubic(2, 3))
+    monkeypatch.undo()
+    return seen
+
+
+def _det_cases(monkeypatch):
+    rng = random.Random(13)
+    cases = [
+        _sparse_poly_matrix(rng, n, rng.randint(2, 4))
+        for n in (1, 2, 3, 4, 5)
+        for _ in range(12)
+    ]
+    cases += _sylvester_matrices(monkeypatch)
+    zero = HomPoly.zero(3, 0)
+    cases.append([[zero] * 4 for _ in range(4)])
+    return cases
+
+
+def test_poly_det_matches_permutation_expansion(monkeypatch):
+    cases = _det_cases(monkeypatch)
+    assert sum(len(m) == 5 for m in cases) >= 12
+    assert sum(len(m) >= 4 for m in cases) >= 30
+    kinds = set()
+    for mat in cases:
+        got = nodal._poly_det(mat)
+        assert got == _permutation_det(mat), mat
+        kinds.add((got.is_zero(), got.weight > 0))
+    # nonzero dets, all-zero products and nonzero products that cancel
+    assert kinds == {(False, True), (False, False), (True, False), (True, True)}
+    zero = HomPoly.zero(3, 0)
+    assert nodal._poly_det([[zero] * 4 for _ in range(4)]) == HomPoly.zero(3, 0)
+
+
+def test_poly_det_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+
+    def to_expr(p):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([x**k for x, k in zip(xs, e)])
+                for e, c in p.coeffs.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    for mat in _det_cases(monkeypatch):
+        want = sympy.Matrix([[to_expr(p) for p in row] for row in mat]).det(
+            method="berkowitz"
+        )
+        assert sympy.expand(to_expr(nodal._poly_det(mat)) - want) == 0, mat

@@ -188,3 +188,133 @@ def test_binary_forms():
     assert set(bf_rational_proj_roots(st)) == {(1, 0), (0, 1)}
     g = bf_gcd(bf_mul([Fraction(0), Fraction(1)], circle), bf_mul([Fraction(0), Fraction(2)], line))
     assert g == [Fraction(0), Fraction(1)]
+
+
+# -- trusted arithmetic: every result is a clean, valid HomPoly ---------------
+
+
+def _assert_clean(p):
+    """p is what the validating constructor makes of its own terms."""
+    assert p == HomPoly(p.nvars, p.weight, dict(p.coeffs))
+    assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    for e in p.coeffs:
+        assert type(e) is tuple and all(type(k) is int for k in e)
+    return p
+
+
+def _random_hompoly(rng, n, w):
+    """Sparse, small Fraction coefficients; sometimes zero."""
+    if rng.random() < 0.1:
+        return HomPoly.zero(n, w)
+    monos = monomials(n, w)
+    chosen = rng.sample(monos, rng.randint(1, min(len(monos), 4)))
+    return HomPoly(
+        n, w, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in chosen}
+    )
+
+
+def _random_point(rng, n):
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+
+
+def _random_matrix(rng, n):
+    rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0:  # a repeated row
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+    elif kind == 1:  # a zero row
+        rows[rng.randrange(n)] = [0] * n
+    elif kind == 2:  # all zero
+        rows = [[0] * n for _ in range(n)]
+    return rows
+
+
+def _substitute_reference(p, matrix):
+    """x_i -> sum_j matrix[i][j] x_j by repeated products of HomPolys."""
+    n = p.nvars
+    images = [HomPoly.linear(row) for row in matrix]
+    out = HomPoly.zero(n, p.weight)
+    for e, c in p.coeffs.items():
+        term = HomPoly(n, 0, {(0,) * n: c})
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * images[i]
+        out = out + term
+    return out
+
+
+def _apply(matrix, point):
+    return [sum(Fraction(a) * x for a, x in zip(row, point)) for row in matrix]
+
+
+def test_trusted_arithmetic_results_are_valid_hompolys():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        w1, w2 = rng.randint(0, 3), rng.randint(0, 3)
+        p, q = _random_hompoly(rng, n, w1), _random_hompoly(rng, n, w1)
+        r = _random_hompoly(rng, n, w2)
+        pt = _random_point(rng, n)
+        # p + (r - p) and (p + r) * (p - r) cancel by construction
+        cancel = _random_hompoly(rng, n, w1) - p
+        for a, b in ((p, q), (p, cancel), (p, p), (q, -q)):
+            s, d = _assert_clean(a + b), _assert_clean(a - b)
+            assert s.evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
+            assert d.evaluate(pt) == a.evaluate(pt) - b.evaluate(pt)
+            assert _assert_clean(-a).evaluate(pt) == -a.evaluate(pt)
+        for a, b in ((p, r), (p + q, p - q), (q, q), (p, HomPoly.zero(n, w2))):
+            prod = _assert_clean(a * b)
+            assert prod.weight == a.weight + b.weight
+            assert prod.evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+        for c in (0, Fraction(0), 3, Fraction(-2, 7)):
+            _assert_clean(p.scale(c))
+            assert _assert_clean(c * p) == _assert_clean(p * c) == p.scale(c)
+            assert p.scale(c).evaluate(pt) == c * p.evaluate(pt)
+        for i in range(n):
+            _assert_clean(p.partial(i))
+            parts = p.coefficients_in_var(i)
+            rebuilt = HomPoly.zero(n, p.weight)
+            for k, form in parts.items():
+                _assert_clean(form)
+                assert form.weight == p.weight - k and all(e[i] == 0 for e in form.coeffs)
+                rebuilt = rebuilt + form * HomPoly(n, k, {tuple(k * (j == i) for j in range(n)): 1})
+            assert rebuilt == p
+        matrix = _random_matrix(rng, n)
+        sub = _assert_clean(p.substitute(matrix))
+        assert sub == _substitute_reference(p, matrix)
+        assert sub.evaluate(pt) == p.evaluate(_apply(matrix, pt))
+
+
+def test_partial_matches_power_rule():
+    rng = random.Random(9)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        p = _random_hompoly(rng, n, rng.randint(0, 4))
+        for i in range(n):
+            want = {}
+            for e, c in p.coeffs.items():
+                if e[i]:
+                    want[tuple(k - (j == i) for j, k in enumerate(e))] = c * e[i]
+            assert p.partial(i) == HomPoly(n, max(p.weight - 1, 0), want)
+
+
+def test_substitute_singular_matrix_cancels_to_zero():
+    x1, x2 = V(2, 0), V(2, 1)
+    p = (x1 - x2) * (x1 + 2 * x2)
+    sub = _assert_clean(p.substitute([[1, 1], [1, 1]]))
+    assert sub.is_zero() and sub.weight == 2
+    assert _assert_clean(p.substitute([[0, 0], [0, 0]])) == HomPoly.zero(2, 2)
+
+
+def test_zero_operand_of_another_weight():
+    x1, x2 = V(2, 0), V(2, 1)
+    p = x1 * x2 - x2 * x2
+    zero = HomPoly.zero(2, 0)
+    assert zero + p == p + zero == p
+    assert (zero + p).weight == 2
+    assert zero - p == -p
+    assert p - zero == p
+    assert (zero - p).weight == 2
+    with pytest.raises(ValueError):
+        x1 + p

@@ -1,14 +1,17 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from biquo.arith import parse_square_class
-from biquo.cli import MAX_RANK, main
+from biquo.cli import MAX_RANK, _rational, main
 from biquo.invariants import parse_t1_invariant
 from biquo.report import DEGENERATE, ScanReport, scan
 
@@ -297,6 +300,32 @@ def test_cli_bad_rational_is_a_usage_error():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "argument --a0: invalid rational value: '1/0'" in proc.stderr.splitlines()[-1]
+
+
+def test_cli_exponent_rational_exits_2_fast():
+    # Fraction("1e10000000") expands the power of ten before any check
+    start = time.monotonic()
+    proc = run_cli("invariant", "t2", "--a0", "1e10000000", "--a1", "1")
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert (
+        "argument --a0: invalid rational value: '1e10000000'"
+        in proc.stderr.splitlines()[-1]
+    )
+
+
+@pytest.mark.parametrize("text", ["1.5", "-.5", "+2", "-3/4", "0.25"])
+def test_cli_rational_accepts_integers_fractions_decimals(text):
+    assert _rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e3", "1E3", "1_0", "\u0661", "inf", "nan", " 1", "1/", "/2", ".", "1.5/2"]
+)
+def test_cli_rational_rejects_other_text(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _rational(text)
 
 
 def test_cli_import_leaves_numpy_unloaded():
