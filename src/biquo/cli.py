@@ -43,8 +43,8 @@ EXIT_BAD_INPUT = 2
 MAX_RANK = 8
 
 
-# ASCII integers, p/q and plain decimals: Fraction() alone would also take
-# exponents, and "1e10000000" takes it seconds to expand
+# ASCII integers, p/q and plain decimals only: Fraction() also takes exponent
+# notation, and expanding "1e10000000" alone takes seconds
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
 
 
