@@ -108,7 +108,7 @@ def is_free(A) -> bool:
     for r in range(1, k + 1):
         for S in combinations(range(k), r):
             minor = [[A.entries[i][j] for j in S] for i in S]
-            if linalg.int_det(minor) not in (1, -1):
+            if linalg.det(minor) not in (1, -1):
                 return False
     return True
 

@@ -1,10 +1,12 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q on one sparse fraction-free echelon.
 
-Dense matrices are lists of Fraction rows (``rref``, ``det``, ``solve``,
-``kernel_basis``).  ``QuotientSpace`` gives a coordinate space modulo a
-span its lex-first basis and the coordinates in it, over a sparse
-integer echelon: a graded piece of a rank-7 ring has 1716 columns, but
-a relation multiple has at most seven nonzero integer entries.
+Every pivoting step is ``_eliminate``, an integer ``m*row - q*pivot``
+(Bareiss 1968).  ``QuotientSpace`` gives a coordinate space modulo a
+span its lex-first basis and the coordinates in it: a graded piece of a
+rank-7 ring has 1716 columns, but a relation multiple has at most seven
+nonzero integer entries.  ``rref`` (and ``kernel_basis`` and ``solve``
+on it) reads the echelon of the column-reversed rows; ``det`` multiplies
+the pivots of the same reduction.  Dense rows hold ints or Fractions.
 """
 
 from __future__ import annotations
@@ -22,27 +24,24 @@ def frac_rows(rows) -> Matrix:
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Reversing the columns turns each row's leading column into its
+    largest, so the echelon of the reversed rows has the RREF pivots.
+    The RREF row of pivot p is e_p minus the residue of e_p: the span
+    element that is 1 at p and 0 at every other pivot.
+    """
+    ncols = len(rows[0]) if rows else 0
+    last = ncols - 1
+    space = QuotientSpace(ncols, [row[::-1] for row in rows])
+    pivots = sorted(last - c for c in space._echelon)
+    out = []
+    for p in pivots:
+        residue, scale = space._residue({last - p: 1})
+        row = [Fraction(-residue.get(last - j, 0), scale) for j in range(ncols)]
+        row[p] = Fraction(1)
+        out.append(row)
+    return out, pivots
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
@@ -64,40 +63,19 @@ def mat_vec(rows: Matrix, v: Vector) -> Vector:
 
 
 def det(rows: Matrix) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    out = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
+    """Determinant of a square matrix: reduced as in ``QuotientSpace``,
+    the rows sorted by pivot column are triangular; the pivot columns in
+    row order give the sign."""
+    echelon: dict[int, SparseRow] = {}
+    num = den = 1
+    for row in rows:
+        pivot, scale = _insert(echelon, row)
+        if not pivot:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = Fraction(1, 1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return out
-
-
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a small integer matrix (cofactor expansion)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = 0
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-            out += sign * rows[0][j] * int_det(minor)
-        sign = -sign
-    return out
+        num, den = num * pivot, den * scale
+    columns = list(echelon)
+    inversions = sum(a > b for i, a in enumerate(columns) for b in columns[i + 1 :])
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def solve(rows: Matrix, rhs: Vector) -> Vector | None:
@@ -140,6 +118,21 @@ def _eliminate(row: SparseRow, pivot: SparseRow, c: int) -> tuple[SparseRow, int
     return out, m
 
 
+def _insert(echelon: dict[int, SparseRow], row) -> tuple[int, int]:
+    """Reduce a row into the echelon, stored primitive at its largest
+    column; returns its pivot entry (0 if it vanished) and its
+    denominator lcm times every multiplier ``m``."""
+    row, den = _integer_row(row)
+    while row and (c := max(row)) in echelon:
+        row, m = _eliminate(row, echelon[c], c)
+        den *= m
+    if not row:
+        return 0, den
+    g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
+    echelon[c] = row if g == 1 else {j: x // g for j, x in row.items()}
+    return row[c], den
+
+
 class QuotientSpace:
     """A coordinate space modulo a span, with a lex-first basis.
 
@@ -161,12 +154,7 @@ class QuotientSpace:
         self.ambient_dim = ambient_dim
         echelon = {} if base is None else dict(base._echelon)
         for row in rows:
-            row, _ = _integer_row(row)
-            while row and (c := max(row)) in echelon:
-                row, _ = _eliminate(row, echelon[c], c)
-            if row:
-                g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
-                echelon[c] = {j: x // g for j, x in row.items()}
+            _insert(echelon, row)
         self._echelon = echelon
         self._order = sorted(echelon, reverse=True)
         self.basis_indices = [i for i in range(ambient_dim) if i not in echelon]

@@ -71,9 +71,9 @@ def test_oracle_blind_spot_documented():
     # whose torsion the bounded oracle (m <= 12) cannot see; the
     # determinant criterion still rejects it
     m = [[1, -3, 0], [0, 1, -2], [-3, 0, 1]]
-    from biquo.linalg import int_det
+    from biquo.linalg import det
 
-    assert int_det(m) == -17
+    assert det(m) == -17
     assert not is_free(m)
     assert all(stabilizer_oracle(m, t) for t in range(2, 13))
 

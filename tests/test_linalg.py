@@ -1,9 +1,15 @@
-"""QuotientSpace against two references.
+"""linalg against dense references and sympy.
 
-* The dense quotient it replaced (``DenseQuotientSpace``: one Fraction
-  ``rref`` of the span with its columns reversed): basis indices,
-  dimension and coordinates must be identical, on seeded spans and on
-  every graded piece and pair product of seeded rank 3-6 rings.
+* The dense Fraction Gauss-Jordan ``rref`` and pivoting ``det`` that
+  ``linalg`` ran before its one fraction-free echelon, kept here as
+  references: ``rref``, ``kernel_basis``, ``solve`` and ``det`` must
+  give identical results on seeded matrices, and so must sympy's
+  ``Matrix.rref`` and ``Matrix.det``; ``is_free`` must agree with the
+  integer cofactor determinant it used.
+* The dense quotient ``QuotientSpace`` replaced (``DenseQuotientSpace``:
+  one dense ``rref`` of the span with its columns reversed): basis
+  indices, dimension and coordinates must be identical, on seeded spans
+  and on every graded piece and pair product of seeded rank 3-6 rings.
 * An independent rank oracle (sympy): the lex-first basis takes e_i
   whenever it is independent of the span and of the e_j already taken;
   the coordinates of v must leave v - sum_j coords_j * e_{basis_j}
@@ -12,19 +18,82 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from biquo.biquotient import quotient_ring
-from biquo.linalg import QuotientSpace, rref
+from biquo import linalg
+from biquo.biquotient import is_free, quotient_ring
+from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
 from biquo.poly import HomPoly, monomials
+
+
+def dense_rref(rows):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    m = [row[:] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1, 1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_det(rows):
+    n = len(rows)
+    m = [row[:] for row in rows]
+    out = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = Fraction(1, 1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                factor = m[i][c] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
+    return out
+
+
+def cofactor_det(rows):
+    """Determinant of a small integer matrix (cofactor expansion)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    out = 0
+    sign = 1
+    for j in range(n):
+        if rows[0][j]:
+            minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+            out += sign * rows[0][j] * cofactor_det(minor)
+        sign = -sign
+    return out
 
 
 class DenseQuotientSpace:
     """The dense reversed-column rref quotient, kept as the reference."""
 
     def __init__(self, ambient_dim, span_rows):
-        rows, pivots = rref([[Fraction(x) for x in row[::-1]] for row in span_rows])
+        rows, pivots = dense_rref([[Fraction(x) for x in row[::-1]] for row in span_rows])
         self.span_rows = [row[::-1] for row in reversed(rows)]
         self.span_pivots = [ambient_dim - 1 - c for c in reversed(pivots)]
         taken = set(self.span_pivots)
@@ -38,6 +107,136 @@ class DenseQuotientSpace:
                 factor = v[c]
                 v = [a - factor * b for a, b in zip(v, row)]
         return [v[i] for i in self.basis_indices]
+
+
+def _seeded_matrix(rng, nrows, ncols, fractions):
+    """Sparse-ish entries; Fractions or ints, with repeated and zero rows."""
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        x = rng.randint(-6, 6)
+        return Fraction(x, rng.choice((1, 1, 2, 3, 7))) if fractions else x
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if rng.random() < 0.15:
+            rows[i] = list(rows[rng.randrange(i)])
+        elif rng.random() < 0.15:
+            k = rng.randint(-2, 2)
+            rows[i] = [k * x + y for x, y in zip(rows[rng.randrange(i)], rows[i - 1])]
+        elif rng.random() < 0.05:
+            rows[i] = [0] * ncols
+    return rows
+
+
+def _seeded_matrices(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        if i % 3 == 0:
+            ncols = nrows  # square
+        yield _seeded_matrix(rng, nrows, ncols, fractions=i % 2 == 0)
+
+
+def _dense_kernel_and_solve(monkeypatch, rows, rhs):
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "rref", dense_rref)
+        return linalg.kernel_basis(rows, len(rows[0])), linalg.solve(rows, rhs)
+
+
+def test_edge_matrices_match_dense_references():
+    assert rref([]) == dense_rref([]) == ([], [])
+    assert rref([[]]) == dense_rref([[]])
+    assert det([]) == dense_det([]) == 1
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    cases = [
+        [[0, 0, 0]],
+        [[0, 0], [0, 0]],
+        [[1, 2], [1, 2]],
+        [[2, 4, 6], [1, 2, 3], [0, 0, 0]],
+        [[Fraction(1, 2), 3], [1, 6]],
+        [[0, 0, 5, 1, 0, 0, 2]],
+        [[1], [2], [Fraction(-3, 4)], [0]],
+        [[0, 1], [1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    ]
+    for rows in cases:
+        assert rref(rows) == dense_rref(rows)
+        assert kernel_basis(rows, len(rows[0])) == kernel_basis(dense_rref(rows)[0], len(rows[0]))
+        if len(rows) == len(rows[0]):
+            assert det(rows) == dense_det(rows)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det([[1, -3, 0], [0, 1, -2], [-3, 0, 1]]) == -17
+
+
+def test_seeded_matrices_match_dense_references(monkeypatch):
+    rng = random.Random(7)
+    for rows in _seeded_matrices(8, 600):
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == dense_rref(rows)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        ncols = len(rows[0])
+        rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs = linalg.mat_vec(rows, x)
+        assert (kernel_basis(rows, ncols), solve(rows, rhs)) == _dense_kernel_and_solve(
+            monkeypatch, rows, rhs
+        )
+        if len(rows) == ncols:
+            d = det(rows)
+            assert type(d) is Fraction and d == dense_det(rows)
+
+
+def test_seeded_matrices_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(str(Fraction(x))) for x in row] for row in rows])
+
+    for rows in _seeded_matrices(9, 500):
+        matrix = to_sympy(rows)
+        want, want_pivots = matrix.rref()
+        reduced, pivots = rref(rows)
+        assert pivots == list(want_pivots)
+        assert to_sympy(reduced) == want[: len(pivots), :] if pivots else not reduced
+        ncols = len(rows[0])
+        kernel = kernel_basis(rows, ncols)
+        assert [to_sympy([v]).T for v in kernel] == matrix.nullspace()
+        rhs = [1] * len(rows)
+        x = solve(rows, rhs)
+        consistent = matrix.rank() == matrix.row_join(sympy.ones(len(rows), 1)).rank()
+        assert (x is not None) == consistent
+        if x is not None:
+            assert matrix * to_sympy([x]).T == sympy.ones(len(rows), 1)
+            assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
+        if len(rows) == ncols:
+            assert to_sympy([[det(rows)]])[0, 0] == matrix.det()
+
+
+def _old_is_free(m):
+    k = len(m)
+    return all(
+        cofactor_det([[m[i][j] for j in S] for i in S]) in (1, -1)
+        for r in range(1, k + 1)
+        for S in combinations(range(k), r)
+    )
+
+
+def test_is_free_matches_cofactor_rule():
+    rng = random.Random(10)
+    for k in range(1, 7):
+        for trial in range(40 if k < 6 else 15):
+            m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            if trial % 2:  # unit diagonal, so freeness is decided by larger minors
+                for i in range(k):
+                    m[i][i] = rng.choice((-1, 1))
+                    for j in range(i + 1, k):
+                        m[i][j] = rng.choice((0, 0, 0, 1, -1))
+            assert is_free(m) == _old_is_free(m)
+            assert det(m) == cofactor_det(m)
 
 
 def _random_vector(rng, ncols, nonzero):
