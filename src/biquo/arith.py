@@ -32,8 +32,11 @@ from typing import Mapping
 # Below 10^8 the bound never binds (the t1 scan factors integers < 4 * 10^6).
 _TRIAL_LIMIT = 10**4
 
-# Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
+# pseudoprime below _MR_LIMIT (Sorenson and Webster 2017); up to 37 they
+# are proven only below 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class CertificateError(AssertionError):
@@ -44,10 +47,17 @@ class CertificateError(AssertionError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the integer sizes used here."""
+    """Deterministic primality test below ``_MR_LIMIT``.
+
+    Raises ``ValueError`` at or above it, where no answer is certified.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"primality of a {len(str(n))}-digit integer is beyond the certified range"
+        )
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -102,7 +112,10 @@ def _pollard_rho(n: int) -> int:
 def factor(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as sign * prod(p^e).
 
-    Returns ``(sign, {prime: exponent})`` with the primes sorted.
+    Returns ``(sign, {prime: exponent})`` with the primes sorted.  A
+    cofactor left after trial division at or above ``_MR_LIMIT`` raises
+    ``ValueError`` from ``is_prime`` at once, as no factor of it could be
+    certified prime.
 
     >>> factor(12)
     (1, {2: 2, 3: 1})

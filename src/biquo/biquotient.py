@@ -318,7 +318,7 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     w_indices = tuple(i for i in range(n) if i != drop)
 
     mult = multiplication_map(n, base.h4_dim(), base.pair_product_coords, y)
-    target = linalg.QuotientSpace(base.h4_dim(), zip(*mult.matrix))
+    target = mult.cokernel
 
     def w_pair_coords(a: int, b: int) -> list[Fraction]:
         i, j = w_indices[a], w_indices[b]

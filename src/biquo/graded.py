@@ -266,13 +266,14 @@ class MultiplicationMap:
     """Multiplication by a degree-2 class, as an exact matrix.
 
     ``kernel`` is a basis of the source vectors killed by the map;
-    ``cokernel_basis`` lists the lex-first target coordinates that span
-    the target modulo the image.
+    ``cokernel`` is the target modulo the image, and ``cokernel_basis``
+    its lex-first basis coordinates.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]  # target_dim x source_dim
     kernel: tuple[tuple[Fraction, ...], ...]
     cokernel_basis: tuple[int, ...]
+    cokernel: linalg.QuotientSpace = field(repr=False, compare=False)
 
     @property
     def kernel_dim(self) -> int:
@@ -303,9 +304,10 @@ def multiplication_map(
         cols.append(col)
     rows = [[cols[c][r] for c in range(nvars)] for r in range(target_dim)]
     kernel = linalg.kernel_basis(rows, nvars)
-    cokernel = linalg.QuotientSpace(target_dim, [col[:] for col in cols])
+    cokernel = linalg.QuotientSpace(target_dim, cols)
     return MultiplicationMap(
         tuple(tuple(row) for row in rows),
         tuple(tuple(v) for v in kernel),
         tuple(cokernel.basis_indices),
+        cokernel,
     )

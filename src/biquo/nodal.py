@@ -91,7 +91,7 @@ class TernaryCubic:
     def hessian(self) -> "TernaryCubic":
         first = self.partials()
         second = [[d.partial(j) for j in range(3)] for d in first]
-        return TernaryCubic(_poly_det(second))
+        return _cubic_det(second)
 
     def evaluate(self, point) -> Fraction:
         return self.poly.evaluate(point)
@@ -168,6 +168,13 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     return HomPoly.zero(nvars, 0) if det is None else HomPoly._trusted(nvars, *det)
 
 
+def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:
+    """The determinant of a 3x3 matrix of linear forms; the zero cubic
+    also when no permutation product is nonzero."""
+    det = _poly_det(mat)
+    return TernaryCubic(HomPoly.zero(3, 3) if det.is_zero() else det)
+
+
 def det_cubic(net: QuadricSystem) -> TernaryCubic:
     """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space."""
     if net.ambient_dim != 3 or net.dim != 3:
@@ -180,7 +187,7 @@ def det_cubic(net: QuadricSystem) -> TernaryCubic:
         ]
         for i in range(3)
     ]
-    return TernaryCubic(_poly_det(entries))
+    return _cubic_det(entries)
 
 
 # ---------------------------------------------------------------------------

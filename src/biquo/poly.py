@@ -182,7 +182,7 @@ class HomPoly:
 
     def substitute(self, matrix: Sequence[Sequence]) -> "HomPoly":
         """Apply x_i -> sum_j matrix[i][j] * x_j."""
-        if len(matrix) != self.nvars:
+        if len(matrix) != self.nvars or any(len(row) != self.nvars for row in matrix):
             raise ValueError("substitution matrix has the wrong shape")
         images = [HomPoly.linear([Fraction(c) for c in row]) for row in matrix]
         out = HomPoly.zero(self.nvars, self.weight)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from biquo.arith import (
+    _MR_BASES,
+    _MR_LIMIT,
     _TRIAL_LIMIT,
     CubeClass,
     Gaussian,
@@ -59,6 +61,53 @@ def test_factor_two_primes_above_trial_limit():
     assert 1000033 > _TRIAL_LIMIT and 1000037 > _TRIAL_LIMIT
     assert factor(1000033 * 1000037) == (1, {1000033: 1, 1000037: 1})
     assert factor(-3 * 10007**2 * 10009) == (-1, {3: 1, 10007: 2, 10009: 1})
+
+
+def _strong_probable_prime(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_sympy_below_the_limit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    # the least strong pseudoprimes to the prime bases up to 31 and up to
+    # 37: base 37 rejects the first and only base 41 the second; the limit
+    # is the least one to every base used
+    pseudoprimes = [3825123056546413051, 318665857834031151167461]
+    for n, last in zip(pseudoprimes, (31, 37)):
+        assert _strong_probable_prime(n, [b for b in _MR_BASES if b <= last])
+        assert not _strong_probable_prime(n, _MR_BASES)
+    assert _strong_probable_prime(_MR_LIMIT, _MR_BASES)
+    assert not sympy.isprime(_MR_LIMIT)
+    cases = pseudoprimes + [_MR_LIMIT - 1, _MR_LIMIT - 2] + list(range(-2, 3000))
+    for digits in range(1, 26):
+        for _ in range(12):
+            n = rng.randrange(10 ** (digits - 1), min(10**digits, _MR_LIMIT))
+            cases += [n, int(sympy.nextprime(n)) if digits < 25 else n | 1]
+    for _ in range(30):
+        p = int(sympy.nextprime(rng.randrange(10**5, 10**12)))
+        q = int(sympy.nextprime(rng.randrange(10**5, 10**12)))
+        cases.append(p * q)
+    for n in cases:
+        if n < _MR_LIMIT:
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_at_the_limit():
+    for n in (_MR_LIMIT, _MR_LIMIT + 1, 10**80 + 1):
+        with pytest.raises(ValueError, match="certified range"):
+            is_prime(n)
+    # a cofactor above the limit stops factor at once
+    with pytest.raises(ValueError, match="certified range"):
+        factor(2**5 * (10**40 + 1) * (10**40 + 3))
+    assert factor(2**100 * 3**60) == (1, {2: 100, 3: 60})
 
 
 def test_factor_rejects_zero():

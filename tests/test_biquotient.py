@@ -223,6 +223,21 @@ def test_circle_bundle_klein_special_vs_generic():
             generic_seen += 1
 
 
+def test_multiplication_map_keeps_its_cokernel():
+    from biquo.linalg import QuotientSpace
+
+    bundle = klein_ring(2, 3)
+    base = bundle.ring
+    rng = random.Random(6)
+    for y in [bundle.y] + [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]:
+        m = base.mult_by_class(y)
+        rebuilt = QuotientSpace(base.h4_dim(), zip(*m.matrix))
+        assert m.cokernel.same_span(rebuilt)
+        assert tuple(m.cokernel.basis_indices) == m.cokernel_basis
+        # the space is kept out of equality
+        assert m == base.mult_by_class(y) and "cokernel=" not in repr(m)
+
+
 def test_circle_bundle_rejects_zero_class():
     with pytest.raises(ValueError):
         circle_bundle_degree4(klein_ring(1, 1).ring, [0, 0, 0, 0, 0])

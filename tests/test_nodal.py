@@ -144,6 +144,22 @@ def test_det_cubic_basis_change_scales_by_det():
         assert F2 == F1.substitute(Mt)
 
 
+def test_degenerate_nets_give_the_zero_cubic():
+    # both nets have rank <= 2 Gram matrices; only the second has a
+    # nonzero permutation product (which cancels)
+    from biquo.invariants import t1_invariant_from_net
+
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    for a, b in ((x2, x3), (x1 - x2, x3)):
+        net = QuadricSystem.from_polys([a * a, b * b, a * b])
+        F = det_cubic(net)
+        assert F == TernaryCubic(HomPoly.zero(3, 3)) and F.is_zero()
+        with pytest.raises(ValueError, match="the zero cubic is singular everywhere"):
+            t1_invariant_from_net(net)
+    # a Hessian with no nonzero permutation product is the zero cubic too
+    assert TernaryCubic.from_coefficients({(3, 0, 0): 1}).hessian().is_zero()
+
+
 def test_singular_points_family():
     locus = singular_points(family_cubic(4, 0))
     assert locus.points == ((1, 0, 0),)

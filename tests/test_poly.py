@@ -307,6 +307,13 @@ def test_substitute_singular_matrix_cancels_to_zero():
     assert _assert_clean(p.substitute([[0, 0], [0, 0]])) == HomPoly.zero(2, 2)
 
 
+def test_substitute_rejects_rows_of_the_wrong_length():
+    for matrix in ([[1, 0], [0, 1, 0]], [[1], [0, 1]], [[1, 0]]):
+        for p in (V(2, 0), V(2, 0) * V(2, 0), HomPoly.zero(2, 1)):
+            with pytest.raises(ValueError, match="wrong shape"):
+                p.substitute(matrix)
+
+
 def test_zero_operand_of_another_weight():
     x1, x2 = V(2, 0), V(2, 1)
     p = x1 * x2 - x2 * x2

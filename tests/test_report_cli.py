@@ -315,6 +315,20 @@ def test_cli_exponent_rational_exits_2_fast():
     )
 
 
+def test_cli_uncertifiable_factor_exits_2_fast():
+    # an 80-digit semiprime: no prime factor of it can be certified
+    sympy = pytest.importorskip("sympy")
+    n = int(sympy.nextprime(3 * 10**39)) * int(sympy.nextprime(7 * 10**39))
+    assert len(str(n)) == 80
+    start = time.monotonic()
+    proc = run_cli("invariant", "t2", "--a0", "1", "--a1", str(n))
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 @pytest.mark.parametrize("text", ["1.5", "-.5", "+2", "-3/4", "0.25"])
 def test_cli_rational_accepts_integers_fractions_decimals(text):
     assert _rational(text) == Fraction(text)
