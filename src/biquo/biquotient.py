@@ -26,7 +26,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from . import linalg
 from .graded import (
     GradedQuotient,
     MultiplicationMap,
@@ -103,14 +102,26 @@ def is_free(A) -> bool:
     minors, and unit full determinant; the general-k statement covers the
     lower-triangular families as a corollary.
     """
-    A = _as_matrix(A)
-    k = A.size
-    for r in range(1, k + 1):
-        for S in combinations(range(k), r):
-            minor = [[A.entries[i][j] for j in S] for i in S]
-            if linalg.det(minor) not in (1, -1):
-                return False
-    return True
+    return _unit_principal_minors([list(row) for row in _as_matrix(A).entries])
+
+
+def _unit_principal_minors(rows: list[list[int]]) -> bool:
+    """Every principal minor of the integer matrix is +-1.
+
+    With a unit corner a, the minors avoiding it are those of the rest,
+    and a minor through it is a times the minor of the Schur complement
+    rest - column * a * row, which is again integral.
+    """
+    if not rows:
+        return True
+    a = rows[0][0]
+    if a not in (1, -1):
+        return False
+    rest = [row[1:] for row in rows[1:]]
+    schur = [
+        [x - row[0] * a * y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]
+    ]
+    return _unit_principal_minors(rest) and _unit_principal_minors(schur)
 
 
 def stabilizer_oracle(A, m: int) -> bool:

@@ -25,12 +25,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 from . import __version__
 from .biquotient import TorusActionMatrix, is_free, quotient_ring
 from .checks import SUITE_NAMES, verify
-from .invariants import (
-    DegenerateFamilyMember,
-    t1_invariant,
-    t2_det_class,
-    t3_discriminant_class,
-)
+from .invariants import t1_invariant, t2_det_class, t3_discriminant_class
 from .report import scan
 
 EXIT_OK = 0
@@ -41,6 +36,13 @@ EXIT_BAD_INPUT = 2
 # free action (unit lower triangular, entries in [-3, 3]) takes 1.0-1.4 s
 # at rank 8 and about 7 s at rank 9; `free` checks all 2^k principal minors.
 MAX_RANK = 8
+
+# invariant subcommand: the family's function and its argument names
+_INVARIANTS = {
+    "t1": (t1_invariant, ("b1", "c1")),
+    "t2": (t2_det_class, ("a0", "a1")),
+    "t3": (t3_discriminant_class, ("a", "b", "c")),
+}
 
 
 # ASCII integers, p/q and plain decimals only: Fraction() also takes exponent
@@ -118,12 +120,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    if args.family == "t1":
-        print(t1_invariant(args.b1, args.c1).serialize())
-    elif args.family == "t2":
-        print(t2_det_class(args.a0, args.a1).serialize())
-    else:
-        print(t3_discriminant_class(args.a, args.b, args.c).serialize())
+    invariant, names = _INVARIANTS[args.family]
+    values = [getattr(args, name) for name in names]
+    try:
+        print(invariant(*values).serialize())
+    except (ValueError, ZeroDivisionError) as exc:
+        given = ", ".join(f"{name}={value}" for name, value in zip(names, values))
+        raise ValueError(f"invariant {args.family} ({given}): {exc}") from None
     return EXIT_OK
 
 
@@ -173,9 +176,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DegenerateFamilyMember as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -58,9 +58,6 @@ from .univar import (
     bf_rational_proj_roots,
     bf_to_upoly,
     is_rational_square,
-    rational_roots,
-    up,
-    up_divmod,
     up_factor,
 )
 
@@ -455,87 +452,66 @@ class RankOneClassification:
         return bool(self.degenerate_lines)
 
 
-class _QuadExt:
-    """Arithmetic in Q[theta]/(theta^2 + g1*theta + g0), elements (a, b)."""
+class _Quad:
+    """a + b*theta in Q[theta]/(theta^2 + g1*theta + g0), g = (g1, g0).
 
-    def __init__(self, g1: Fraction, g0: Fraction):
-        self.g1 = g1
-        self.g0 = g0
+    Mixes with ints and Fractions, so the polynomial helpers of ``univar``
+    and ``nodal`` run over the extension unchanged.
+    """
 
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
+    __slots__ = ("a", "b", "g")
 
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
+    def __init__(self, a, b, g):
+        self.a, self.b, self.g = a, b, g
 
-    def mul(self, x, y):
-        # (a + b*theta)(c + d*theta) with theta^2 = -g1*theta - g0
-        a, b = x
-        c, d = y
-        cross = b * d
-        return (a * c - cross * self.g0, a * d + b * c - cross * self.g1)
+    def __add__(self, y):
+        if isinstance(y, _Quad):
+            return _Quad(self.a + y.a, self.b + y.b, self.g)
+        return _Quad(self.a + y, self.b, self.g)
 
-    def is_zero(self, x) -> bool:
-        return x[0] == 0 and x[1] == 0
+    __radd__ = __add__
 
-    def inv(self, x):
-        a, b = x
-        norm = a * a - self.g1 * a * b + self.g0 * b * b
-        if norm == 0:
-            raise ZeroDivisionError("element is not invertible")
-        return ((a - self.g1 * b) / norm, -b / norm)
+    def __neg__(self):
+        return _Quad(-self.a, -self.b, self.g)
 
-    def scalar(self, q) -> tuple[Fraction, Fraction]:
-        return (Fraction(q), Fraction(0))
+    def __sub__(self, y):
+        return self + -y
 
-    def theta(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(1))
+    def __rsub__(self, y):
+        return -self + y
 
-    def _trim(self, p: list) -> list:
-        while p and self.is_zero(p[-1]):
-            p.pop()
-        return p
+    def __mul__(self, y):
+        if not isinstance(y, _Quad):
+            return _Quad(self.a * y, self.b * y, self.g)
+        # theta^2 = -g1*theta - g0
+        g1, g0 = self.g
+        cross = self.b * y.b
+        return _Quad(
+            self.a * y.a - cross * g0, self.a * y.b + self.b * y.a - cross * g1, self.g
+        )
 
-    def _rem(self, p: list, q: list) -> list:
-        p = p[:]
-        inv_lead = self.inv(q[-1])
-        while len(p) >= len(q) and p:
-            factor = self.mul(p[-1], inv_lead)
-            shift = len(p) - len(q)
-            for i, qc in enumerate(q):
-                p[shift + i] = self.sub(p[shift + i], self.mul(factor, qc))
-            p = self._trim(p)
-        return p
+    __rmul__ = __mul__
 
-    def poly_gcd(self, polys) -> list | None:
-        """Monic gcd of univariate polynomials over the extension."""
-        current: list | None = None
-        for p in polys:
-            p = self._trim(list(p))
-            if not p:
-                continue
-            if current is None:
-                current = p
-                continue
-            a, b = current, p
-            while b:
-                a, b = b, self._rem(a, b)
-            current = a
-        if current is None:
-            return None
-        inv_lead = self.inv(current[-1])
-        return [self.mul(c, inv_lead) for c in current]
+    def __truediv__(self, y):
+        return self * (Fraction(1) / y)
 
+    def __rtruediv__(self, y):
+        # 1 / (a + b*theta) = (a - g1*b - b*theta) / (a^2 - g1*a*b + g0*b^2)
+        a, b = self.a, self.b
+        g1, g0 = self.g
+        norm = a * a - g1 * a * b + g0 * b * b
+        return _Quad((a - g1 * b) / norm, -b / norm, self.g) * y
 
-def _ext_slice(p: HomPoly, ext: _QuadExt) -> list:
-    """p(u, theta, 1) as a polynomial in u with _QuadExt coefficients."""
-    theta_pows = [ext.scalar(1)]
-    for _ in range(p.weight):
-        theta_pows.append(ext.mul(theta_pows[-1], ext.theta()))
-    out = [ext.scalar(0)] * (p.weight + 1)
-    for e, c in p.coeffs.items():
-        out[e[0]] = ext.add(out[e[0]], ext.mul(ext.scalar(c), theta_pows[e[1]]))
-    return out
+    def __pow__(self, n: int):
+        out = self if n else _Quad(Fraction(1), Fraction(0), self.g)
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def __eq__(self, y):
+        if isinstance(y, _Quad):
+            return self.a == y.a and self.b == y.b
+        return self.b == 0 and self.a == y
 
 
 def rank_one_elements(
@@ -545,9 +521,13 @@ def rank_one_elements(
     """Classify the squares of linear forms contained in the system.
 
     Membership of l*l is cut out by the annihilator conics of the span.
-    Rational solutions come from exact elimination; conjugate pairs are
-    verified inside the quadratic extension and reported by the monic
-    minimal polynomial of the parameter along their rational line.
+    Rational solutions come from exact elimination.  For an irreducible
+    quadratic factor of the eliminant with root theta, the conics' gcd on
+    the line (lam, theta, 1) is taken over Q(theta) by the same
+    ``nodal._line_gcd`` as the rational lines; its root must be a common
+    zero (a ``CertificateError`` otherwise).  Each conjugate pair is
+    reported by the monic minimal polynomial of the parameter along its
+    rational line.
     ``line_hint = (base, direction)`` fixes that parametrization when it
     spans an orbit's line (the family pipeline passes (a, b, 0) and
     (0, 0, 1), reproducing the membership quadratic literally); without
@@ -593,17 +573,11 @@ def rank_one_elements(
             degenerate.append((base, (1, 0, 0)))
             rational.add(base)
             continue
-        rest = common
-        for u0 in rational_roots(common):
-            rational.add(_normalize_point([u0, Fraction(v0), Fraction(w0)]))
-            while True:
-                quot, rem = up_divmod(rest, up([-u0, 1]))
-                if rem:
-                    break
-                rest = quot
-        if len(rest) == 3:
-            # conjugate pair along the vertical line (t, v0, w0)
-            orbits.append(_vertical_orbit(rest, v0, w0, line_hint))
+        for fac, _mult in up_factor(common)[1]:
+            if len(fac) == 2:
+                rational.add(_normalize_point([-fac[0], Fraction(v0), Fraction(w0)]))
+            else:  # a conjugate pair along the vertical line (t, v0, w0)
+                orbits.append(_vertical_orbit(fac, v0, w0, line_hint))
 
     # conjugate directions: irreducible quadratic factors of the eliminant
     _, factors = up_factor(bf_to_upoly(eliminant))
@@ -691,28 +665,19 @@ def _quadratic_orbit(fac: UPoly, conics, line_hint) -> RankOneOrbit | None:
     all the conics.
     """
     g1, g0 = fac[1], fac[0]
-    ext = _QuadExt(g1, g0)
-    slices = [_ext_slice(p, ext) for p in conics]
-    nonzero = [s for s in slices if not all(ext.is_zero(c) for c in s)]
-    if not nonzero:
-        return None
-    common = ext.poly_gcd(nonzero)
+    theta = _Quad(Fraction(0), Fraction(1), (g1, g0))
+    common = _line_gcd(conics, theta, 1)
     if common is None or len(common) <= 1:
         return None
     if len(common) > 2:
         raise NotImplementedError("conjugate pairs of whole lines are out of scope")
-    u = ext.mul(ext.sub(ext.scalar(0), common[0]), ext.inv(common[1]))
-    for coeffs in slices:
-        acc = ext.scalar(0)
-        upow = ext.scalar(1)
-        for c in coeffs:
-            acc = ext.add(acc, ext.mul(c, upow))
-            upow = ext.mul(upow, u)
-        if not ext.is_zero(acc):
-            return None
-    p, q = u  # u = p + q*theta, so the solutions are B + theta*D below
-    B = [p, Fraction(0), Fraction(1)]
-    D = [q, Fraction(1), Fraction(0)]
+    u = -common[0] / common[1]
+    for p in conics:
+        if sum(c * u ** e[0] * theta ** e[1] for e, c in p.coeffs.items()) != 0:
+            raise CertificateError("the conjugate point is not a zero of every conic")
+    # u = u.a + u.b*theta, so the solutions are B + theta*D below
+    B = [u.a, Fraction(0), Fraction(1)]
+    D = [u.b, Fraction(1), Fraction(0)]
     # canonical: base = primitive trace on {w = 0} (that is D), direction
     # = primitive rep of B
     return _orbit(g1, g0, B, D, (_normalize_point(D), _normalize_point(B)), line_hint)

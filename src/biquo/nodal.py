@@ -17,9 +17,12 @@ Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
 one elimination: ``_eliminants`` removes lam from each pair of forms,
 and ``_line_gcd`` takes the forms' gcd in lam on each line (lam, mu0,
-nu0).  ``singular_points`` runs one loop over directions (mu0 : nu0),
-fed either by the rational roots of the eliminants (a certified answer)
-or by a bounded search when every eliminant vanishes.
+nu0) with the one ``univar.up_gcd``.  (mu0, nu0) is a rational point,
+or (theta, 1) for a quadratic irrationality theta when ``invariants``
+looks for a conjugate pair of common zeros.  ``singular_points`` runs
+one loop over directions (mu0 : nu0), fed either by the rational roots
+of the eliminants (a certified answer) or by a bounded search when
+every eliminant vanishes.
 """
 
 from __future__ import annotations
@@ -292,28 +295,28 @@ def _is_singular_at(partials: list[HomPoly], point) -> bool:
     return all(p.evaluate(point) == 0 for p in partials)
 
 
-def _lam_slice(p: HomPoly, mu0: int, nu0: int) -> UPoly:
-    """p(lam, mu0, nu0) as a univariate polynomial in lam."""
+def _lam_slice(p: HomPoly, mu0, nu0) -> UPoly:
+    """p(lam, mu0, nu0) as a univariate polynomial in lam.
+
+    mu0 and nu0 are ints or elements of a field that mixes with Fractions.
+    """
     out: dict[int, Fraction] = {}
     for e, c in p.coeffs.items():
-        out[e[0]] = out.get(e[0], Fraction(0)) + c * Fraction(mu0) ** e[1] * Fraction(
-            nu0
-        ) ** e[2]
+        out[e[0]] = out.get(e[0], Fraction(0)) + c * mu0 ** e[1] * nu0 ** e[2]
     size = max(out) + 1 if out else 0
     return up_trim([out.get(i, Fraction(0)) for i in range(size)])
 
 
-def _line_gcd(polys: Sequence[HomPoly], mu0: int, nu0: int) -> UPoly | None:
-    """The gcd in lam of the forms on the line (lam, mu0, nu0).
+def _line_gcd(polys: Sequence[HomPoly], mu0, nu0) -> UPoly | None:
+    """The monic gcd in lam of the forms on the line (lam, mu0, nu0).
 
+    The gcd runs over the field of mu0 and nu0 (see ``_lam_slice``).
     None when every form vanishes on the whole line.
     """
-    common = None
+    common: UPoly = []
     for p in polys:
-        s = _lam_slice(p, mu0, nu0)
-        if s:
-            common = s if common is None else up_gcd(common, s)
-    return common
+        common = up_gcd(common, _lam_slice(p, mu0, nu0))
+    return common or None
 
 
 def singular_points(

@@ -1,9 +1,14 @@
 """Univariate polynomials over Q and homogeneous binary forms.
 
 Univariate polynomials are ascending coefficient lists of Fractions.
+Trimming, division and the monic gcd use only field arithmetic, so they
+also run over any field whose elements mix with Fractions (the
+quadratic extensions of ``invariants.rank_one_elements``).
 Binary forms of degree d in (s, t) are coefficient lists
 ``[c_0, ..., c_d]`` where ``c_k`` multiplies ``s^(d-k) t^k``; the pair
-(list, d) is carried implicitly by the list length.
+(list, d) is carried implicitly by the list length.  Their gcd and exact
+division work on the polynomial in s at t = 1 plus the order of t,
+which is the number of coefficients that polynomial drops.
 
 Factorization is complete through degree 4 (rational roots, quadratic
 discriminants, and the resolvent cubic for quartics), which covers every
@@ -36,11 +41,6 @@ def up_deg(p: UPoly) -> int:
     return len(p) - 1  # zero polynomial: -1
 
 
-def up_scale(p: UPoly, c: Fraction) -> UPoly:
-    c = Fraction(c)
-    return [] if c == 0 else [x * c for x in p]
-
-
 def up_mul(p: UPoly, q: UPoly) -> UPoly:
     if not p or not q:
         return []
@@ -68,7 +68,7 @@ def up_divmod(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
 
 
 def up_monic(p: UPoly) -> UPoly:
-    return up_scale(p, Fraction(1) / p[-1]) if p else []
+    return [x / p[-1] for x in p]
 
 
 def up_gcd(p: UPoly, q: UPoly) -> UPoly:
@@ -216,19 +216,8 @@ def _quartic_split(p: UPoly) -> tuple[UPoly, UPoly] | None:
 # ---------------------------------------------------------------------------
 
 
-def bf_degree(form: list[Fraction]) -> int:
-    return len(form) - 1
-
-
 def bf_is_zero(form: list[Fraction]) -> bool:
     return all(c == 0 for c in form)
-
-
-def bf_valuations(form: list[Fraction]) -> tuple[int, int]:
-    """(order of t, order of s) dividing the form; form must be nonzero."""
-    t_val = next(i for i, c in enumerate(form) if c != 0)
-    s_val = next(i for i, c in enumerate(reversed(form)) if c != 0)
-    return t_val, s_val
 
 
 def bf_to_upoly(form: list[Fraction]) -> UPoly:
@@ -236,45 +225,30 @@ def bf_to_upoly(form: list[Fraction]) -> UPoly:
     return up_trim(list(reversed(form)))
 
 
-def bf_from_upoly(p: UPoly, degree: int) -> list[Fraction]:
-    if up_deg(p) > degree:
-        raise ValueError("polynomial degree exceeds form degree")
-    padded = p + [Fraction(0)] * (degree - len(p) + 1)
-    return list(reversed(padded))
-
-
 def bf_divide_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction] | None:
-    """a / b when b divides a exactly as binary forms, else None."""
-    if bf_is_zero(b):
-        raise ZeroDivisionError
-    if bf_is_zero(a):
-        return [Fraction(0)] * (1 if len(a) >= len(b) else 0)
-    at, as_ = bf_valuations(a)
-    bt, bs = bf_valuations(b)
-    if bt > at or bs > as_:
+    """a / b when b divides a exactly as binary forms, else None.
+
+    The quotient at t = 1 is padded with the order of t left over by the
+    degree of a / b; it is None when that order would be negative.
+    """
+    pb = bf_to_upoly(b)
+    if not pb:
+        raise ZeroDivisionError("binary form division by zero")
+    quot, rem = up_divmod(bf_to_upoly(a), pb)
+    degree = len(a) - len(b)
+    if rem or degree < 0 or len(quot) > degree + 1:
         return None
-    a_core = a[at : len(a) - as_]
-    b_core = b[bt : len(b) - bs]
-    quot, rem = up_divmod(bf_to_upoly(a_core), bf_to_upoly(b_core))
-    if rem:
-        return None
-    deg_q = (bf_degree(a) - as_ - at) - (bf_degree(b) - bs - bt)
-    core = bf_from_upoly(quot, deg_q)
-    # reattach the stripped powers of t and s
-    return [Fraction(0)] * (at - bt) + core + [Fraction(0)] * (as_ - bs)
+    return [Fraction(0)] * (degree + 1 - len(quot)) + quot[::-1]
 
 
 def bf_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two nonzero binary forms."""
-    at, as_ = bf_valuations(a)
-    bt, bs = bf_valuations(b)
-    g_core = up_gcd(
-        bf_to_upoly(a[at : len(a) - as_]), bf_to_upoly(b[bt : len(b) - bs])
-    )
-    t_pow = min(at, bt)
-    s_pow = min(as_, bs)
-    core = bf_from_upoly(g_core, up_deg(g_core))
-    return [Fraction(0)] * t_pow + core + [Fraction(0)] * s_pow
+    """Monic gcd of two binary forms, not both zero.
+
+    The gcd at t = 1 times the smaller order of t of the nonzero forms.
+    """
+    pa, pb = bf_to_upoly(a), bf_to_upoly(b)
+    t_order = min(len(f) - len(p) for f, p in ((a, pa), (b, pb)) if p)
+    return [Fraction(0)] * t_order + up_gcd(pa, pb)[::-1]
 
 
 def bf_rational_proj_roots(form: list[Fraction]) -> list[tuple[int, int]]:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from biquo.invariants import (
     t3_membership_quadratic,
 )
 from biquo.oracles import rank_one_residual
-from biquo.poly import HomPoly
+from biquo.poly import HomPoly, monomials
 from biquo.univar import is_rational_square
 
 
@@ -490,6 +494,106 @@ def test_rank_one_hinted_base_is_the_hint_exactly():
     assert rank_one_elements(t3_kernel_system(a, b, c), line_hint=((1, 0, 0), (0, 1, 0))) == plain
 
 
+def _pinned_division_system() -> QuadricSystem:
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    return QuadricSystem.from_polys(
+        [-3 * x1 * x2 + 2 * x3 * x3, x1 * x2 - 3 * x2 * x3 - 3 * x3 * x3, x1 * x2 - 3 * x2 * x2]
+    )
+
+
+def test_rank_one_gcd_divides_a_rational_by_a_quadratic_coefficient():
+    # the gcd over Q(theta) divides a rational leading coefficient by a
+    # Q(theta) one here, which needs the reflected division
+    cls = rank_one_elements(_pinned_division_system())
+    assert cls.rational == () and not cls.is_degenerate
+    [orbit] = cls.orbits
+    assert orbit.min_poly == MonicQuadratic(Fraction(-14, 9), Fraction(2, 9))
+    assert orbit.base == (0, 1, 0) and orbit.direction == (0, 0, 1)
+
+
+def test_rank_one_certificate_survives_optimized_mode():
+    # under -O every assert vanishes; a wrong conjugate point must still
+    # raise, here from a gcd forced to a linear factor that is no common one
+    script = """
+import biquo
+from biquo import invariants
+from biquo.graded import QuadricSystem
+from biquo.poly import HomPoly
+
+assert False, "unreachable under -O"
+x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+system = QuadricSystem.from_polys(
+    [-3 * x1 * x2 + 2 * x3 * x3, x1 * x2 - 3 * x2 * x3 - 3 * x3 * x3, x1 * x2 - 3 * x2 * x2]
+)
+print(repr(invariants.rank_one_elements(system)))
+line_gcd = invariants._line_gcd
+invariants._line_gcd = lambda polys, mu0, nu0: (
+    line_gcd(polys, mu0, nu0) if isinstance(mu0, int) else [mu0 + 1, 1]
+)
+try:
+    invariants.rank_one_elements(system)
+except biquo.CertificateError as exc:
+    print(f"certificate: {exc}")
+"""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    plain, certificate = proc.stdout.splitlines()
+    assert plain == repr(rank_one_elements(_pinned_division_system()))
+    assert certificate.startswith("certificate: ")
+
+
+def test_rank_one_orbits_against_sympy_algebraic_field():
+    # independent of the gcd over Q(theta): at both roots t of min_poly,
+    # computed in sympy's QQ(sqrt(disc)), the square of base + t*direction
+    # must leave the rank of the system's span unchanged
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    monos = monomials(3, 2)
+    rng = random.Random(12)
+    pool = (0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2))
+    orbits = 0
+    for _ in range(240):
+        polys = [
+            HomPoly(3, 2, zip(monos, [rng.choice(pool) for _ in monos]))
+            for _ in range(rng.choice((3, 4)))  # 3 or 2 annihilator conics
+        ]
+        try:
+            cls = rank_one_elements(QuadricSystem.from_polys(polys))
+        except (ValueError, NotImplementedError):
+            continue  # a dependent basis, or an orbit of degree > 2
+        for orbit in cls.orbits:
+            orbits += 1
+            disc = orbit.min_poly.discriminant()
+            assert is_rational_square(disc) is None
+            sqrt_disc = sympy.sqrt(sympy.Rational(disc.numerator, disc.denominator))
+            field = sympy.QQ.algebraic_field(sqrt_disc)
+
+            def lift(x):
+                x = Fraction(x)
+                return field.convert(sympy.QQ(x.numerator, x.denominator))
+
+            root = field.from_sympy(sqrt_disc)
+            assert root * root == lift(disc)
+            span = [[lift(p.coefficient(m)) for m in monos] for p in polys]
+            rank = DomainMatrix(span, (len(span), 6), field).rank()
+            for sign in (1, -1):
+                t = (sign * root - lift(orbit.min_poly.p1)) * lift(Fraction(1, 2))
+                v = [lift(b) + t * lift(d) for b, d in zip(orbit.base, orbit.direction)]
+                square = []  # coefficients of (v . x)^2 on monos
+                for e in monos:
+                    i, j = [k for k, n in enumerate(e) for _ in range(n)]
+                    square.append(lift(1 if i == j else 2) * v[i] * v[j])
+                grown = DomainMatrix(span + [square], (len(span) + 1, 6), field)
+                assert grown.rank() == rank, (polys, orbit)
+    assert orbits >= 30
+
+
 def _square_in(system, pt) -> bool:
     return system.contains([[Fraction(u * v) for v in pt] for u in pt])
 
@@ -525,6 +629,20 @@ def test_rank_one_common_line_of_three_conics():
     assert cls.rational == ((1, 0, -1), (1, 1, 0)) and not cls.orbits
     _assert_lines_are_squares(system, cls)
     assert not _square_in(system, (1, 0, 0))
+
+
+def test_rank_one_common_line_with_one_conic_vanishing_on_a_direction():
+    # the annihilator conics L*x2 and L*x3, L = 2 x1 + x2 + x3: on the
+    # directions (1 : 0) and (0 : 1) one of them vanishes, and the other's
+    # lam-slice 2 lam + 1 must be made monic before its root is read off
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    system = QuadricSystem.from_polys(
+        [x1 * x1, x2 * x2 - x1 * x2, x3 * x3 - x1 * x3, 2 * x2 * x3 - x1 * x2 - x1 * x3]
+    )
+    cls = rank_one_elements(system)
+    assert cls.degenerate_lines == (((1, -2, 0), (1, 0, -2)),)
+    assert cls.rational == ((1, -2, 0), (1, 0, -2), (1, 0, 0)) and not cls.orbits
+    _assert_lines_are_squares(system, cls)
 
 
 def test_rank_one_three_dim_span():

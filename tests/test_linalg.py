@@ -4,8 +4,9 @@
   ``linalg`` ran before its one fraction-free echelon, kept here as
   references: ``rref``, ``kernel_basis``, ``solve`` and ``det`` must
   give identical results on seeded matrices, and so must sympy's
-  ``Matrix.rref`` and ``Matrix.det``; ``is_free`` must agree with the
-  integer cofactor determinant it used.
+  ``Matrix.rref`` and ``Matrix.det``; ``is_free`` must agree with every
+  principal minor by the integer cofactor determinant, and with the
+  brute-force ``stabilizer_oracle``.
 * The dense quotient ``QuotientSpace`` replaced (``DenseQuotientSpace``:
   one dense ``rref`` of the span with its columns reversed): basis
   indices, dimension and coordinates must be identical, on seeded spans
@@ -19,11 +20,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from biquo import linalg
-from biquo.biquotient import is_free, quotient_ring
+from biquo.biquotient import is_free, quotient_ring, stabilizer_oracle
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
 from biquo.poly import HomPoly, monomials
 
@@ -237,6 +239,37 @@ def test_is_free_matches_cofactor_rule():
                         m[i][j] = rng.choice((0, 0, 0, 1, -1))
             assert is_free(m) == _old_is_free(m)
             assert det(m) == cofactor_det(m)
+
+
+def test_is_free_matches_minors_and_oracle_to_rank_8():
+    # is_free recurses on a corner and its Schur complement; mostly unit
+    # lower-triangular inputs (free) with a few perturbed entries (often
+    # not) reach every depth up to the CLI's rank limit 8.  The oracle
+    # finds an order-t stabilizer exactly when t shares a factor with
+    # some principal minor.
+    rng = random.Random(31)
+    seen_free = seen_not_free = 0
+    for k in range(1, 9):
+        for trial in range(24 if k < 7 else 8):
+            m = [
+                [rng.choice((1, -1)) if i == j else rng.randint(-3, 3) if j < i else 0
+                 for j in range(k)]
+                for i in range(k)
+            ]
+            for _ in range(trial % 3):
+                m[rng.randrange(k)][rng.randrange(k)] += rng.choice((1, -1, 2))
+            minors = [
+                cofactor_det([[m[i][j] for j in S] for i in S])
+                for r in range(1, k + 1)
+                for S in combinations(range(k), r)
+            ]
+            free = is_free(m)
+            assert free == all(d in (1, -1) for d in minors)
+            for t in (2, 3) if k > 5 else (2, 3, 4, 5):
+                assert stabilizer_oracle(m, t) == all(gcd(d, t) == 1 for d in minors)
+            seen_free += free
+            seen_not_free += not free
+    assert seen_free > 40 and seen_not_free > 40
 
 
 def _random_vector(rng, ncols, nonzero):

@@ -190,6 +190,63 @@ def test_binary_forms():
     assert g == [Fraction(0), Fraction(1)]
 
 
+def test_binary_forms_with_a_zero_form():
+    zero = [Fraction(0)] * 4  # the zero cubic
+    b = [Fraction(0), Fraction(2), Fraction(4)]  # 2 s t + 4 t^2
+    assert bf_gcd(zero, b) == bf_gcd(b, [Fraction(0)]) == [0, 1, 2]
+    with pytest.raises(ValueError):
+        bf_gcd(zero, [Fraction(0)])
+    assert bf_divide_exact(zero, b) == [0, 0]
+    assert bf_divide_exact([Fraction(0)], b) is None
+    with pytest.raises(ZeroDivisionError):
+        bf_divide_exact(b, [Fraction(0), Fraction(0)])
+
+
+def _seeded_form(rng: random.Random, degree: int) -> list[Fraction]:
+    """A random binary form of the given degree: a rational scalar times
+    powers of s and t and random linear and quadratic factors."""
+    form = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))]
+    while len(form) <= degree:
+        room = degree + 1 - len(form)
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = [Fraction(1), Fraction(0)]  # s
+        elif kind == 1:
+            f = [Fraction(0), Fraction(1)]  # t
+        elif kind == 2 and room >= 2:
+            f = [Fraction(rng.randint(1, 3)), Fraction(rng.randint(-4, 4)), Fraction(rng.randint(1, 5))]
+        else:
+            f = [Fraction(rng.randint(-4, 4) or 1), Fraction(rng.randint(-4, 4), rng.randint(1, 3))]
+        if len(f) - 1 <= room:
+            form = bf_mul(form, f)
+    return form
+
+
+def test_bf_gcd_and_division_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+
+    def to_sympy(form):
+        d = len(form) - 1
+        terms = (sympy.Rational(c.numerator, c.denominator) * s ** (d - k) * t**k for k, c in enumerate(form))
+        return sympy.Poly(sum(terms), s, t, domain="QQ")
+
+    rng = random.Random(41)
+    for trial in range(100):
+        common = _seeded_form(rng, trial % 4)
+        a = bf_mul(common, _seeded_form(rng, rng.randint(0, 3)))
+        b = bf_mul(common, _seeded_form(rng, rng.randint(0, 3)))
+        want = sympy.gcd(to_sympy(a), to_sympy(b))
+        degree = want.total_degree()
+        coeffs = [want.coeff_monomial(s ** (degree - k) * t**k) for k in range(degree + 1)]
+        lead = next(c for c in coeffs if c != 0)
+        assert bf_gcd(a, b) == [_fraction(c / lead) for c in coeffs], (a, b)
+        assert bf_divide_exact(bf_mul(a, b), b) == a
+        quotient = bf_divide_exact(a, b)
+        assert (quotient is None) == (degree < len(b) - 1), (a, b)
+        assert quotient is None or bf_mul(quotient, b) == a
+
+
 # -- trusted arithmetic: every result is a clean, valid HomPoly ---------------
 
 

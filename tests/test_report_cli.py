@@ -194,7 +194,9 @@ def test_cli_negative_rational_arguments(capsys):
 
 def test_cli_invariant_t3_degenerate_exit_2(capsys):
     assert main(["invariant", "t3", "--a", "1", "--b", "2", "--c", "1"]) == 2
-    assert "degenerate" in capsys.readouterr().err.lower() or True
+    assert capsys.readouterr().err.startswith(
+        "error: invariant t3 (a=1, b=2, c=1): discriminant vanishes"
+    )
 
 
 def test_cli_invariant_t1_origin_exit_2(capsys):
@@ -327,6 +329,25 @@ def test_cli_uncertifiable_factor_exits_2_fast():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_cli_invariant_errors_name_the_family_and_arguments(capsys):
+    # the refused integer may be one derived from the input, so the line
+    # names the arguments the user gave
+    sympy = pytest.importorskip("sympy")
+    n = int(sympy.nextprime(3 * 10**39)) * int(sympy.nextprime(7 * 10**39))
+    cases = [
+        (["t2", "--a0", "1", "--a1", str(n)], f"invariant t2 (a0=1, a1={n}): primality of a "),
+        (["t2", "--a0", "-3/4", "--a1", "0"], "invariant t2 (a0=-3/4, a1=0): "),
+        (["t3", "--a", "1", "--b", "2", "--c", "1"], "invariant t3 (a=1, b=2, c=1): "),
+        (["t1", "--b1", "0", "--c1", "0"], "invariant t1 (b1=0, c1=0): "),
+    ]
+    for argv, prefix in cases:
+        assert main(["invariant", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + prefix), captured.err
 
 
 @pytest.mark.parametrize("text", ["1.5", "-.5", "+2", "-3/4", "0.25"])
