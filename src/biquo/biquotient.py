@@ -18,7 +18,6 @@ bundle data over either kind of base.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from dataclasses import dataclass
@@ -65,6 +64,8 @@ class TorusActionMatrix:
         ASCII ``-?[0-9]+`` entries, with optional whitespace around each."""
         text = text.strip()
         if text.startswith("["):
+            import json
+
             return cls.from_rows(json.loads(text))
         rows = [[x.strip() for x in chunk.split(",")] for chunk in text.split(";")]
         bad = [x for row in rows for x in row if not _INTEGER.fullmatch(x)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 from . import linalg
@@ -65,6 +66,8 @@ class GradedQuotient:
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree
         self._pieces: dict[int, linalg.QuotientSpace] = {}
+        # lowest degree of a built zero piece; max_degree while none is known
+        self._zero_degree = self.max_degree
 
     def __repr__(self) -> str:
         rels = ", ".join(r.to_str() for r in self.relations)
@@ -73,15 +76,23 @@ class GradedQuotient:
     # -- graded pieces ------------------------------------------------------
 
     def piece(self, degree: int) -> linalg.QuotientSpace:
-        """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations."""
+        """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
+
+        The ring is generated in degree 2, so above a zero piece every
+        monomial lies in the ideal: such a piece is returned as the whole
+        space modulo itself, without reducing any relation multiple.
+        """
         if degree % 2 or degree < 0 or degree > self.max_degree:
             raise ValueError(
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
             )
+        weight = degree // 2
+        if degree > self._zero_degree:
+            size = comb(self.generators + weight - 1, weight)
+            return linalg.QuotientSpace(size, ({i: 1} for i in range(size)))
         cached = self._pieces.get(degree)
         if cached is not None:
             return cached
-        weight = degree // 2
         monos = monomials(self.generators, weight)
         index = {m: i for i, m in enumerate(monos)}
         multipliers = monomials(self.generators, weight - 2) if weight >= 2 else []
@@ -94,9 +105,13 @@ class GradedQuotient:
                 })
         piece = linalg.QuotientSpace(len(monos), rows)
         self._pieces[degree] = piece
+        if piece.dim == 0:
+            self._zero_degree = min(self._zero_degree, degree)
         return piece
 
     def graded_dim(self, degree: int) -> int:
+        if self._zero_degree < degree <= self.max_degree and degree % 2 == 0:
+            return 0  # above a zero piece; see ``piece``
         return self.piece(degree).dim
 
     def poly_coords(self, poly: HomPoly) -> list[Fraction]:

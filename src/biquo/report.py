@@ -8,12 +8,9 @@ sentinel invariant string and excluded from the distinct count.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from . import __version__
 from .invariants import (
@@ -51,6 +48,9 @@ class ScanReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(PARAM_NAMES[self.family]) + ["invariant"])
@@ -126,7 +126,9 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
     func = _ROW_FUNCS[family]
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only add overhead
     if jobs > 1:
-        with Pool(processes=jobs) as pool:
+        import multiprocessing  # only a parallel scan pays for its import
+
+        with multiprocessing.Pool(processes=jobs) as pool:
             rows = pool.map(func, grid, chunksize=64)
     else:
         rows = [func(p) for p in grid]

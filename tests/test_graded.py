@@ -154,6 +154,24 @@ def test_rank_seven_ring_builds_in_under_a_second():
     assert dims == [comb(7, w) for w in range(8)]
 
 
+def test_pieces_above_a_zero_piece_are_zero():
+    x = [V(3, i) for i in range(3)]
+    squares = [x[i] * x[j] for i in range(3) for j in range(i, 3)]
+    ring = GradedQuotient(3, squares, max_degree=40)
+    assert [ring.graded_dim(d) for d in (0, 2, 4)] == [1, 3, 0]
+    assert [ring.graded_dim(d) for d in range(6, 41, 2)] == [0] * 18
+    # the same piece built by elimination, with no zero piece known below it
+    built = GradedQuotient(3, squares, max_degree=40).piece(8)
+    answered = ring.piece(8)
+    assert (answered.ambient_dim, answered.dim) == (built.ambient_dim, 0)
+    assert answered.same_span(built)
+    assert ring.poly_coords(x[0] * x[1] * x[2] * x[2]) == []
+    with pytest.raises(ValueError):
+        ring.graded_dim(41)
+    with pytest.raises(ValueError):
+        ring.graded_dim(42)
+
+
 def test_change_of_variables_rejects_singular():
     ring = family_ring(1, 0)
     with pytest.raises(ValueError):

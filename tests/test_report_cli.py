@@ -57,6 +57,8 @@ def test_scan_parallel_matches_serial():
 
 
 def test_scan_clamps_jobs_to_cpu_count(monkeypatch):
+    import multiprocessing
+
     import biquo.report as report
 
     started = []
@@ -74,7 +76,7 @@ def test_scan_clamps_jobs_to_cpu_count(monkeypatch):
         def map(self, func, items, chunksize=1):
             return [func(item) for item in items]
 
-    monkeypatch.setattr(report, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(report.os, "cpu_count", lambda: 3)
     assert scan("t1", 1, jobs=64).to_json() == scan("t1", 1).to_json()
     assert started == [3]
@@ -216,6 +218,18 @@ def test_cli_ring(capsys):
     assert "x1^2" in out and "complete intersection: True" in out
 
 
+def test_cli_ring_high_max_degree_stops_at_the_zero_piece(capsys):
+    # every piece above weight 3 is zero; building them took 23 s at 300
+    start = time.process_time()
+    argv = ["ring", "--matrix", "1,0,0;1,1,0;0,1,1", "--max-degree", "300"]
+    assert main(argv) == 0
+    assert time.process_time() - start < 1.0
+    out = capsys.readouterr().out.splitlines()
+    dims = [1, 3, 3, 1] + [0] * 147
+    assert out[-2] == f"graded dims (even degrees 0..300): {dims}"
+    assert out[-1] == "complete intersection: True"
+
+
 def test_cli_ring_non_free_exit_2(capsys):
     assert main(["ring", "--matrix", "2"]) == 2
 
@@ -252,11 +266,11 @@ def test_cli_verify_suite(capsys):
 
 
 def test_cli_verify_failure_exit_1(monkeypatch, capsys):
-    from biquo import cli
+    from biquo import checks, cli
     from biquo.checks import CheckResult
 
     monkeypatch.setattr(
-        cli, "verify", lambda suite: [CheckResult("stub", "broken", False, "b1=1")]
+        checks, "verify", lambda suite: [CheckResult("stub", "broken", False, "b1=1")]
     )
     assert cli.main(["verify", "--suite", "arith"]) == 1
     assert "FAIL" in capsys.readouterr().out
