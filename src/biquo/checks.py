@@ -30,6 +30,7 @@ from .biquotient import (
     t1_action_matrix,
     t3_rational_ring,
 )
+from .cli import SUITE_NAMES
 from .graded import GradedQuotient, QuadricSystem, hilbert_coefficients, poly_to_gram
 from .invariants import (
     DegenerateFamilyMember,
@@ -50,8 +51,6 @@ from .poly import HomPoly
 from .univar import is_rational_square
 
 DEFAULT_SEED = 20250717
-
-SUITE_NAMES = ("arith", "ring", "freeness", "t1", "t2", "t3")
 
 
 @dataclass

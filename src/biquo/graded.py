@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 from . import linalg
@@ -75,24 +74,23 @@ class GradedQuotient:
 
     # -- graded pieces ------------------------------------------------------
 
-    def piece(self, degree: int) -> linalg.QuotientSpace:
-        """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
-
-        The ring is generated in degree 2, so above a zero piece every
-        monomial lies in the ideal: such a piece is returned as the whole
-        space modulo itself, without reducing any relation multiple.
-        """
+    def _check_degree(self, degree: int) -> None:
         if degree % 2 or degree < 0 or degree > self.max_degree:
             raise ValueError(
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
             )
-        weight = degree // 2
-        if degree > self._zero_degree:
-            size = comb(self.generators + weight - 1, weight)
-            return linalg.QuotientSpace(size, ({i: 1} for i in range(size)))
+
+    def piece(self, degree: int) -> linalg.QuotientSpace:
+        """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
+
+        A piece above a zero piece is built by elimination too, and comes
+        out zero; ``graded_dim`` answers its dimension without building it.
+        """
+        self._check_degree(degree)
         cached = self._pieces.get(degree)
         if cached is not None:
             return cached
+        weight = degree // 2
         monos = monomials(self.generators, weight)
         index = {m: i for i, m in enumerate(monos)}
         multipliers = monomials(self.generators, weight - 2) if weight >= 2 else []
@@ -110,8 +108,11 @@ class GradedQuotient:
         return piece
 
     def graded_dim(self, degree: int) -> int:
-        if self._zero_degree < degree <= self.max_degree and degree % 2 == 0:
-            return 0  # above a zero piece; see ``piece``
+        """The piece's dimension.  The ring is generated in degree 2, so above
+        a zero piece every monomial lies in the ideal: such a piece is 0."""
+        self._check_degree(degree)
+        if degree > self._zero_degree:
+            return 0
         return self.piece(degree).dim
 
     def poly_coords(self, poly: HomPoly) -> list[Fraction]:

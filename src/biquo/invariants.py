@@ -336,19 +336,20 @@ class MonicQuadratic:
 # Parameter-free parts of the t3 reduction, written as data so that the
 # import builds nothing through HomPoly arithmetic or QuotientSpace: the
 # degree-2 monomials with their index, x1 x2, 2 x3, the coefficient row of
-# x3^2 and the rows of the fixed quadrics x1^2, x2^2, x3^2 - x1 x2.
-# t3_kernel_system builds the same system on its own, as the reference
-# the tests hold these constants to.
+# x3^2 and the span of the fixed quadrics x1^2, x2^2, x3^2 - x1 x2 as its
+# echelon (each row under its largest column).  t3_kernel_system builds
+# the same system on its own, as the reference the tests hold these
+# constants to.
 _T3_MONOS = monomials(3, 2)
 _T3_INDEX = {m: i for i, m in enumerate(_T3_MONOS)}
 _X1X2 = HomPoly._trusted(3, 2, {(1, 1, 0): Fraction(1)})
 _TWO_X3 = HomPoly._trusted(3, 1, {(0, 0, 1): Fraction(2)})
 _X3_SQUARED = {_T3_INDEX[0, 0, 2]: Fraction(1)}
-_T3_FIXED_ROWS = (
-    {_T3_INDEX[2, 0, 0]: 1},
-    {_T3_INDEX[0, 2, 0]: 1},
-    {_T3_INDEX[0, 0, 2]: 1, _T3_INDEX[1, 1, 0]: -1},
-)
+_T3_FIXED_SPAN = linalg.QuotientSpace._trusted(len(_T3_MONOS), {
+    _T3_INDEX[2, 0, 0]: {_T3_INDEX[2, 0, 0]: 1},
+    _T3_INDEX[0, 2, 0]: {_T3_INDEX[0, 2, 0]: 1},
+    _T3_INDEX[0, 0, 2]: {_T3_INDEX[0, 0, 2]: 1, _T3_INDEX[1, 1, 0]: -1},
+})
 
 
 def _t3_vector(p: HomPoly) -> dict[int, Fraction]:
@@ -369,7 +370,7 @@ def t3_kernel_system(a, b, c) -> QuadricSystem:
 
 def _t3_parameter_row(a: Fraction, b: Fraction, c: Fraction) -> dict[int, Fraction]:
     """Coefficient row of the one parameter-dependent quadric of
-    ``t3_kernel_system(a, b, c)``; ``_T3_FIXED_ROWS`` are the others."""
+    ``t3_kernel_system(a, b, c)``; ``_T3_FIXED_SPAN`` spans the others."""
     if a == 0 or b == 0 or c == 0:
         raise ValueError("parameters must be nonzero")
     ell = HomPoly.linear([a, b, c])
@@ -386,7 +387,7 @@ def t3_membership_quadratic(a, b, c) -> MonicQuadratic:
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     # quotient basis (lex-first): expect the classes of x1 x2 and x1 x3
     quotient = linalg.QuotientSpace(
-        len(_T3_MONOS), [*_T3_FIXED_ROWS, _t3_parameter_row(a, b, c)]
+        len(_T3_MONOS), [_t3_parameter_row(a, b, c)], base=_T3_FIXED_SPAN
     )
     if [_T3_MONOS[i] for i in quotient.basis_indices] != [(1, 1, 0), (1, 0, 1)]:
         raise CertificateError("unexpected quotient basis for the kernel system")

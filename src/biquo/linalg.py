@@ -159,6 +159,17 @@ class QuotientSpace:
         self._order = sorted(echelon, reverse=True)
         self.basis_indices = [i for i in range(ambient_dim) if i not in echelon]
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, echelon: dict[int, SparseRow]) -> "QuotientSpace":
+        """Wrap an echelon already in the stored form, without checks: a
+        module constant built this way runs no reduction at import."""
+        space = object.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space._echelon = echelon
+        space._order = sorted(echelon, reverse=True)
+        space.basis_indices = [i for i in range(ambient_dim) if i not in echelon]
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.basis_indices)

@@ -429,9 +429,9 @@ def test_t3_kernel_system_matches_bundle():
 
 
 def test_t3_row_relations_span_the_kernel_system():
-    # the rows of the fixed quadrics plus the per-row quadric must span
-    # exactly the public kernel system
-    from biquo.invariants import _T3_FIXED_ROWS, _t3_parameter_row
+    # the hoisted span of the fixed quadrics plus the per-row quadric must
+    # span exactly the public kernel system
+    from biquo.invariants import _T3_FIXED_SPAN, _t3_parameter_row
     from biquo.poly import monomials
 
     monos = monomials(3, 2)
@@ -446,8 +446,12 @@ def test_t3_row_relations_span_the_kernel_system():
         ]
         row = _t3_parameter_row(a, b, c)
         assert [row.get(i, 0) for i in range(6)] == system_rows[3]
-        extended = linalg.QuotientSpace(6, [*_T3_FIXED_ROWS, row])
+        extended = linalg.QuotientSpace(6, [row], base=_T3_FIXED_SPAN)
         assert extended.same_span(linalg.QuotientSpace(6, system_rows))
+    # the span written as data is the echelon reduction stores
+    built = linalg.QuotientSpace(6, system_rows[:3])
+    assert built._echelon == _T3_FIXED_SPAN._echelon
+    assert built.basis_indices == _T3_FIXED_SPAN.basis_indices
 
 
 # ---------------------------------------------------------------------------

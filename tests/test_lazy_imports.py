@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import biquo
-from biquo import checks, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,14 +116,3 @@ def test_benchmark_tracer_counts_modules_it_imports_itself():
     assert counts["linalg.QuotientSpace.new.calls"] == 1
     assert counts["invariants.t3_membership_quadratic.calls"] == 1
     assert out["restored"]
-
-
-def _suite_action():
-    parser = cli._build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command")
-    verify = commands.choices["verify"]
-    return next(a for a in verify._actions if a.dest == "suite")
-
-
-def test_suite_choices_are_the_checks_suites():
-    assert tuple(_suite_action().choices) == checks.SUITE_NAMES + ("all",)
