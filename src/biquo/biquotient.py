@@ -237,10 +237,7 @@ class KleinRing:
         return self.DIM
 
     def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
-        ei = [Fraction(int(k == i)) for k in range(self.DIM)]
-        ej = [Fraction(int(k == j)) for k in range(self.DIM)]
-        basis = [[Fraction(int(k == l)) for k in range(self.DIM)] for l in range(self.DIM)]
-        return [self.trilinear(ei, ej, el) for el in basis]
+        return list(_KLEIN_PAIRS[i][j])
 
     def mult_by_class(self, y: Sequence[Fraction]) -> MultiplicationMap:
         return multiplication_map(
@@ -257,6 +254,18 @@ _KLEIN_TERMS = tuple(
     (a, b, c, val)
     for key, val in KleinRing._entries.items()
     for a, b, c in sorted(set(permutations(key)))
+)
+
+# The same tensor as a dense table, _KLEIN_PAIRS[i][j][l] = T(e_i, e_j, e_l):
+# row (i, j) is x_i * x_j in H^4 = V*.  Plain data (each index triple occurs
+# in one term), so no ``trilinear`` call runs at import.
+_KLEIN_VALUES = {(a, b, c): val for a, b, c, val in _KLEIN_TERMS}
+_KLEIN_PAIRS = tuple(
+    tuple(
+        tuple(_KLEIN_VALUES.get((i, j, l), Fraction(0)) for l in range(KleinRing.DIM))
+        for j in range(KleinRing.DIM)
+    )
+    for i in range(KleinRing.DIM)
 )
 
 

@@ -137,10 +137,13 @@ class GradedQuotient:
         )
 
     def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
-        """Coordinates of x_i * x_j in the degree-4 quotient basis."""
-        xi = HomPoly.variable(self.generators, i)
-        xj = HomPoly.variable(self.generators, j)
-        return self.poly_coords(xi * xj)
+        """Coordinates of x_i * x_j in the degree-4 quotient basis: the
+        column of that monomial, reduced."""
+        piece = self.piece(4)
+        e = [0] * self.generators
+        e[i] += 1
+        e[j] += 1
+        return piece.coords({monomials(self.generators, 2).index(tuple(e)): 1})
 
     def h2_dim(self) -> int:
         dim = self.graded_dim(2)

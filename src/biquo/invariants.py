@@ -35,6 +35,7 @@ from .arith import (
     square_class,
 )
 from .biquotient import (
+    _KLEIN_PAIRS,
     KleinBundleInput,
     _dropped_index,
     klein_ring,
@@ -255,12 +256,14 @@ def t2_quadratic_form(a0, a1) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _klein_gram(bundle: KleinBundleInput) -> tuple[tuple[Fraction, ...], ...]:
-    ring = bundle.ring
-    basis = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
-    z = list(bundle.z)
+    """(T(e_i, e_j, z)): the Klein table contracted with z."""
+    z = bundle.z
     return tuple(
-        tuple(ring.trilinear(basis[i], basis[j], z) for j in range(5))
-        for i in range(5)
+        tuple(
+            sum((t * x for t, x in zip(row, z) if t and x), Fraction(0))
+            for row in rows
+        )
+        for rows in _KLEIN_PAIRS
     )
 
 

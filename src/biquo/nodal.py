@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem
@@ -133,32 +133,40 @@ class TernaryCubic:
 def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     """Determinant of a small matrix of homogeneous polynomials.
 
-    Cofactor expansion along the top remaining row on term dicts, skipping
-    zero entries and minors with no nonzero permutation product; each
-    minor is computed once per column set, as (weight, terms) or None.  A
-    matrix with no nonzero permutation product gives ``HomPoly.zero(nvars,
-    0)``; otherwise the result has the weight of those products, even when
-    they cancel.
+    Each row is first cleared to integer term dicts by the lcm of its
+    denominators.  Cofactor expansion along the top remaining row, on
+    those dicts, skips zero entries and minors with no nonzero permutation
+    product; each minor is computed once per column set, as (weight,
+    terms) or None.  The determinant is divided by the product of the row
+    scales once, at the end.  A matrix with no nonzero permutation product
+    gives ``HomPoly.zero(nvars, 0)``; otherwise the result has the weight
+    of those products, even when they cancel.
     """
     n = len(mat)
     nvars = mat[0][0].nvars
-    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {
-        (): (0, {(0,) * nvars: Fraction(1)})
-    }
+    rows, scale = [], 1
+    for row in mat:
+        den = lcm(*(c.denominator for entry in row for c in entry.coeffs.values()))
+        rows.append([
+            {e: c.numerator * (den // c.denominator) for e, c in entry.coeffs.items()}
+            for entry in row
+        ])
+        scale *= den
+    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {(): (0, {(0,) * nvars: 1})}
 
     def minor(cols: tuple[int, ...]) -> tuple[int, dict] | None:
         """The minor on the last len(cols) rows."""
         if cols in minors:
             return minors[cols]
-        row = mat[n - len(cols)]
+        i = n - len(cols)
         weight, terms = None, {}
         for k, j in enumerate(cols):
-            entry = row[j]
-            sub = minor(cols[:k] + cols[k + 1 :]) if entry.coeffs else None
+            entry = rows[i][j]
+            sub = minor(cols[:k] + cols[k + 1 :]) if entry else None
             if sub is None:
                 continue
-            weight = entry.weight + sub[0]
-            for e, c in _mul_terms(entry.coeffs, sub[1]).items():
+            weight = mat[i][j].weight + sub[0]
+            for e, c in _mul_terms(entry, sub[1]).items():
                 c = -c if k % 2 else c
                 terms[e] = terms[e] + c if e in terms else c
         if weight is not None:
@@ -168,7 +176,10 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
         return minors[cols]
 
     det = minor(tuple(range(n)))
-    return HomPoly.zero(nvars, 0) if det is None else HomPoly._trusted(nvars, *det)
+    if det is None:
+        return HomPoly.zero(nvars, 0)
+    weight, terms = det
+    return HomPoly._trusted(nvars, weight, {e: Fraction(c, scale) for e, c in terms.items()})
 
 
 def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:

@@ -8,24 +8,36 @@ cohomological degree of a polynomial is twice its weight.
 Terms print in graded lex order ("3*x1^2*x3 + x2^3" style), which fixes
 a deterministic text form; ``parse_poly`` inverts it.
 
-Which paths validate: ``HomPoly(...)``, ``zero``, ``variable``,
-``linear`` and ``parse_poly`` check every exponent tuple (``nvars``
-non-negative ints summing to ``weight``), coerce every coefficient to a
-Fraction and drop zeros, and so do ``+``, ``-``, ``*``, ``scale`` and
-``substitute``, which build their results through ``HomPoly(...)``.
-``partial`` and ``coefficients_in_var``, which only re-key the terms of
-a valid polynomial, and ``nodal._poly_det``, which multiplies term dicts
-with ``_mul_terms``, wrap their results with the private
-``HomPoly._trusted`` instead, without checks.  They rely on the dict they
-pass being clean: int-tuple keys of length ``nvars`` that sum to the
-weight, and nonzero Fraction values (``_mul_terms`` leaves cancelled
-coefficients as zeros, and its callers drop them).
+Which paths validate: ``HomPoly(...)``, ``zero`` and ``parse_poly``
+check every exponent tuple (``nvars`` non-negative ints summing to
+``weight``), coerce every coefficient to a Fraction and drop zeros, and
+so do ``+``, ``-``, ``*`` and ``scale``, which build their results
+through ``HomPoly(...)``.  The other paths wrap their results with the
+private ``HomPoly._trusted`` instead, without checks:
+
+* ``variable`` and ``linear`` coerce each coefficient to a Fraction and
+  drop zeros; their exponent tuples are unit vectors by construction.
+* ``partial`` and ``coefficients_in_var`` only re-key the terms of a
+  valid polynomial.
+* ``substitute`` clears the matrix to integers by one common denominator
+  D and the polynomial by its own d, multiplies int term dicts with
+  ``_mul_terms`` (each image form's powers once per call) and divides the
+  sum once by d * D^weight.
+* ``nodal._poly_det`` clears each row of its matrix to int term dicts by
+  the lcm of that row's denominators, expands on ints and divides once
+  by the product of the row scales.
+
+They rely on the dict they pass being clean: int-tuple keys of length
+``nvars`` that sum to the weight, and nonzero Fraction values.
+``_mul_terms`` keeps int coefficients int and leaves cancelled ones as
+zeros; its callers drop them and divide back to Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Mapping, Sequence
 
 from .arith import CertificateError, _parse_rational
@@ -92,17 +104,20 @@ class HomPoly:
     def variable(cls, nvars: int, i: int) -> "HomPoly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, 1, {tuple(e): 1})
+        return cls._trusted(nvars, 1, {tuple(e): Fraction(1)})
 
     @classmethod
     def linear(cls, coeffs: Sequence) -> "HomPoly":
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
-            e = [0] * n
-            e[i] = 1
-            terms[tuple(e)] = c
-        return cls(n, 1, terms)
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                e = [0] * n
+                e[i] = 1
+                terms[tuple(e)] = c
+        return cls._trusted(n, 1, terms)
 
     # -- ring structure ----------------------------------------------------
 
@@ -181,18 +196,43 @@ class HomPoly:
         return HomPoly._trusted(self.nvars, max(self.weight - 1, 0), out)
 
     def substitute(self, matrix: Sequence[Sequence]) -> "HomPoly":
-        """Apply x_i -> sum_j matrix[i][j] * x_j."""
-        if len(matrix) != self.nvars or any(len(row) != self.nvars for row in matrix):
+        """Apply x_i -> sum_j matrix[i][j] * x_j.
+
+        On integers: the matrix times its common denominator D and the
+        polynomial times its own d, with each image form's powers computed
+        once; the sum is divided by d * D^weight at the end.
+        """
+        n = self.nvars
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("substitution matrix has the wrong shape")
-        images = [HomPoly.linear([Fraction(c) for c in row]) for row in matrix]
-        out = HomPoly.zero(self.nvars, self.weight)
+        rows = [[c if type(c) is Fraction else Fraction(c) for c in row] for row in matrix]
+        big = lcm(*(c.denominator for row in rows for c in row))
+        one = (0,) * n
+        # powers[i][k] is the k-th power of image i, as an int term dict
+        powers = [
+            [{one: 1}, {
+                one[:j] + (1,) + one[j + 1 :]: c.numerator * (big // c.denominator)
+                for j, c in enumerate(row)
+                if c
+            }]
+            for row in rows
+        ]
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.coeffs.items():
-            term = HomPoly(self.nvars, 0, {(0,) * self.nvars: c})
-            for i, exp in enumerate(e):
-                for _ in range(exp):
-                    term = term * images[i]
-            out = out + term
-        return out
+            term = {one: c.numerator * (den // c.denominator)}
+            for i, k in enumerate(e):
+                if k:
+                    power = powers[i]
+                    while len(power) <= k:
+                        power.append(_mul_terms(power[-1], power[1]))
+                    term = _mul_terms(term, power[k])
+            for m, v in term.items():
+                out[m] = out[m] + v if m in out else v
+        scale = den * big**self.weight
+        return HomPoly._trusted(
+            n, self.weight, {m: Fraction(v, scale) for m, v in out.items() if v}
+        )
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [Fraction(x) for x in point]
@@ -264,11 +304,11 @@ class HomPoly:
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """The product of two term dicts; a coefficient that cancels stays as 0."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], object] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return out
 
 

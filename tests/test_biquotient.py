@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from biquo.biquotient import (
+    _KLEIN_PAIRS,
     KleinRing,
     TorusActionMatrix,
     circle_bundle_degree4,
@@ -145,6 +146,20 @@ def test_klein_trilinear_matches_permutation_expansion():
         )
         for args in itertools.permutations((u, v, w)):
             assert ring.trilinear(*args) == expanded(*args)
+
+
+def test_klein_pair_table_is_the_trilinear_form():
+    ring = KleinRing()
+    basis = [[Fraction(int(k == i)) for k in range(5)] for i in range(5)]
+    for i, j, l in itertools.product(range(5), repeat=3):
+        entry = _KLEIN_PAIRS[i][j][l]
+        assert type(entry) is Fraction
+        assert entry == ring.trilinear(basis[i], basis[j], basis[l])
+    for i, j in itertools.product(range(5), repeat=2):
+        row = ring.pair_product_coords(i, j)
+        assert row == [ring.trilinear(basis[i], basis[j], e) for e in basis]
+        row[0] = Fraction(7)  # a fresh list: the table stays as it was
+        assert _KLEIN_PAIRS[i][j][0] != 7
 
 
 def test_klein_ring_kernel_is_z():

@@ -238,6 +238,27 @@ def test_t2_quadratic_form_display():
     assert all(G[i][j] == scale * display[i][j] for i in range(5) for j in range(5))
 
 
+def test_klein_gram_contracts_the_table_with_z():
+    from biquo.biquotient import KleinBundleInput, KleinRing
+    from biquo.invariants import _klein_gram
+
+    ring = KleinRing()
+    basis = [[Fraction(int(k == i)) for k in range(5)] for i in range(5)]
+    rng = random.Random(31)
+    for _ in range(40):
+        z = tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * rng.randint(0, 1)
+            for _ in range(5)
+        )
+        gram = _klein_gram(KleinBundleInput(ring, tuple(Fraction(0) for _ in z), z))
+        want = tuple(
+            tuple(ring.trilinear(basis[i], basis[j], list(z)) for j in range(5))
+            for i in range(5)
+        )
+        assert gram == want
+        assert all(type(c) is Fraction for row in gram for c in row)
+
+
 def test_t2_quadratic_form_2_1_via_polarization():
     a0, a1 = Fraction(2), Fraction(1)
     G = t2_quadratic_form(a0, a1)

@@ -397,6 +397,40 @@ def _sparse_poly_matrix(rng, n, nvars):
     return mat
 
 
+def _fraction_poly_matrix(rng, n, nvars):
+    """Like ``_sparse_poly_matrix`` with Fraction coefficients, each row on
+    its own denominators; sometimes a zero row, or a row that is a Fraction
+    multiple of another (products cancel)."""
+    mat = _sparse_poly_matrix(rng, n, nvars)
+    dens = [rng.sample((1, 2, 3, 4, 5, 7, 9), 2) for _ in range(n)]
+    mat = [
+        [
+            HomPoly(nvars, p.weight, {
+                e: Fraction(c.numerator * rng.randint(1, 3), rng.choice(row_dens))
+                for e, c in p.coeffs.items()
+            })
+            for p in row
+        ]
+        for row, row_dens in zip(mat, dens)
+    ]
+    kind = rng.randrange(3) if n > 1 else 2
+    if kind == 0:
+        mat[rng.randrange(n)] = [HomPoly.zero(nvars, p.weight) for p in mat[0]]
+    elif kind == 1:
+        i, j = rng.sample(range(n), 2)
+        mat[i] = [p.scale(Fraction(rng.choice((-2, 3, 5)), rng.choice((3, 7)))) for p in mat[j]]
+    return mat
+
+
+def _fraction_det_cases():
+    rng = random.Random(34)
+    return [
+        _fraction_poly_matrix(rng, n, rng.randint(2, 4))
+        for n in (1, 2, 3, 4, 5)
+        for _ in range(10)
+    ]
+
+
 def _sylvester_matrices(monkeypatch):
     """The matrices resultant_in_var hands to _poly_det for seeded forms."""
     seen = []
@@ -447,6 +481,24 @@ def test_poly_det_matches_permutation_expansion(monkeypatch):
     assert nodal._poly_det([[zero] * 4 for _ in range(4)]) == HomPoly.zero(3, 0)
 
 
+def _row_dens(row):
+    return {c.denominator for p in row for c in p.coeffs.values()}
+
+
+def test_poly_det_clears_fraction_rows():
+    cases = _fraction_det_cases()
+    # rows on different denominators, zero rows and cancelling products
+    assert sum(len({frozenset(_row_dens(r)) for r in m if _row_dens(r)}) > 1 for m in cases) >= 30
+    assert any(all(p.is_zero() for p in row) for m in cases for row in m)
+    kinds = set()
+    for mat in cases:
+        got = nodal._poly_det(mat)
+        assert got == _permutation_det(mat), mat
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        kinds.add((got.is_zero(), got.weight > 0))
+    assert kinds == {(False, True), (False, False), (True, False), (True, True)}
+
+
 def test_poly_det_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols("x0:4")
@@ -461,7 +513,7 @@ def test_poly_det_matches_sympy(monkeypatch):
             sympy.Integer(0),
         )
 
-    for mat in _det_cases(monkeypatch):
+    for mat in _det_cases(monkeypatch) + _fraction_det_cases():
         want = sympy.Matrix([[to_expr(p) for p in row] for row in mat]).det(
             method="berkowitz"
         )

@@ -259,6 +259,10 @@ def _assert_clean(p):
     return p
 
 
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
 def _random_hompoly(rng, n, w):
     """Sparse, small Fraction coefficients; sometimes zero."""
     if rng.random() < 0.1:
@@ -337,10 +341,24 @@ def test_trusted_arithmetic_results_are_valid_hompolys():
                 assert form.weight == p.weight - k and all(e[i] == 0 for e in form.coeffs)
                 rebuilt = rebuilt + form * HomPoly(n, k, {tuple(k * (j == i) for j in range(n)): 1})
             assert rebuilt == p
-        matrix = _random_matrix(rng, n)
-        sub = _assert_clean(p.substitute(matrix))
-        assert sub == _substitute_reference(p, matrix)
-        assert sub.evaluate(pt) == p.evaluate(_apply(matrix, pt))
+        for i in range(n):
+            assert _assert_clean(HomPoly.variable(n, i)) == HomPoly(n, 1, {_unit(n, i): 1})
+        ints = [rng.randint(-3, 3) for _ in range(n)]
+        fracs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        mixed = [rng.choice((0, Fraction(0), 2, Fraction(-5, 3), 0.5)) for _ in range(n)]
+        for coeffs in (ints, fracs, mixed, [0] * n):
+            lin = _assert_clean(HomPoly.linear(coeffs))
+            assert lin == HomPoly(n, 1, {_unit(n, i): c for i, c in enumerate(coeffs)})
+        # each row on its own denominator, sometimes a zero row
+        dens = rng.sample((1, 2, 3, 5, 7), n)
+        rows = [[Fraction(rng.randint(-4, 4), den) for _ in range(n)] for den in dens]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [Fraction(0)] * n
+        for matrix in (_random_matrix(rng, n), rows):
+            sub = _assert_clean(p.substitute(matrix))
+            assert sub.weight == p.weight
+            assert sub == _substitute_reference(p, matrix)
+            assert sub.evaluate(pt) == p.evaluate(_apply(matrix, pt))
 
 
 def test_partial_matches_power_rule():
