@@ -36,7 +36,6 @@ _EXPORTS = {
         "is_free",
         "klein_ring",
         "quotient_ring",
-        "stabilizer_oracle",
         "t1_action_matrix",
     ),
     "graded": ("GradedQuotient", "QuadricSystem"),
@@ -69,6 +68,7 @@ _EXPORTS = {
         "singular_points",
         "tangent_cone",
     ),
+    "oracles": ("stabilizer_oracle",),
     "poly": ("HomPoly", "parse_poly"),
     "report": ("ScanReport", "scan"),
 }

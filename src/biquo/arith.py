@@ -257,6 +257,15 @@ def _as_gaussian(value) -> Gaussian:
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str) -> int:
+    """A literal "n": ASCII digits and an optional sign, whitespace around."""
+    text = text.strip()
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(text)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -464,7 +473,7 @@ def square_class(q: Fraction | int) -> SquareClass:
 
 
 def parse_square_class(text: str) -> SquareClass:
-    return square_class(Fraction(int(text.strip()), 1))
+    return square_class(_parse_integer(text))
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +536,10 @@ def parse_cube_class(text: str) -> CubeClass:
     residues = {}
     for chunk in text.split(","):
         p_txt, r_txt = chunk.split(":")
-        p = int(p_txt)
+        p = _parse_integer(p_txt)
         if p in residues or p % 4 != 1 or not is_prime(p):
             raise ValueError(f"{p_txt!r} is not a new split prime p = 1 (mod 4)")
-        residues[p] = int(r_txt)
+        residues[p] = _parse_integer(r_txt)
     return CubeClass.from_mapping(residues)
 
 

@@ -22,7 +22,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Sequence
 
 from .graded import (
@@ -125,31 +124,6 @@ def _unit_principal_minors(rows: list[list[int]]) -> bool:
     return _unit_principal_minors(rest) and _unit_principal_minors(schur)
 
 
-def stabilizer_oracle(A, m: int) -> bool:
-    """Brute-force cross-check: no nontrivial m-torsion element fixes any
-    of the 2^k special points.
-
-    Enumerates all of (Z/m)^S for each coordinate subset S, so it is
-    completely independent of the determinant criterion in ``is_free``.
-    """
-    import numpy as np  # numpy stays off the CLI import path
-
-    if not 2 <= m <= 12:
-        raise ValueError("oracle torsion order must be between 2 and 12")
-    A = _as_matrix(A)
-    k = A.size
-    arr = np.array(A.entries, dtype=np.int64)
-    for r in range(1, k + 1):
-        for S in combinations(range(k), r):
-            sub = arr[np.ix_(S, S)]
-            tuples = np.indices((m,) * r).reshape(r, -1)
-            fixed = np.all((sub @ tuples) % m == 0, axis=0)
-            nontrivial = np.any(tuples != 0, axis=0)
-            if np.any(fixed & nontrivial):
-                return False
-    return True
-
-
 def quotient_ring(A, max_degree: int | None = None) -> GradedQuotient:
     """Cohomology presentation of the quotient: relations x_i (sum_j a_ij x_j).
 
@@ -209,21 +183,16 @@ class KleinRing:
 
     DIM = 5
 
-    # one entry per sorted index triple of the cubic's monomials
-    _entries: dict[tuple[int, int, int], Fraction] = {
-        tuple(sorted((i, i, (i + 1) % 5))): Fraction(1, 3) for i in range(5)
-    }
-
     def trilinear(self, u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
+        """T(u, v, w): the product table contracted with u, v and w."""
         total = Fraction(0)
-        for a, b, c, val in _KLEIN_TERMS:
-            x = u[a]
+        for x, rows in zip(u, _KLEIN_PAIRS):
             if x:
-                y = v[b]
-                if y:
-                    z = w[c]
-                    if z:
-                        total += val * x * y * z
+                for y, row in zip(v, rows):
+                    if y:
+                        for z, t in zip(w, row):
+                            if z and t:
+                                total += t * x * y * z
         return total
 
     def cubic(self, u: Sequence[Fraction]) -> Fraction:
@@ -236,37 +205,33 @@ class KleinRing:
     def h4_dim(self) -> int:
         return self.DIM
 
+    def product_table(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return _KLEIN_PAIRS
+
     def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
         return list(_KLEIN_PAIRS[i][j])
 
     def mult_by_class(self, y: Sequence[Fraction]) -> MultiplicationMap:
-        return multiplication_map(
-            self.DIM, self.DIM, self.pair_product_coords, [Fraction(c) for c in y]
-        )
+        return multiplication_map(_KLEIN_PAIRS, [Fraction(c) for c in y])
 
     def kernel_of_square_map(self) -> QuadricSystem:
-        return square_map_kernel(self.DIM, self.pair_product_coords)
+        return square_map_kernel(_KLEIN_PAIRS)
 
 
-# The full symmetric tensor as (a, b, c, value) terms: every distinct
-# permutation of every entry, built once.
-_KLEIN_TERMS = tuple(
-    (a, b, c, val)
-    for key, val in KleinRing._entries.items()
-    for a, b, c in sorted(set(permutations(key)))
-)
+def _klein_pairs() -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The tensor as a table, T(e_i, e_j, e_l) at [i][j][l]: row (i, j) is
+    x_i * x_j in H^4 = V*.  The cubic's monomial a_i^2 a_{i+1} polarizes
+    to 1/3 at each arrangement of its index triple (i, i, i+1)."""
+    table = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for i in range(5):
+        j = (i + 1) % 5
+        table[i][i][j] = table[i][j][i] = table[j][i][i] = Fraction(1, 3)
+    return tuple(tuple(map(tuple, rows)) for rows in table)
 
-# The same tensor as a dense table, _KLEIN_PAIRS[i][j][l] = T(e_i, e_j, e_l):
-# row (i, j) is x_i * x_j in H^4 = V*.  Plain data (each index triple occurs
-# in one term), so no ``trilinear`` call runs at import.
-_KLEIN_VALUES = {(a, b, c): val for a, b, c, val in _KLEIN_TERMS}
-_KLEIN_PAIRS = tuple(
-    tuple(
-        tuple(_KLEIN_VALUES.get((i, j, l), Fraction(0)) for l in range(KleinRing.DIM))
-        for j in range(KleinRing.DIM)
-    )
-    for i in range(KleinRing.DIM)
-)
+
+# The only copy of the Klein tensor; plain data, so no ``trilinear`` call
+# runs at import.
+_KLEIN_PAIRS = _klein_pairs()
 
 
 @dataclass(frozen=True)
@@ -338,16 +303,16 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     drop = _dropped_index(y)
     w_indices = tuple(i for i in range(n) if i != drop)
 
-    mult = multiplication_map(n, base.h4_dim(), base.pair_product_coords, y)
-    target = mult.cokernel
-
-    def w_pair_coords(a: int, b: int) -> list[Fraction]:
-        i, j = w_indices[a], w_indices[b]
-        return target.coords(base.pair_product_coords(min(i, j), max(i, j)))
-
-    kernel = square_map_kernel(len(w_indices), w_pair_coords)
-    n_pairs = len(w_indices) * (len(w_indices) + 1) // 2
-    image_dim = n_pairs - kernel.dim
+    table = base.product_table()
+    target = multiplication_map(table, y).cokernel
+    # the base table's W rows and columns, reduced into the cokernel once
+    m = len(w_indices)
+    w_table = [[()] * m for _ in range(m)]
+    for a, i in enumerate(w_indices):
+        for b in range(a, m):
+            w_table[a][b] = w_table[b][a] = target.coords(table[i][w_indices[b]])
+    kernel = square_map_kernel(w_table)
+    image_dim = m * (m + 1) // 2 - kernel.dim
     return CircleBundleData(
         base=base,
         y=tuple(y),

@@ -8,15 +8,16 @@ Groebner machinery: all computations here live in degree <= 2n+2.
 Quotient bases are the lexicographically first independent monomial
 subsets, which pins deterministic coordinates for serialization; each
 graded piece is a ``linalg.QuotientSpace``, the one place that basis is
-built.  Rings are immutable; computed graded pieces are cached per
-degree (idempotent writes, so concurrent readers are safe).
+built.  Degree-4 algorithms read the cup product as plain data, a ring's
+``product_table()``.  Rings are immutable; graded pieces and the table
+are cached (idempotent writes, so concurrent readers are safe).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .arith import CertificateError
@@ -65,6 +66,7 @@ class GradedQuotient:
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree
         self._pieces: dict[int, linalg.QuotientSpace] = {}
+        self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None
         # lowest degree of a built zero piece; max_degree while none is known
         self._zero_degree = self.max_degree
 
@@ -136,14 +138,21 @@ class GradedQuotient:
             self.graded_dim(d) == expected[d] for d in range(0, self.max_degree + 1, 2)
         )
 
+    def product_table(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The n x n table of the degree-4 coordinates of x_i * x_j at
+        (i, j), built once from one pass over the degree-4 monomials."""
+        if self._table is None:
+            piece, n = self.piece(4), self.generators
+            table = [[()] * n for _ in range(n)]
+            for col, e in enumerate(monomials(n, 2)):
+                i, j = (k for k, m in enumerate(e) for _ in range(m))
+                table[i][j] = table[j][i] = tuple(piece.coords({col: 1}))
+            self._table = tuple(map(tuple, table))
+        return self._table
+
     def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
-        """Coordinates of x_i * x_j in the degree-4 quotient basis: the
-        column of that monomial, reduced."""
-        piece = self.piece(4)
-        e = [0] * self.generators
-        e[i] += 1
-        e[j] += 1
-        return piece.coords({monomials(self.generators, 2).index(tuple(e)): 1})
+        """Coordinates of x_i * x_j in the degree-4 quotient basis."""
+        return list(self.product_table()[i][j])
 
     def h2_dim(self) -> int:
         dim = self.graded_dim(2)
@@ -156,16 +165,14 @@ class GradedQuotient:
 
     def kernel_of_square_map(self) -> "QuadricSystem":
         """The quadrics annihilated by the product map into degree 4."""
-        return square_map_kernel(self.generators, self.pair_product_coords)
+        return square_map_kernel(self.product_table())
 
     def mult_by_class(self, y: HomPoly) -> "MultiplicationMap":
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
         if y.degree != 2:
             raise ValueError("multiplier must have cohomological degree 2")
         return multiplication_map(
-            self.generators,
-            self.h4_dim(),
-            self.pair_product_coords,
+            self.product_table(),
             [y.coefficient(tuple(int(k == i) for k in range(self.generators)))
              for i in range(self.generators)],
         )
@@ -263,14 +270,11 @@ def gram_to_poly(gram) -> HomPoly:
     return HomPoly(n, 2, terms)
 
 
-def square_map_kernel(
-    nvars: int, pair_coords: Callable[[int, int], list[Fraction]]
-) -> QuadricSystem:
-    """Kernel of S^2(degree-2) -> degree-4 for any product-coordinate map."""
+def square_map_kernel(table) -> QuadricSystem:
+    """Kernel of S^2(degree-2) -> degree-4, from a product table."""
+    nvars = len(table)
     pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
-    columns = [pair_coords(i, j) for i, j in pairs]
-    target_dim = len(columns[0]) if columns else 0
-    rows = [[col[r] for col in columns] for r in range(target_dim)]
+    rows = list(zip(*(table[i][j] for i, j in pairs)))
     # the pairs run in monomials(nvars, 2) order: a kernel vector holds
     # a quadric's coefficients
     quadrics = [
@@ -291,7 +295,6 @@ class MultiplicationMap:
 
     matrix: tuple[tuple[Fraction, ...], ...]  # target_dim x source_dim
     kernel: tuple[tuple[Fraction, ...], ...]
-    cokernel_basis: tuple[int, ...]
     cokernel: linalg.QuotientSpace = field(repr=False, compare=False)
 
     @property
@@ -303,30 +306,25 @@ class MultiplicationMap:
         return len(self.matrix[0]) - self.kernel_dim if self.matrix else 0
 
     @property
+    def cokernel_basis(self) -> tuple[int, ...]:
+        return tuple(self.cokernel.basis_indices)
+
+    @property
     def cokernel_dim(self) -> int:
-        return len(self.cokernel_basis)
+        return self.cokernel.dim
 
 
-def multiplication_map(
-    nvars: int,
-    target_dim: int,
-    pair_coords: Callable[[int, int], list[Fraction]],
-    y: Sequence[Fraction],
-) -> MultiplicationMap:
-    cols = []
-    for i in range(nvars):
-        col = [Fraction(0)] * target_dim
-        for j, yj in enumerate(y):
-            if yj:
-                pc = pair_coords(min(i, j), max(i, j))
-                col = [a + yj * b for a, b in zip(col, pc)]
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(nvars)] for r in range(target_dim)]
-    kernel = linalg.kernel_basis(rows, nvars)
-    cokernel = linalg.QuotientSpace(target_dim, cols)
+def multiplication_map(table, y: Sequence[Fraction]) -> MultiplicationMap:
+    """Multiplication by sum_j y_j x_j, from a product table."""
+    # column i is x_i * y = sum_j y_j x_i x_j
+    cols = [
+        [sum((yj * c for yj, c in zip(y, coords) if yj), Fraction(0))
+         for coords in zip(*products)]
+        for products in table
+    ]
+    matrix = tuple(zip(*cols))
     return MultiplicationMap(
-        tuple(tuple(row) for row in rows),
-        tuple(tuple(v) for v in kernel),
-        tuple(cokernel.basis_indices),
-        cokernel,
+        matrix,
+        tuple(map(tuple, linalg.kernel_basis(matrix, len(table)))),
+        linalg.QuotientSpace(len(matrix), cols),
     )

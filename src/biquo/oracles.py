@@ -1,20 +1,47 @@
-"""Floating-point cross-checks for the exact pipelines.
+"""numpy cross-checks for the exact pipelines; no other module imports numpy.
 
 These deliberately take different routes from the exact code: the
 inflection check solves F = Hess F = 0 on a numerical rational
 parametrization of the nodal cubic, and the rank-one check runs on a
 numpy null-space basis of the membership conditions.  Both report a
-residual; the exact results must match to 1e-9.
+residual; the exact results must match to 1e-9.  The stabilizer oracle
+tests freeness by brute force over torsion elements.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .biquotient import _as_matrix
 from .graded import QuadricSystem
 from .invariants import MonicQuadratic
 from .nodal import BinaryCubic, TernaryCubic
+
+
+def stabilizer_oracle(A, m: int) -> bool:
+    """Brute-force cross-check: no nontrivial m-torsion element fixes any
+    of the 2^k special points.
+
+    Enumerates all of (Z/m)^S for each coordinate subset S, so it is
+    completely independent of the determinant criterion in ``is_free``.
+    """
+    if not 2 <= m <= 12:
+        raise ValueError("oracle torsion order must be between 2 and 12")
+    A = _as_matrix(A)
+    k = A.size
+    arr = np.array(A.entries, dtype=np.int64)
+    for r in range(1, k + 1):
+        for S in combinations(range(k), r):
+            sub = arr[np.ix_(S, S)]
+            tuples = np.indices((m,) * r).reshape(r, -1)
+            fixed = np.all((sub @ tuples) % m == 0, axis=0)
+            nontrivial = np.any(tuples != 0, axis=0)
+            if np.any(fixed & nontrivial):
+                return False
+    return True
 
 
 def numeric_inflection_roots(F: TernaryCubic) -> list[complex]:

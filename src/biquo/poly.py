@@ -35,6 +35,7 @@ zeros; its callers drop them and divide back to Fractions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -70,7 +71,10 @@ class HomPoly:
                 c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(map(operator.index, exps))
+            except TypeError:
+                raise ValueError(f"exponents {exps!r} are not all integers") from None
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             if sum(exps) != weight:

@@ -14,7 +14,7 @@ from math import comb
 
 from biquo import linalg
 from biquo.arith import Gaussian, cube_class_mod_q, gaussian_factor, square_class
-from biquo.biquotient import is_free, klein_ring, quotient_ring, stabilizer_oracle, t1_action_matrix
+from biquo.biquotient import is_free, klein_ring, quotient_ring, t1_action_matrix
 from biquo.checks import verify
 from biquo.invariants import (
     rank_one_elements,
@@ -29,7 +29,7 @@ from biquo.invariants import (
     t3_membership_quadratic,
 )
 from biquo.nodal import BinaryCubic, TernaryCubic, det_cubic, inflection_lines
-from biquo.oracles import inflection_residual
+from biquo.oracles import inflection_residual, stabilizer_oracle
 from biquo.report import scan
 from biquo.univar import is_rational_square
 

@@ -1,18 +1,21 @@
-"""The package names the benchmark's verify workload wraps still exist.
+"""The package names the benchmark wraps still exist.
 
 ``perfbench`` times ``verify`` checks by wrapping package functions named
-in ``workloads.VERIFY_CALLS``; a renamed target would otherwise fail only
-when the benchmark runs.  Installing that tracer here makes it fail the
-test suite instead, and checks that uninstalling restores every name.
+in ``workloads.VERIFY_CALLS``, and traces layers named in
+``tracer.TARGETS``; a renamed target would otherwise fail only when the
+benchmark runs.  Installing the verify tracer here makes it fail the
+test suite instead, and checks that uninstalling restores every name;
+every traced layer must resolve to a callable.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-from tracer import Tracer  # noqa: E402
+from tracer import TARGETS, Tracer  # noqa: E402
 from workloads import VERIFY_CALLS  # noqa: E402
 
 from biquo import checks, invariants, nodal  # noqa: E402
@@ -42,3 +45,9 @@ def test_verify_tracer_installs_and_uninstalls():
     for name, module_name, path in VERIFY_CALLS:
         assert _resolve(module_name, path) is originals[name], name
     assert nodal.rational_roots is originals["roots"]
+
+
+def test_tracer_targets_resolve():
+    for name, module_name, path in TARGETS:
+        importlib.import_module(module_name)
+        assert callable(_resolve(module_name, path)), name

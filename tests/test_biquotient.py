@@ -12,12 +12,12 @@ from biquo.biquotient import (
     is_free,
     klein_ring,
     quotient_ring,
-    stabilizer_oracle,
     t1_action_matrix,
     t3_action_matrix,
     t3_rational_ring,
 )
 from biquo.graded import poly_to_gram
+from biquo.oracles import stabilizer_oracle
 from biquo.poly import HomPoly
 
 
@@ -125,13 +125,15 @@ def test_klein_trilinear_symmetric_and_cubic():
 
 
 def test_klein_trilinear_matches_permutation_expansion():
-    # the prebuilt tensor against re-expanding each entry's permutations
+    # the table against an independent copy of sum a_i^2 a_{i+1}: each
+    # index triple (i, i, i+1) at 1/3, expanded over its permutations
     ring = KleinRing()
     rng = random.Random(8)
+    entries = {(i, i, (i + 1) % 5): Fraction(1, 3) for i in range(5)}
 
     def expanded(u, v, w):
         total = Fraction(0)
-        for key, val in KleinRing._entries.items():
+        for key, val in entries.items():
             for a, b, c in set(itertools.permutations(key)):
                 total += val * u[a] * v[b] * w[c]
         return total
@@ -150,6 +152,7 @@ def test_klein_trilinear_matches_permutation_expansion():
 
 def test_klein_pair_table_is_the_trilinear_form():
     ring = KleinRing()
+    assert ring.product_table() is _KLEIN_PAIRS
     basis = [[Fraction(int(k == i)) for k in range(5)] for i in range(5)]
     for i, j, l in itertools.product(range(5), repeat=3):
         entry = _KLEIN_PAIRS[i][j][l]

@@ -3,9 +3,10 @@
 ``biquo/__init__.py`` resolves every public name from one table on first
 use, and each CLI subcommand imports only the modules it runs.  Import
 sets are checked in fresh interpreters, where nothing else has loaded
-the package yet.
+the package yet.  Only ``biquo.oracles`` imports numpy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -55,6 +56,21 @@ def test_cli_imports_only_what_a_subcommand_runs():
         "scan": ["multiprocessing"],
     }
     assert run_python(IMPORT_SETS % absent) == {step: [] for step in absent}
+
+
+def test_only_oracles_imports_numpy():
+    importers = set()
+    for path in (ROOT / "src" / "biquo").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.relative_to(ROOT / "src").as_posix())
+    assert importers == {"biquo/oracles.py"}
 
 
 @pytest.mark.parametrize("name", biquo.__all__)

@@ -25,8 +25,9 @@ from math import gcd
 import pytest
 
 from biquo import linalg
-from biquo.biquotient import is_free, quotient_ring, stabilizer_oracle
+from biquo.biquotient import is_free, quotient_ring
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
+from biquo.oracles import stabilizer_oracle
 from biquo.poly import HomPoly, monomials
 
 
@@ -381,13 +382,17 @@ def test_matches_dense_reference_on_ring_pieces(k, density, seed):
         for v in [_random_vector(rng, piece.ambient_dim, 3) for _ in range(2)]:
             assert piece.coords(v) == dense.coords(v)
         if degree == 4:
+            table = ring.product_table()
+            assert ring.product_table() is table
             for i in range(k):
-                for j in range(i, k):
+                for j in range(k):
                     xij = HomPoly.variable(k, i) * HomPoly.variable(k, j)
                     vec = [Fraction(0)] * piece.ambient_dim
                     for e, c in xij.coeffs.items():
                         vec[index[e]] = c
-                    assert ring.pair_product_coords(i, j) == dense.coords(vec)
+                    assert list(table[i][j]) == dense.coords(vec)
+                    assert table[i][j] == table[j][i]
+                    assert ring.pair_product_coords(i, j) == list(table[i][j])
 
 
 

@@ -258,6 +258,7 @@ def test_value_parsers_round_trip_or_raise_value_error(name, data):
         (parse_gaussian, "1/0"),
         (parse_gaussian, "1/0i"),
         (parse_gaussian, "1.5"),
+        (parse_gaussian, "1_5"),
         (_parse_poly3, "1/0*x1"),
         (_parse_poly3, "x1 - x1"),
         (parse_cube_class, "7:1"),
@@ -265,6 +266,10 @@ def test_value_parsers_round_trip_or_raise_value_error(name, data):
         (parse_cube_class, "-5:1"),
         (parse_cube_class, "25:1"),
         (parse_cube_class, "5:1,5:2"),
+        (parse_cube_class, "13:1_0"),
+        (parse_cube_class, "1_3:1"),
+        (parse_square_class, "1_5"),
+        (parse_square_class, "\u0663"),
         (parse_t1_invariant, "5:1|5:1"),
     ],
 )

@@ -42,6 +42,12 @@ def test_homogeneity_enforced():
         HomPoly(2, 2, {(1, 0): 1})
 
 
+@pytest.mark.parametrize("exps", [(2.5, -0.5), (0.5, 0.5)])
+def test_non_integer_exponents_rejected(exps):
+    with pytest.raises(ValueError):
+        HomPoly(2, 2, {exps: 1})
+
+
 def test_arithmetic_and_text():
     x1, x2, x3 = (V(3, i) for i in range(3))
     p = x1 * x1 - 2 * (x2 * x3)
