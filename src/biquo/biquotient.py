@@ -19,11 +19,11 @@ bundle data over either kind of base.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import _parse_integer
 from .graded import (
     GradedQuotient,
     MultiplicationMap,
@@ -60,23 +60,26 @@ class TorusActionMatrix:
     @classmethod
     def parse(cls, text: str) -> "TorusActionMatrix":
         """Accepts JSON or semicolon-separated rows ("1,0,0;2,1,1;4,2,1") of
-        ASCII ``-?[0-9]+`` entries, with optional whitespace around each."""
+        ASCII ``[+-]?[0-9]+`` entries (``arith._parse_integer``), with
+        optional whitespace around each."""
         text = text.strip()
         if text.startswith("["):
             import json
 
             return cls.from_rows(json.loads(text))
-        rows = [[x.strip() for x in chunk.split(",")] for chunk in text.split(";")]
-        bad = [x for row in rows for x in row if not _INTEGER.fullmatch(x)]
-        if bad:
-            raise ValueError(f"weight {bad[0]!r} is not an integer")
-        return cls.from_rows([[int(x) for x in row] for row in rows])
+        return cls.from_rows(
+            [[_parse_weight(x) for x in chunk.split(",")] for chunk in text.split(";")]
+        )
 
     def __str__(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
 
 
-_INTEGER = re.compile("-?[0-9]+")
+def _parse_weight(text: str) -> int:
+    try:
+        return _parse_integer(text)
+    except ValueError:
+        raise ValueError(f"weight {text.strip()!r} is not an integer") from None
 
 
 def _weight(x) -> int:

@@ -63,6 +63,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """argparse type for an ASCII integer like "-3" or "+5", read as ``arith``
+    reads one; like ``_rational``, no whitespace around it."""
+    from .arith import _parse_integer
+
+    try:
+        if text != text.strip():
+            raise ValueError(text)
+        return _parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biquo",
@@ -73,16 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan a parameter family")
     p_scan.add_argument("family", choices=("t1", "t2", "t3"))
-    p_scan.add_argument("--radius", type=int, required=True)
+    p_scan.add_argument("--radius", type=_integer, required=True)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--out", help="output file (default: stdout)")
-    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_scan.add_argument("--jobs", type=_integer, default=1, help="worker processes")
 
     p_inv = sub.add_parser("invariant", help="one invariant value")
     inv_sub = p_inv.add_subparsers(dest="family", required=True)
     p_t1 = inv_sub.add_parser("t1")
-    p_t1.add_argument("--b1", type=int, required=True)
-    p_t1.add_argument("--c1", type=int, required=True)
+    p_t1.add_argument("--b1", type=_integer, required=True)
+    p_t1.add_argument("--c1", type=_integer, required=True)
     p_t2 = inv_sub.add_parser("t2")
     p_t2.add_argument("--a0", type=_rational, required=True)
     p_t2.add_argument("--a1", type=_rational, required=True)
@@ -95,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ring = sub.add_parser("ring", help="quotient ring of a free torus action")
     p_ring.add_argument("--matrix", required=True, help='rows like "1,0,0;2,1,1;4,2,1"')
-    p_ring.add_argument("--max-degree", type=int, default=None)
+    p_ring.add_argument("--max-degree", type=_integer, default=None)
 
     p_free = sub.add_parser("free", help="freeness of a torus action")
     p_free.add_argument("--matrix", required=True)

@@ -249,10 +249,11 @@ def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
     for e, c in p.coeffs.items():
         idx = [i for i, k in enumerate(e) for _ in range(k)]
         i, j = idx
+        # c may be an int: halve it as a Fraction, never with int / int
         if i == j:
-            g[i][i] = c
+            g[i][i] = Fraction(c)
         else:
-            g[i][j] = g[j][i] = c / 2
+            g[i][j] = g[j][i] = Fraction(c, 2)
     return tuple(tuple(row) for row in g)
 
 

@@ -158,8 +158,7 @@ def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic
     cols = [list(node)] + [
         [1 if i == j else 0 for i in range(3)] for j in others
     ]
-    matrix = [[Fraction(cols[j][i]) for j in range(3)] for i in range(3)]
-    return F.substitute(matrix)
+    return F.substitute([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
 def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
@@ -171,14 +170,15 @@ def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
             raise ValueError("tangent cone is degenerate (no definite part)")
         F = F.substitute([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         a, b, c = c, b, a
-    w2 = (4 * a * c - b * b) / (4 * a * a)
+    # the cone's coefficients may be ints: divide as Fractions
+    w2 = Fraction(4 * a * c - b * b, 4 * a * a)
     w = is_rational_square(w2)
     if w is None or w == 0:
         raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
     sub = [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), -b / (2 * a * w)],
-        [Fraction(0), Fraction(0), 1 / w],
+        [1, 0, 0],
+        [0, 1, Fraction(-b, 2 * a) / w],
+        [0, 0, 1 / w],
     ]
     out = F.substitute(sub)
     new_cone = tangent_cone(out)
@@ -345,8 +345,8 @@ class MonicQuadratic:
 # constants to.
 _T3_MONOS = monomials(3, 2)
 _T3_INDEX = {m: i for i, m in enumerate(_T3_MONOS)}
-_X1X2 = HomPoly._trusted(3, 2, {(1, 1, 0): Fraction(1)})
-_TWO_X3 = HomPoly._trusted(3, 1, {(0, 0, 1): Fraction(2)})
+_X1X2 = HomPoly._trusted(3, 2, {(1, 1, 0): 1})
+_TWO_X3 = HomPoly._trusted(3, 1, {(0, 0, 1): 2})
 _X3_SQUARED = {_T3_INDEX[0, 0, 2]: Fraction(1)}
 _T3_FIXED_SPAN = linalg.QuotientSpace._trusted(len(_T3_MONOS), {
     _T3_INDEX[2, 0, 0]: {_T3_INDEX[2, 0, 0]: 1},
@@ -355,7 +355,7 @@ _T3_FIXED_SPAN = linalg.QuotientSpace._trusted(len(_T3_MONOS), {
 })
 
 
-def _t3_vector(p: HomPoly) -> dict[int, Fraction]:
+def _t3_vector(p: HomPoly) -> dict[int, int | Fraction]:
     return {_T3_INDEX[e]: coeff for e, coeff in p.coeffs.items()}
 
 

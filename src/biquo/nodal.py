@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem
-from .poly import HomPoly, _mul_terms
+from .poly import HomPoly, _mul_terms, _ratio
 from .univar import (
     UPoly,
     bf_divide_exact,
@@ -70,7 +70,7 @@ class TernaryCubic:
     def from_coefficients(cls, coeffs) -> "TernaryCubic":
         return cls(HomPoly(3, 3, coeffs))
 
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
+    def coefficient(self, i: int, j: int, k: int) -> int | Fraction:
         return self.poly.coefficient((i, j, k))
 
     def is_zero(self) -> bool:
@@ -96,14 +96,14 @@ class TernaryCubic:
         second = [[d.partial(j) for j in range(3)] for d in first]
         return _cubic_det(second)
 
-    def evaluate(self, point) -> Fraction:
+    def evaluate(self, point) -> int | Fraction:
         return self.poly.evaluate(point)
 
     def is_node_shape(self) -> bool:
         """True when F = lam * q(mu,nu) + c(mu,nu): no lam^2 or lam^3 terms."""
         return all(e[0] <= 1 for e in self.poly.coeffs)
 
-    def lam_coefficient_form(self) -> tuple[Fraction, Fraction, Fraction]:
+    def lam_coefficient_form(self) -> tuple[int | Fraction, ...]:
         """(A, B, C) with the lam part equal to lam*(A mu^2 + B mu nu + C nu^2)."""
         return (
             self.coefficient(1, 2, 0),
@@ -111,7 +111,7 @@ class TernaryCubic:
             self.coefficient(1, 0, 2),
         )
 
-    def cubic_part(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def cubic_part(self) -> tuple[int | Fraction, ...]:
         """Coefficients of (mu^3, mu^2 nu, mu nu^2, nu^3) in the lam-free part."""
         return (
             self.coefficient(0, 3, 0),
@@ -134,11 +134,11 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     """Determinant of a small matrix of homogeneous polynomials.
 
     Each row is first cleared to integer term dicts by the lcm of its
-    denominators.  Cofactor expansion along the top remaining row, on
-    those dicts, skips zero entries and minors with no nonzero permutation
-    product; each minor is computed once per column set, as (weight,
-    terms) or None.  The determinant is divided by the product of the row
-    scales once, at the end.  A matrix with no nonzero permutation product
+    denominators (1 for an int coefficient).  Cofactor expansion along the
+    top remaining row, on those dicts, skips zero entries and minors with
+    no nonzero permutation product; each minor is computed once per column
+    set, as (weight, terms) or None.  The determinant is divided by the
+    product of the row scales once, at the end.  A matrix with no nonzero permutation product
     gives ``HomPoly.zero(nvars, 0)``; otherwise the result has the weight
     of those products, even when they cancel.
     """
@@ -179,7 +179,7 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     if det is None:
         return HomPoly.zero(nvars, 0)
     weight, terms = det
-    return HomPoly._trusted(nvars, weight, {e: Fraction(c, scale) for e, c in terms.items()})
+    return HomPoly._trusted(nvars, weight, {e: _ratio(c, scale) for e, c in terms.items()})
 
 
 def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:
@@ -400,11 +400,11 @@ def singular_points(
 class BinaryQuadratic:
     """A binary quadratic form a*mu^2 + b*mu*nu + c*nu^2."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int | Fraction
+    b: int | Fraction
+    c: int | Fraction
 
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> int | Fraction:
         return self.b * self.b - 4 * self.a * self.c
 
     def evaluate(self, mu, nu) -> Fraction:
@@ -437,30 +437,30 @@ class BinaryCubic:
     read it back, enforcing the consistency equations.
     """
 
-    c30: Fraction
-    c21: Fraction
-    c12: Fraction
-    c03: Fraction
+    c30: int | Fraction
+    c21: int | Fraction
+    c12: int | Fraction
+    c03: int | Fraction
 
     @classmethod
     def harmonic(cls, alpha, beta) -> "BinaryCubic":
         alpha, beta = Fraction(alpha), Fraction(beta)
         return cls(beta, -3 * alpha, -3 * beta, alpha)
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return (self.c30, self.c21, self.c12, self.c03)
 
     def is_harmonic(self) -> bool:
         return self.c12 == -3 * self.c30 and self.c21 == -3 * self.c03
 
     @property
-    def alpha(self) -> Fraction:
+    def alpha(self) -> int | Fraction:
         if not self.is_harmonic():
             raise ValueError("cubic is not harmonic; alpha undefined")
         return self.c03
 
     @property
-    def beta(self) -> Fraction:
+    def beta(self) -> int | Fraction:
         if not self.is_harmonic():
             raise ValueError("cubic is not harmonic; beta undefined")
         return self.c30

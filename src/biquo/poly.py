@@ -1,8 +1,10 @@
 """Homogeneous multivariate polynomials over Q.
 
-A ``HomPoly`` stores a map from exponent tuples to nonzero Fractions;
-all stored monomials share one total exponent degree (the ``weight``).
-In ring contexts every generator sits in cohomological degree 2, so the
+A ``HomPoly`` stores a map from exponent tuples to nonzero coefficients,
+each in one canonical form: an ``int`` when the value is integral and a
+``Fraction`` (denominator > 1) otherwise, never a float.  All stored
+monomials share one total exponent degree (the ``weight``).  In ring
+contexts every generator sits in cohomological degree 2, so the
 cohomological degree of a polynomial is twice its weight.
 
 Terms print in graded lex order ("3*x1^2*x3 + x2^3" style), which fixes
@@ -10,27 +12,30 @@ a deterministic text form; ``parse_poly`` inverts it.
 
 Which paths validate: ``HomPoly(...)``, ``zero`` and ``parse_poly``
 check every exponent tuple (``nvars`` non-negative ints summing to
-``weight``), coerce every coefficient to a Fraction and drop zeros, and
-so do ``+``, ``-``, ``*`` and ``scale``, which build their results
-through ``HomPoly(...)``.  The other paths wrap their results with the
-private ``HomPoly._trusted`` instead, without checks:
+``weight``), coerce every coefficient to the canonical form and drop
+zeros.  Every other path wraps its result with the private
+``HomPoly._trusted`` instead, without checks:
 
-* ``variable`` and ``linear`` coerce each coefficient to a Fraction and
-  drop zeros; their exponent tuples are unit vectors by construction.
-* ``partial`` and ``coefficients_in_var`` only re-key the terms of a
-  valid polynomial.
+* ``+``, ``-``, ``*``, ``scale`` and ``partial`` pass their term dict
+  through ``_clean``, which drops zeros and turns an integral Fraction
+  into its int; unary ``-`` keeps each coefficient's form.
+* ``variable`` and ``linear`` coerce each coefficient and drop zeros;
+  their exponent tuples are unit vectors by construction.
+* ``coefficients_in_var`` only re-keys the terms of a valid polynomial.
 * ``substitute`` clears the matrix to integers by one common denominator
   D and the polynomial by its own d, multiplies int term dicts with
   ``_mul_terms`` (each image form's powers once per call) and divides the
-  sum once by d * D^weight.
+  sum once by d * D^weight with ``_ratio``.
 * ``nodal._poly_det`` clears each row of its matrix to int term dicts by
   the lcm of that row's denominators, expands on ints and divides once
-  by the product of the row scales.
+  by the product of the row scales with ``_ratio``.
 
 They rely on the dict they pass being clean: int-tuple keys of length
-``nvars`` that sum to the weight, and nonzero Fraction values.
+``nvars`` that sum to the weight, and nonzero canonical values.
 ``_mul_terms`` keeps int coefficients int and leaves cancelled ones as
-zeros; its callers drop them and divide back to Fractions.
+zeros; its callers drop them.  A coefficient read back (``coeffs``,
+``coefficient``, ``evaluate``) may be an int, so a caller that divides
+one goes through ``Fraction``: ``int / int`` is a float.
 """
 
 from __future__ import annotations
@@ -42,6 +47,31 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .arith import CertificateError, _parse_rational
+
+
+def _coerce(c) -> int | Fraction:
+    """A number as a stored coefficient: the int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(terms: dict) -> dict:
+    """The nonzero terms of an int/Fraction term dict, an integral Fraction
+    turned into its int."""
+    return {
+        e: c if type(c) is int or c.denominator != 1 else c.numerator
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den (den > 0) as a stored coefficient."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def monomials(nvars: int, weight: int) -> list[tuple[int, ...]]:
@@ -65,11 +95,10 @@ class HomPoly:
     __slots__ = ("nvars", "weight", "coeffs")
 
     def __init__(self, nvars: int, weight: int, terms: Mapping[tuple[int, ...], object] = ()):
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        coeffs: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in dict(terms).items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c == 0:
+            c = _coerce(c)
+            if not c:
                 continue
             try:
                 exps = tuple(map(operator.index, exps))
@@ -79,12 +108,10 @@ class HomPoly:
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             if sum(exps) != weight:
                 raise ValueError(f"term {exps} breaks homogeneity (weight {weight})")
-            coeffs[exps] = coeffs.get(exps, Fraction(0)) + c
+            coeffs[exps] = coeffs[exps] + c if exps in coeffs else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(
-            self, "coeffs", {e: c for e, c in coeffs.items() if c != 0}
-        )
+        object.__setattr__(self, "coeffs", _clean(coeffs))
 
     def __setattr__(self, *_):
         raise AttributeError("HomPoly is immutable")
@@ -108,15 +135,14 @@ class HomPoly:
     def variable(cls, nvars: int, i: int) -> "HomPoly":
         e = [0] * nvars
         e[i] = 1
-        return cls._trusted(nvars, 1, {tuple(e): Fraction(1)})
+        return cls._trusted(nvars, 1, {tuple(e): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence) -> "HomPoly":
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _coerce(c)
             if c:
                 e = [0] * n
                 e[i] = 1
@@ -133,8 +159,8 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> int | Fraction:
+        return self.coeffs.get(tuple(exps), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,19 +178,23 @@ class HomPoly:
         self._check_compatible(other)
         merged = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
+            merged[e] = merged[e] + c if e in merged else c
         weight = other.weight if other.coeffs and not self.coeffs else self.weight
-        return HomPoly(self.nvars, weight, merged)
+        return HomPoly._trusted(self.nvars, weight, _clean(merged))
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.nvars, self.weight, {e: -c for e, c in self.coeffs.items()})
+        return HomPoly._trusted(
+            self.nvars, self.weight, {e: -c for e, c in self.coeffs.items()}
+        )
 
     def scale(self, c) -> "HomPoly":
-        c = Fraction(c)
-        return HomPoly(self.nvars, self.weight, {e: c * v for e, v in self.coeffs.items()})
+        c = _coerce(c)
+        return HomPoly._trusted(
+            self.nvars, self.weight, _clean({e: c * v for e, v in self.coeffs.items()})
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -173,8 +203,10 @@ class HomPoly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        return HomPoly(
-            self.nvars, self.weight + other.weight, _mul_terms(self.coeffs, other.coeffs)
+        return HomPoly._trusted(
+            self.nvars,
+            self.weight + other.weight,
+            _clean(_mul_terms(self.coeffs, other.coeffs)),
         )
 
     def __rmul__(self, other):
@@ -191,13 +223,13 @@ class HomPoly:
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, i: int) -> "HomPoly":
-        # distinct terms with e[i] > 0 stay distinct, and c * e[i] != 0
-        out: dict[tuple[int, ...], Fraction] = {}
+        # distinct terms with e[i] > 0 stay distinct
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.coeffs.items():
             k = e[i]
             if k:
                 out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
-        return HomPoly._trusted(self.nvars, max(self.weight - 1, 0), out)
+        return HomPoly._trusted(self.nvars, max(self.weight - 1, 0), _clean(out))
 
     def substitute(self, matrix: Sequence[Sequence]) -> "HomPoly":
         """Apply x_i -> sum_j matrix[i][j] * x_j.
@@ -209,7 +241,7 @@ class HomPoly:
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("substitution matrix has the wrong shape")
-        rows = [[c if type(c) is Fraction else Fraction(c) for c in row] for row in matrix]
+        rows = [[_coerce(c) for c in row] for row in matrix]
         big = lcm(*(c.denominator for row in rows for c in row))
         one = (0,) * n
         # powers[i][k] is the k-th power of image i, as an int term dict
@@ -235,12 +267,13 @@ class HomPoly:
                 out[m] = out[m] + v if m in out else v
         scale = den * big**self.weight
         return HomPoly._trusted(
-            n, self.weight, {m: Fraction(v, scale) for m, v in out.items() if v}
+            n, self.weight, {m: _ratio(v, scale) for m, v in out.items() if v}
         )
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        vals = [Fraction(x) for x in point]
-        total = Fraction(0)
+    def evaluate(self, point: Sequence) -> int | Fraction:
+        """The exact value; on ints when the point and coefficients are."""
+        vals = [_coerce(x) for x in point]
+        total = 0
         for e, c in self.coeffs.items():
             term = c
             for x, k in zip(vals, e):
@@ -263,7 +296,7 @@ class HomPoly:
         The coefficient forms live in the same variable set with
         variable v unused.
         """
-        out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        out: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
         for e, c in self.coeffs.items():
             k = e[v]
             rest = list(e)

@@ -57,8 +57,9 @@ def up_divmod(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
         raise ZeroDivisionError("polynomial division by zero")
     r = p[:]
     quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    inverse = Fraction(1) / q[-1]  # never int / int, which is a float
     while len(r) >= len(q) and r:
-        c = r[-1] / q[-1]
+        c = r[-1] * inverse
         k = len(r) - len(q)
         quot[k] = c
         for i, b in enumerate(q):
@@ -68,7 +69,10 @@ def up_divmod(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
 
 
 def up_monic(p: UPoly) -> UPoly:
-    return [x / p[-1] for x in p]
+    if not p:
+        return []
+    inverse = Fraction(1) / p[-1]
+    return [x * inverse for x in p]
 
 
 def up_gcd(p: UPoly, q: UPoly) -> UPoly:

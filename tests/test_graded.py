@@ -231,3 +231,10 @@ def test_mult_by_class():
     assert m.kernel_dim + m.rank == 3
     zero_map = ring.mult_by_class(HomPoly.zero(3, 1))
     assert zero_map.kernel_dim == 3  # multiplying by zero kills everything
+
+
+def test_poly_to_gram_halves_int_coefficients_as_fractions():
+    x1, x2 = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
+    gram = poly_to_gram(x1 * x2 + (x2 * x2).scale(3))
+    assert gram == ((0, Fraction(1, 2)), (Fraction(1, 2), 3))
+    assert all(type(c) is Fraction for row in gram for c in row)

@@ -14,6 +14,7 @@ from biquo.invariants import (
     DegenerateFamilyMember,
     MonicQuadratic,
     T1Invariant,
+    _normalize_cone,
     parse_t1_invariant,
     rank_one_elements,
     rotate_alpha_beta,
@@ -27,6 +28,7 @@ from biquo.invariants import (
     t3_kernel_system,
     t3_membership_quadratic,
 )
+from biquo.nodal import BinaryQuadratic, TernaryCubic, tangent_cone
 from biquo.oracles import rank_one_residual
 from biquo.poly import HomPoly, monomials
 from biquo.univar import is_rational_square
@@ -755,3 +757,15 @@ def test_rank_one_splitting_class_invariance():
         assert len(cls.rational) == 2 and len(cls.orbits) == 1
         assert square_class(cls.orbits[0].min_poly.discriminant()) == target
         done += 1
+
+
+def test_normalize_cone_divides_int_coefficients_as_fractions():
+    # lam*(2 mu^2 + 2 mu nu + nu^2) + mu^3 + nu^3: all ints, w2 = 1/4
+    F = TernaryCubic.from_coefficients(
+        {(1, 2, 0): 2, (1, 1, 1): 2, (1, 0, 2): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+    )
+    assert all(type(c) is int for c in F.poly.coeffs.values())
+    out = _normalize_cone(F)
+    assert out == F.substitute([[1, 0, 0], [0, 1, -1], [0, 0, 2]])
+    assert tangent_cone(out) == BinaryQuadratic(2, 0, 2)
+    assert all(type(c) in (int, Fraction) for c in out.poly.coeffs.values())

@@ -4,9 +4,9 @@
 matrix of values (integers, floats, bools, strings, ragged rows); the
 parse must return exactly that matrix when it is a square matrix of
 integers and raise ValueError, never another exception, otherwise.  In
-the semicolon syntax an entry is an ASCII ``-?[0-9]+`` with optional
-whitespace around it, so "1_0", "+1" and non-ASCII digits, which
-``int()`` would take, must raise ValueError.
+the semicolon syntax an entry is an ASCII ``[+-]?[0-9]+`` with optional
+whitespace around it (``arith._parse_integer``), so "1_0" and non-ASCII
+digits, which ``int()`` would take, must raise ValueError.
 
 ``parse_poly``, ``parse_gaussian``, ``parse_square_class``,
 ``parse_cube_class`` and ``parse_t1_invariant``: any text either raises
@@ -41,7 +41,7 @@ from biquo.poly import HomPoly, monomials, parse_poly
 FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 INTS = st.integers(-(10**30), 10**30)
-INTEGER_TOKEN = re.compile("-?[0-9]+")
+INTEGER_TOKEN = re.compile("[+-]?[0-9]+")
 NON_INTS = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3))
 
 
@@ -65,7 +65,7 @@ def _expected(rows):
 
 def _expected_tokens(rows):
     """The entries parse must return for the "1,0;2,1" text of rows, or None:
-    every token, stripped of whitespace, must be ``-?[0-9]+``."""
+    every token, stripped of whitespace, must be ``[+-]?[0-9]+``."""
     tokens = [[str(x).strip() for x in row] for row in rows]
     if all(INTEGER_TOKEN.fullmatch(t) for row in tokens for t in row):
         return _expected([[int(t) for t in row] for row in tokens])
@@ -124,12 +124,18 @@ def test_parse_semicolon_rows_is_integer_matrix_or_value_error(rows):
     _check(";".join(",".join(str(x) for x in row) for row in rows), _expected_tokens(rows))
 
 
-@pytest.mark.parametrize("token", ["1_0", "+1", "٣", "１", "1٣", "0_1"])
+@pytest.mark.parametrize("token", ["1_0", "٣", "１", "1٣", "0_1"])
 def test_semicolon_syntax_rejects_what_only_int_accepts(token):
-    int(token)  # a token int() takes, outside -?[0-9]+
+    int(token)  # a token int() takes, outside [+-]?[0-9]+
     with pytest.raises(ValueError):
         TorusActionMatrix.parse(f"1,0;{token},1")
     assert TorusActionMatrix.parse(" 1 ,0; -0 , 1\n").entries == ((1, 0), (0, 1))
+
+
+def test_semicolon_syntax_reads_a_leading_plus():
+    # one integer grammar with arith._parse_integer and the class parsers
+    assert TorusActionMatrix.parse("+1,0; +2 ,-1").entries == ((1, 0), (2, -1))
+    assert parse_square_class("+5") == parse_square_class("5")
 
 
 # ---------------------------------------------------------------------------

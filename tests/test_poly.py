@@ -79,6 +79,29 @@ def test_partials_and_evaluation():
     assert f.evaluate_complex([1j, 0, 0]) == pytest.approx(-1j)
 
 
+def test_evaluate_is_exact_at_int_and_fraction_points():
+    g = HomPoly(3, 3, {(2, 1, 0): 3, (0, 3, 0): Fraction(-2, 2)})
+    got = g.evaluate([2, 5, 7])
+    assert type(got) is int and got == 3 * 4 * 5 - 125
+    f = g + HomPoly(3, 3, {(1, 1, 1): Fraction(1, 2)})
+    assert f.evaluate([2, 5, 7]) == 3 * 4 * 5 - 125 + 35
+    got = f.evaluate([Fraction(1, 2), Fraction(-2, 3), 4])
+    want = Fraction(3, 4) * Fraction(-2, 3) + Fraction(8, 27) + Fraction(1, 2) * Fraction(-4, 3)
+    assert type(got) is Fraction and got == want
+    # a float point is read exactly, never evaluated in floating point
+    got = f.evaluate([0.5, 1, 0.1])
+    assert type(got) is Fraction and got == f.evaluate([Fraction(0.5), 1, Fraction(0.1)])
+
+
+def test_univariate_division_of_int_lists_stays_exact():
+    # int / int is a float; the divisions run through Fraction
+    q, r = up_divmod([1, 0, 1], [2])
+    assert q == [Fraction(1, 2), 0, Fraction(1, 2)] and r == []
+    assert all(type(c) is Fraction for c in q)
+    g = up_gcd([-2, 0, 2], [-2, 2])
+    assert g == [-1, 1] and all(type(c) is Fraction for c in g)
+
+
 def test_univariate_roots_and_gcd():
     p = up([6, -5, 1])
     assert rational_roots(p) == [2, 3]
@@ -256,13 +279,75 @@ def test_bf_gcd_and_division_match_sympy():
 # -- trusted arithmetic: every result is a clean, valid HomPoly ---------------
 
 
+def is_canonical(c):
+    """The stored form: an int iff the value is integral, otherwise a Fraction
+    with denominator > 1; never a float, never 0."""
+    if type(c) is int:
+        return c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
 def _assert_clean(p):
     """p is what the validating constructor makes of its own terms."""
     assert p == HomPoly(p.nvars, p.weight, dict(p.coeffs))
-    assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    assert all(is_canonical(c) for c in p.coeffs.values()), p.coeffs
     for e in p.coeffs:
         assert type(e) is tuple and all(type(k) is int for k in e)
     return p
+
+
+def _mixed_number(rng):
+    """Zero, an int, an integral Fraction or a non-integral one."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, Fraction(0)))
+    if kind == 1:
+        return rng.randint(-4, 4)
+    if kind == 2:
+        return Fraction(3 * rng.randint(-4, 4), 3)
+    return Fraction(rng.randint(-4, 4), rng.randint(2, 5))
+
+
+def _mixed_hompoly(rng, n, w):
+    monos = monomials(n, w)
+    chosen = rng.sample(monos, rng.randint(0, min(len(monos), 4)))
+    return HomPoly(n, w, {e: _mixed_number(rng) for e in chosen})
+
+
+def test_every_producing_path_stores_canonical_coefficients():
+    from biquo import invariants, nodal
+
+    _assert_clean(invariants._X1X2)
+    _assert_clean(invariants._TWO_X3)
+    rng = random.Random(14)
+    integral = 0
+    for _ in range(200):
+        n, w = rng.randint(1, 4), rng.randint(0, 3)
+        p, q = _mixed_hompoly(rng, n, w), _mixed_hompoly(rng, n, w)
+        r = _mixed_hompoly(rng, n, rng.randint(0, 2))
+        c = _mixed_number(rng)
+        matrix = [[_mixed_number(rng) for _ in range(n)] for _ in range(n)]
+        k = rng.randint(1, 3)
+        forms = [
+            [HomPoly.linear([_mixed_number(rng) for _ in range(3)]) for _ in range(k)]
+            for _ in range(k)
+        ]
+        results = [
+            p, q, r, HomPoly.zero(n, w),
+            HomPoly.linear([_mixed_number(rng) for _ in range(n)]),
+            *(HomPoly.variable(n, i) for i in range(n)),
+            *(p.partial(i) for i in range(n)),
+            *p.coefficients_in_var(rng.randrange(n)).values(),
+            p.substitute(matrix),
+            p + q, p - q, -p, p * r, p.scale(c), c * p, p * c,
+            nodal._poly_det(forms),
+        ]
+        if not p.is_zero():
+            results.append(parse_poly(p.to_str(), n))
+        for result in results:
+            _assert_clean(result)
+            integral += sum(type(v) is int for v in result.coeffs.values())
+    assert integral > 1000
 
 
 def _unit(n, i):

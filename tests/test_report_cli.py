@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from biquo.arith import parse_square_class
-from biquo.cli import MAX_RANK, _rational, main
+from biquo.cli import MAX_RANK, _integer, _rational, main
 from biquo.invariants import parse_t1_invariant
 from biquo.report import DEGENERATE, ScanReport, scan
 
@@ -375,6 +375,47 @@ def test_cli_rational_accepts_integers_fractions_decimals(text):
 def test_cli_rational_rejects_other_text(text):
     with pytest.raises(argparse.ArgumentTypeError):
         _rational(text)
+
+
+@pytest.mark.parametrize("text", ["0", "17", "-3", "+5", "007"])
+def test_cli_integer_accepts_ascii_integers(text):
+    assert _integer(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0661", " 1", "1 ", "1.0", "1/1", "", "+", "--1", "1e3"]
+)
+def test_cli_integer_rejects_other_text(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _integer(text)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["invariant", "t1", "--b1", "1_0", "--c1", "4"], "--b1"),
+        (["invariant", "t1", "--b1", "10", "--c1", " 4"], "--c1"),
+        (["scan", "t1", "--radius", "\u0661"], "--radius"),
+        (["scan", "t1", "--radius", "1", "--jobs", "1_0"], "--jobs"),
+        (["ring", "--matrix", "1", "--max-degree", "\u0662"], "--max-degree"),
+    ],
+    ids=["underscore", "space", "arabic-indic-digit", "jobs", "max-degree"],
+)
+def test_cli_integer_options_exit_2_on_other_text(argv, option):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert f"argument {option}: invalid integer value: {argv[argv.index(option) + 1]!r}" in last
+
+
+def test_cli_reads_signed_integers_as_arith_does():
+    plus = run_cli("invariant", "t1", "--b1", "+10", "--c1", "4")
+    plain = run_cli("invariant", "t1", "--b1", "10", "--c1", "4")
+    assert plus.returncode == plain.returncode == 0
+    assert plus.stdout == plain.stdout == "17:1|17:2\n"
+    free = run_cli("free", "--matrix", "+1")
+    assert (free.returncode, free.stdout) == (0, "free\n")
 
 
 def test_cli_import_leaves_numpy_unloaded():
