@@ -38,6 +38,13 @@ _TRIAL_LIMIT = 10**4
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Pollard rho gives up rather than take more than this many steps (about
+# 0.15 s).  A prime factor p takes on the order of sqrt(p) steps: products
+# of two primes below 10^9 split, while a 25-digit product of two 13-digit
+# primes (millions of steps) is refused.  No cofactor the scans meet
+# exceeds 4 194 304.
+_RHO_STEPS = 2**18
+
 
 class CertificateError(AssertionError):
     """An internal exactness certificate failed: the result cannot be trusted.
@@ -78,15 +85,26 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of composite odd n (Brent's variant)."""
+    """Return a nontrivial factor of composite odd n (Brent's variant).
+
+    Raises ``ValueError`` rather than run the next round of Brent's
+    doubling when that would take it past ``_RHO_STEPS`` iterations of
+    y -> y^2 + c in all.
+    """
     if n % 2 == 0:
         return 2
-    seed = 1
+    seed, steps = 1, 0
     while True:
         y, c, m = 2 + seed, 1 + seed, 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # the r steps of x and at most r more of y below
+            if steps > _RHO_STEPS:
+                raise ValueError(
+                    f"no factor of a {len(str(n))}-digit integer found in "
+                    f"{_RHO_STEPS} Pollard rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -115,7 +133,8 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
     Returns ``(sign, {prime: exponent})`` with the primes sorted.  A
     cofactor left after trial division at or above ``_MR_LIMIT`` raises
     ``ValueError`` from ``is_prime`` at once, as no factor of it could be
-    certified prime.
+    certified prime; so does a composite cofactor that Pollard rho does
+    not split within ``_RHO_STEPS`` steps.
 
     >>> factor(12)
     (1, {2: 2, 3: 1})

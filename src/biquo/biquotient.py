@@ -211,9 +211,6 @@ class KleinRing:
     def product_table(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         return _KLEIN_PAIRS
 
-    def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
-        return list(_KLEIN_PAIRS[i][j])
-
     def mult_by_class(self, y: Sequence[Fraction]) -> MultiplicationMap:
         return multiplication_map(_KLEIN_PAIRS, [Fraction(c) for c in y])
 

@@ -150,10 +150,6 @@ class GradedQuotient:
             self._table = tuple(map(tuple, table))
         return self._table
 
-    def pair_product_coords(self, i: int, j: int) -> list[Fraction]:
-        """Coordinates of x_i * x_j in the degree-4 quotient basis."""
-        return list(self.product_table()[i][j])
-
     def h2_dim(self) -> int:
         dim = self.graded_dim(2)
         if dim != self.generators:
@@ -210,7 +206,7 @@ class QuadricSystem:
         for g in self.basis:
             if len(g) != k or any(len(row) != k for row in g):
                 raise ValueError("Gram matrix has the wrong shape")
-            if any(g[i][j] != g[j][i] for i in range(k) for j in range(k)):
+            if any(g[i][j] != g[j][i] for i in range(k) for j in range(i + 1, k)):
                 raise ValueError("Gram matrix is not symmetric")
         n = k * (k + 1) // 2
         span = linalg.QuotientSpace(n, map(self._flatten, self.basis))
@@ -276,13 +272,15 @@ def square_map_kernel(table) -> QuadricSystem:
     nvars = len(table)
     pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
     rows = list(zip(*(table[i][j] for i, j in pairs)))
-    # the pairs run in monomials(nvars, 2) order: a kernel vector holds
-    # a quadric's coefficients
-    quadrics = [
-        HomPoly(nvars, 2, zip(monomials(nvars, 2), vec))
-        for vec in linalg.kernel_basis(rows, len(pairs))
-    ]
-    return QuadricSystem(nvars, tuple(poly_to_gram(q) for q in quadrics))
+    # a kernel vector holds a quadric's (Fraction) coefficients at the
+    # pairs: x_i^2 is Gram entry (i, i), x_i x_j is split over (i, j), (j, i)
+    grams = []
+    for vec in linalg.kernel_basis(rows, len(pairs)):
+        gram = [[None] * nvars for _ in range(nvars)]
+        for (i, j), v in zip(pairs, vec):
+            gram[i][j] = gram[j][i] = v if i == j else v / 2
+        grams.append(tuple(map(tuple, gram)))
+    return QuadricSystem(nvars, tuple(grams))
 
 
 @dataclass(frozen=True)

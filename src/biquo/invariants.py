@@ -153,6 +153,8 @@ def t1_invariant(b1: int, c1: int) -> T1Invariant:
 
 
 def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic:
+    if node == (1, 0, 0):
+        return F  # the substitution below would be the identity
     pivot = max(range(3), key=lambda i: (abs(node[i]), -i))
     others = [i for i in range(3) if i != pivot]
     cols = [list(node)] + [

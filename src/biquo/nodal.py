@@ -7,11 +7,13 @@ family has the node shape
 
 with q proportional to mu^2 + nu^2.  The binary cubic through the three
 inflection points is computed by eliminating lam from {F = 0, Hess F = 0}
-with a Sylvester resultant, stripping the tangent-cone factor, and
-projecting onto the harmonic complement of (mu^2+nu^2)*(linear); for a
-node-shaped input the non-harmonic component vanishes identically, and
-the elimination carries one universal constant which is divided out so
-the result is exact, not just exact-up-to-scale.
+with a Sylvester resultant and stripping the tangent-cone factor; for a
+node-shaped input what remains is harmonic, and the elimination carries
+one universal constant which is divided out so the result is exact, not
+just exact-up-to-scale.  The elimination runs on integers: the cubic and
+the resultant are cleared by their denominators, the Hessian and the
+determinants expand on int term dicts, and alpha and beta are divided by
+the common denominator once, at the end.
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -33,10 +35,9 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem
-from .poly import HomPoly, _mul_terms, _ratio
+from .poly import HomPoly, _clean, _mul_terms, _ratio
 from .univar import (
     UPoly,
-    bf_divide_exact,
     bf_gcd,
     bf_is_zero,
     bf_rational_proj_roots,
@@ -50,7 +51,15 @@ VAR_NAMES = ("lam", "mu", "nu")
 
 # Res_lam(F, Hess F) = _RESULTANT_SCALE * (mu^2+nu^2) * (inflection cubic)
 # for every node-shaped cubic normalized to tangent cone -(mu^2+nu^2).
-_RESULTANT_SCALE = Fraction(8)
+_RESULTANT_SCALE = 8
+
+# Each second partial d^2/dx_i dx_j with i <= j, and the drop it makes in
+# a monomial's exponents.
+_SECOND_PARTIALS = tuple(
+    ((i, j), tuple((k == i) + (k == j) for k in range(3)))
+    for i in range(3)
+    for j in range(i, 3)
+)
 
 
 class TernaryCubic:
@@ -92,9 +101,35 @@ class TernaryCubic:
         return [self.poly.partial(i) for i in range(3)]
 
     def hessian(self) -> "TernaryCubic":
-        first = self.partials()
-        second = [[d.partial(j) for j in range(3)] for d in first]
-        return _cubic_det(second)
+        """det of the matrix of second partials.
+
+        The six second partials of d * F, with d the lcm of F's
+        denominators, come from one pass over the terms as int linear
+        forms; the determinant is divided by d^3 once.
+        """
+        coeffs = self.poly.coeffs
+        d = lcm(*(c.denominator for c in coeffs.values()))
+        second = {pair: {} for pair, _ in _SECOND_PARTIALS}
+        for e, c in coeffs.items():
+            n = c.numerator * (d // c.denominator)
+            for (i, j), drop in _SECOND_PARTIALS:
+                k = e[i] * (e[j] - (i == j))
+                if k:
+                    m = (e[0] - drop[0], e[1] - drop[1], e[2] - drop[2])
+                    terms = second[i, j]
+                    terms[m] = terms.get(m, 0) + n * k
+        forms = {
+            pair: HomPoly._trusted(3, 1, {m: v for m, v in terms.items() if v})
+            for pair, terms in second.items()
+        }
+        mat = [[forms[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+        hess = _cubic_det(mat)
+        if d == 1:
+            return hess
+        scale = d**3
+        return TernaryCubic(HomPoly._trusted(
+            3, 3, {e: _ratio(c, scale) for e, c in hess.poly.coeffs.items()}
+        ))
 
     def evaluate(self, point) -> int | Fraction:
         return self.poly.evaluate(point)
@@ -152,7 +187,11 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
             for entry in row
         ])
         scale *= den
-    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {(): (0, {(0,) * nvars: 1})}
+    # the 1x1 minors on the last row are its entries
+    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {
+        (j,): (mat[-1][j].weight, entry) if entry else None
+        for j, entry in enumerate(rows[-1])
+    }
 
     def minor(cols: tuple[int, ...]) -> tuple[int, dict] | None:
         """The minor on the last len(cols) rows."""
@@ -189,18 +228,20 @@ def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:
     return TernaryCubic(HomPoly.zero(3, 3) if det.is_zero() else det)
 
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def det_cubic(net: QuadricSystem) -> TernaryCubic:
     """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space."""
     if net.ambient_dim != 3 or net.dim != 3:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
-    g1, g2, g3 = net.basis
-    entries = [
-        [
-            HomPoly.linear([g1[i][j], g2[i][j], g3[i][j]])
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
+    # entry (i, j) is the linear form sum_k G_k[i][j] x_k, symmetric in (i, j)
+    entries = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            entries[i][j] = entries[j][i] = HomPoly._trusted(
+                3, 1, _clean({u: g[i][j] for u, g in zip(_UNITS, net.basis)})
+            )
     return _cubic_det(entries)
 
 
@@ -512,19 +553,20 @@ class BinaryCubic:
         return BinaryCubic(self.c03, self.c12, self.c21, self.c30)
 
 
-def harmonic_decomposition(
-    coeffs: Sequence[Fraction],
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Split (c30,c21,c12,c03) as harmonic(alpha,beta) + (mu^2+nu^2)(p mu + q nu).
+def _strip_circle(form: list[int]) -> list[int]:
+    """An int binary form with every factor mu^2+nu^2 divided out.
 
-    Returns (alpha, beta, p, q); the split is unique.
+    Synthetic division: the divisor is monic, so an exact quotient of an
+    int form is an int form.  Divides until the remainder is nonzero.
     """
-    c30, c21, c12, c03 = (Fraction(c) for c in coeffs)
-    beta = (c30 - c12) / 4
-    alpha = (c03 - c21) / 4
-    p = c30 - beta
-    q = c03 - alpha
-    return alpha, beta, p, q
+    while len(form) >= 3:
+        quotient = form[:]
+        for k in range(len(form) - 2):
+            quotient[k + 2] -= quotient[k]
+        if quotient[-2] or quotient[-1]:
+            break
+        form = quotient[:-2]
+    return form
 
 
 def inflection_lines(F: TernaryCubic) -> BinaryCubic:
@@ -535,38 +577,37 @@ def inflection_lines(F: TernaryCubic) -> BinaryCubic:
     (the universal elimination constant divided out), so for the family
     determinant cubic the result is exactly
     beta*mu^3 - 3 alpha*mu^2 nu - 3 beta*mu nu^2 + alpha*nu^3.
+
+    The elimination runs on integers.  For a fixed cone the resultant is
+    linear in the lam-free part c: it is -(mu^2+nu^2)(8c + h) with h the
+    lam-free part of the Hessian, linear in c.  So c is cleared to
+    integers by the lcm d of its denominators, which multiplies the
+    resultant by d; the resultant is cleared by the lcm D of its own
+    denominators, (mu^2+nu^2) is stripped by integer synthetic division,
+    harmonicity is tested on the integer cubic, and alpha and beta are
+    divided by 8 * d * D once.
     """
     cone = tangent_cone(F)
     if not cone.is_multiple_of_circle():
         raise ValueError("tangent cone is not a multiple of mu^2+nu^2")
-    c30, c21, c12, c03 = F.cubic_part()
+    lam_free = {e: c for e, c in F.poly.coeffs.items() if not e[0]}
+    d = lcm(*(c.denominator for c in lam_free.values()))
+    terms = {e: c.numerator * (d // c.denominator) for e, c in lam_free.items()}
     # rescale lam so the cone is exactly -(mu^2+nu^2)
-    normalized = TernaryCubic.from_coefficients(
-        {
-            (1, 2, 0): Fraction(-1),
-            (1, 0, 2): Fraction(-1),
-            (0, 3, 0): c30,
-            (0, 2, 1): c21,
-            (0, 1, 2): c12,
-            (0, 0, 3): c03,
-        }
-    )
+    terms[1, 2, 0] = terms[1, 0, 2] = -1
+    normalized = TernaryCubic(HomPoly._trusted(3, 3, terms))
     hess = normalized.hessian()
     if hess.is_zero():
         raise ValueError("degenerate elimination: the Hessian vanishes")
     res = resultant_in_var(normalized.poly, hess.poly, 0)
     if bf_is_zero(res):
         raise ValueError("degenerate elimination: zero resultant")
-    circle = [Fraction(1), Fraction(0), Fraction(1)]
-    stripped = res
-    while True:
-        quotient = bf_divide_exact(stripped, circle)
-        if quotient is None:
-            break
-        stripped = quotient
+    den = lcm(*(c.denominator for c in res))
+    stripped = _strip_circle([c.numerator * (den // c.denominator) for c in res])
     if len(stripped) != 4:
         raise ValueError("elimination did not produce a binary cubic")
-    alpha_s, beta_s, p, q = harmonic_decomposition(stripped)
-    if p != 0 or q != 0:
+    c30, c21, c12, c03 = stripped
+    if c12 != -3 * c30 or c21 != -3 * c03:
         raise ValueError("inflection cubic has a nonzero non-harmonic component")
-    return BinaryCubic.harmonic(alpha_s / _RESULTANT_SCALE, beta_s / _RESULTANT_SCALE)
+    scale = _RESULTANT_SCALE * d * den
+    return BinaryCubic.harmonic(Fraction(c03, scale), Fraction(c30, scale))

@@ -29,6 +29,9 @@ zeros.  Every other path wraps its result with the private
 * ``nodal._poly_det`` clears each row of its matrix to int term dicts by
   the lcm of that row's denominators, expands on ints and divides once
   by the product of the row scales with ``_ratio``.
+* ``nodal`` also wraps the second partials of ``TernaryCubic.hessian``
+  (int term dicts, zeros dropped), the linear entries of ``det_cubic``
+  (through ``_clean``) and the integer cubic of ``inflection_lines``.
 
 They rely on the dict they pass being clean: int-tuple keys of length
 ``nvars`` that sum to the weight, and nonzero canonical values.
@@ -277,7 +280,8 @@ class HomPoly:
         for e, c in self.coeffs.items():
             term = c
             for x, k in zip(vals, e):
-                term *= x**k
+                if k:
+                    term *= x**k
             total += term
         return total
 

@@ -6,9 +6,9 @@ also run over any field whose elements mix with Fractions (the
 quadratic extensions of ``invariants.rank_one_elements``).
 Binary forms of degree d in (s, t) are coefficient lists
 ``[c_0, ..., c_d]`` where ``c_k`` multiplies ``s^(d-k) t^k``; the pair
-(list, d) is carried implicitly by the list length.  Their gcd and exact
-division work on the polynomial in s at t = 1 plus the order of t,
-which is the number of coefficients that polynomial drops.
+(list, d) is carried implicitly by the list length.  Their gcd works on
+the polynomial in s at t = 1 plus the order of t, which is the number of
+coefficients that polynomial drops.
 
 Factorization is complete through degree 4 (rational roots, quadratic
 discriminants, and the resolvent cubic for quartics), which covers every
@@ -227,22 +227,6 @@ def bf_is_zero(form: list[Fraction]) -> bool:
 def bf_to_upoly(form: list[Fraction]) -> UPoly:
     """Dehomogenize at t=1: polynomial in s, ascending coefficients."""
     return up_trim(list(reversed(form)))
-
-
-def bf_divide_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction] | None:
-    """a / b when b divides a exactly as binary forms, else None.
-
-    The quotient at t = 1 is padded with the order of t left over by the
-    degree of a / b; it is None when that order would be negative.
-    """
-    pb = bf_to_upoly(b)
-    if not pb:
-        raise ZeroDivisionError("binary form division by zero")
-    quot, rem = up_divmod(bf_to_upoly(a), pb)
-    degree = len(a) - len(b)
-    if rem or degree < 0 or len(quot) > degree + 1:
-        return None
-    return [Fraction(0)] * (degree + 1 - len(quot)) + quot[::-1]
 
 
 def bf_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

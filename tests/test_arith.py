@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,19 @@ def test_is_prime_refuses_at_the_limit():
     with pytest.raises(ValueError, match="certified range"):
         factor(2**5 * (10**40 + 1) * (10**40 + 3))
     assert factor(2**100 * 3**60) == (1, {2: 100, 3: 60})
+
+
+def test_factor_refuses_an_unsplit_semiprime_fast():
+    sympy = pytest.importorskip("sympy")
+    n = int(sympy.nextprime(10**12)) * int(sympy.nextprime(2 * 10**12))
+    assert n < _MR_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Pollard rho steps"):
+        factor(n)
+    assert time.perf_counter() - start < 0.5
+    # a product of two primes near 10^9 still splits within the budget
+    p, q = int(sympy.nextprime(10**9)), int(sympy.nextprime(7 * 10**9))
+    assert factor(p * q) == (1, {p: 1, q: 1})
 
 
 def test_factor_rejects_zero():

@@ -108,6 +108,28 @@ def test_t1_pipeline_matches_closed_form():
         seen += 1
 
 
+def test_t1_pipeline_tail_runs_one_substitution_and_no_polynomial_division(monkeypatch):
+    # the node of a family net is [1, 0, 0], so only the cone normalization
+    # substitutes, and the tail from the net to (alpha, beta) strips
+    # (mu^2+nu^2) on integers: a Fraction division would call up_divmod
+    from biquo import univar
+    from biquo.invariants import t1_invariant_from_net, t1_relation_net
+
+    calls = {"substitute": 0, "up_divmod": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(HomPoly, "substitute", counted("substitute", HomPoly.substitute))
+    monkeypatch.setattr(univar, "up_divmod", counted("up_divmod", univar.up_divmod))
+    net = t1_relation_net(*t1_parameters(7, -3))
+    assert t1_invariant_from_net(net) == t1_invariant(7, -3)
+    assert calls == {"substitute": 1, "up_divmod": 0}
+
+
 @pytest.mark.parametrize(
     "params",
     [(4, 4), (0, 8), (5, 0), (2, 0), (-4, -4), (-1, 2), (40, -37), (-33, 21)],

@@ -19,6 +19,7 @@ from biquo.nodal import (
 )
 from biquo.oracles import inflection_residual
 from biquo.poly import HomPoly, monomials
+from biquo.univar import up_divmod, up_trim
 
 
 def family_cubic(alpha, beta):
@@ -316,10 +317,11 @@ def test_inflection_lines_translation_invariance():
 
 
 def test_inflection_lines_requires_circle_cone():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         inflection_lines(
             TernaryCubic.from_coefficients({(1, 2, 0): 1, (0, 0, 3): 1})
         )
+    assert str(info.value) == "tangent cone is not a multiple of mu^2+nu^2"
 
 
 def test_harmonic_consistency_enforced():
@@ -354,6 +356,146 @@ def test_swap_exchanges_alpha_beta():
     cubic = BinaryCubic.harmonic(Fraction(2), Fraction(-7))
     swapped = cubic.swapped()
     assert (swapped.alpha, swapped.beta) == (Fraction(-7), Fraction(2))
+
+
+# -- inflection_lines against the Fraction route -------------------------------
+
+
+def _fraction_inflection_lines(F):
+    """The Fraction route: partials and a cofactor determinant for the
+    Hessian, the resultant, (mu^2+nu^2) divided out with up_divmod until it
+    fails, the harmonic split, and a division of alpha and beta by 8."""
+    if not tangent_cone(F).is_multiple_of_circle():
+        raise ValueError("tangent cone is not a multiple of mu^2+nu^2")
+    terms = {e: Fraction(c) for e, c in F.poly.coeffs.items() if e[0] == 0}
+    terms[1, 2, 0] = terms[1, 0, 2] = Fraction(-1)
+    normalized = HomPoly(3, 3, terms)
+    first = [normalized.partial(i) for i in range(3)]
+    hess = nodal._poly_det([[d.partial(j) for j in range(3)] for d in first])
+    if hess.is_zero():
+        raise ValueError("degenerate elimination: the Hessian vanishes")
+    form = [Fraction(c) for c in resultant_in_var(normalized, hess, 0)]
+    if not any(form):
+        raise ValueError("degenerate elimination: zero resultant")
+    circle = [Fraction(1), Fraction(0), Fraction(1)]
+    while len(form) >= 3:
+        # the division at t = 1, padded in front where top powers of s vanish
+        quot, rem = up_divmod(up_trim(form[::-1]), circle)
+        if rem:
+            break
+        form = [Fraction(0)] * (len(form) - 2 - len(quot)) + quot[::-1]
+    if len(form) != 4:
+        raise ValueError("elimination did not produce a binary cubic")
+    c30, c21, c12, c03 = form
+    beta, alpha = (c30 - c12) / 4, (c03 - c21) / 4
+    if c30 - beta != 0 or c03 - alpha != 0:
+        raise ValueError("inflection cubic has a nonzero non-harmonic component")
+    return BinaryCubic.harmonic(alpha / 8, beta / 8)
+
+
+def _outcome(route, F):
+    try:
+        return route(F)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_inflection_lines_matches_the_fraction_route():
+    # cone s*lam*(mu^2+nu^2) with a Fraction scale s, any lam-free cubic
+    # part, then a lam-shift lam -> lam + a*mu + b*nu
+    rng = random.Random(29)
+
+    def rational():
+        return Fraction(rng.choice((0, 1, -1, 2, -3, 5, 7, -12)), rng.choice((1, 1, 2, 3, 4, 9, 16)))
+
+    cases = answered = 0
+    while cases < 240:
+        scale = rational()
+        if scale == 0:
+            continue
+        terms = {(1, 2, 0): scale, (1, 0, 2): scale}
+        for e in ((0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)):
+            terms[e] = rational()
+        a, b = rational(), rational()
+        F = TernaryCubic(HomPoly(3, 3, terms).substitute([[1, a, b], [0, 1, 0], [0, 0, 1]]))
+        got, want = _outcome(inflection_lines, F), _outcome(_fraction_inflection_lines, F)
+        assert got == want, F
+        answered += isinstance(got, BinaryCubic)
+        cases += 1
+    assert answered >= 200
+
+
+def test_inflection_lines_error_messages(monkeypatch):
+    def raises(message, F=family_cubic(2, 3)):
+        with pytest.raises(ValueError) as info:
+            inflection_lines(F)
+        assert str(info.value) == message
+
+    raises("degenerate elimination: zero resultant", family_cubic(0, 0))
+    # a circle cone gives a Hessian with lam-part 8*lam*(mu^2+nu^2) and a
+    # harmonic cubic after one strip, so the other failures are reached by
+    # replacing the resultant or the Hessian
+    resultant = nodal.resultant_in_var
+    forms = {
+        # (mu^2+nu^2) * mu^3, a non-harmonic cubic
+        "inflection cubic has a nonzero non-harmonic component": [1, 0, 1, 0, 0, 0],
+        # mu^2, which (mu^2+nu^2) does not divide
+        "elimination did not produce a binary cubic": [1, 0, 0],
+    }
+    for message, form in forms.items():
+        monkeypatch.setattr(nodal, "resultant_in_var", lambda *_, form=form: list(map(Fraction, form)))
+        raises(message)
+    monkeypatch.setattr(nodal, "resultant_in_var", resultant)
+    monkeypatch.setattr(TernaryCubic, "hessian", lambda self: TernaryCubic(HomPoly.zero(3, 3)))
+    raises("degenerate elimination: the Hessian vanishes")
+
+
+def test_hessian_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("lam mu nu")
+
+    def to_expr(p):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([x**k for x, k in zip(xs, e)])
+                for e, c in p.coeffs.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    rng = random.Random(31)
+    pools = (
+        (0, 0, 1, -1, 2, -3, 5),
+        (0, 0, Fraction(1, 2), Fraction(-2, 3), 1, -4, Fraction(7, 5)),
+    )
+    line = HomPoly.linear([1, Fraction(1, 2), -2])
+    cubic_of_a_line = (line * line * line).coeffs
+    cubics = [
+        # cubics in one and in two variables have no nonzero permutation
+        # product; the cube of a linear form has products that cancel
+        {(3, 0, 0): 1},
+        {(0, 3, 0): 2, (0, 0, 3): Fraction(-1, 3)},
+        cubic_of_a_line,
+        {(1, 1, 1): Fraction(3, 4)},
+    ]
+    for trial in range(24):
+        pool = pools[trial % 2]
+        cubics.append({e: rng.choice(pool) for e in monomials(3, 3)})
+    zero = 0
+    for terms in cubics:
+        F = TernaryCubic.from_coefficients(terms)
+        got = F.hessian()
+        want = sympy.Poly(sympy.hessian(to_expr(F.poly), xs).det(), *xs)
+        assert sympy.Poly(to_expr(got.poly), *xs) == want, terms
+        assert got.is_zero() == want.is_zero
+        assert got.poly.weight == 3
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            for c in got.poly.coeffs.values()
+        )
+        zero += got.is_zero()
+    assert zero >= 3
 
 
 # -- _poly_det against a permutation expansion and sympy -----------------------

@@ -5,9 +5,9 @@ import pytest
 
 from biquo.poly import HomPoly, monomials, parse_poly
 from biquo.univar import (
-    bf_divide_exact,
     bf_gcd,
     bf_rational_proj_roots,
+    bf_to_upoly,
     rational_roots,
     up,
     up_deg,
@@ -29,6 +29,22 @@ def bf_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def bf_divide_exact(a, b):
+    """a / b when b divides a exactly as binary forms, else None.
+
+    The quotient at t = 1 is padded with the order of t left over by the
+    degree of a / b; it is None when that order would be negative.
+    """
+    pb = bf_to_upoly(b)
+    if not pb:
+        raise ZeroDivisionError("binary form division by zero")
+    quot, rem = up_divmod(bf_to_upoly(a), pb)
+    degree = len(a) - len(b)
+    if rem or degree < 0 or len(quot) > degree + 1:
+        return None
+    return [Fraction(0)] * (degree + 1 - len(quot)) + quot[::-1]
 
 
 def test_monomial_order():

@@ -345,6 +345,25 @@ def test_cli_uncertifiable_factor_exits_2_fast():
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+def test_cli_unsplit_semiprime_exits_2_naming_the_arguments():
+    # t3 at (1, b, 1) factors the discriminant 4 b (b - 2); with twin
+    # primes b - 2 and b of 13 digits the cofactor is a 25-digit product
+    # of two 13-digit primes, which Pollard rho would need millions of
+    # steps to split
+    sympy = pytest.importorskip("sympy")
+    b = 1500000000271
+    assert sympy.isprime(b) and sympy.isprime(b - 2) and len(str(b)) == 13
+    start = time.monotonic()
+    proc = run_cli("invariant", "t3", "--a", "1", "--b", str(b), "--c", "1")
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: invariant t3 (a=1, b={b}, c=1): no factor of a 25-digit integer "
+        "found in 262144 Pollard rho steps"
+    ]
+
+
 def test_cli_invariant_errors_name_the_family_and_arguments(capsys):
     # the refused integer may be one derived from the input, so the line
     # names the arguments the user gave
