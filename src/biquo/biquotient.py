@@ -140,7 +140,7 @@ def quotient_ring(A, max_degree: int | None = None) -> GradedQuotient:
     rels = []
     for i in range(k):
         xi = HomPoly.variable(k, i)
-        row = HomPoly.linear([Fraction(a) for a in A.entries[i]])
+        row = HomPoly.linear(A.entries[i])
         rels.append(xi * row)
     return GradedQuotient(k, rels, max_degree)
 

@@ -175,7 +175,7 @@ class GradedQuotient:
 
     def change_of_variables(self, matrix: Sequence[Sequence]) -> "GradedQuotient":
         """Rewrite the relations under x_i -> sum_j P[i][j] x_j (P invertible)."""
-        rows = linalg.frac_rows(matrix)
+        rows = [[Fraction(x) for x in row] for row in matrix]
         if linalg.det(rows) == 0:
             raise ValueError("substitution matrix is singular")
         return GradedQuotient(

@@ -628,7 +628,7 @@ def _common_line(conics: list[HomPoly]):
     if len(points) < 2:
         raise ValueError("every eliminant vanishes, but no common line avoids [1,0,0]")
     points = points[:2]
-    [ell] = linalg.kernel_basis(linalg.frac_rows(points), 3)
+    [ell] = linalg.kernel_basis(points, 3)
     # conic = L * M is linear in M: column j holds the coefficients of L * x_j
     products = [HomPoly.linear(ell) * HomPoly.variable(3, j) for j in range(3)]
     monos = monomials(3, 2)

@@ -4,9 +4,9 @@ Every pivoting step is ``_eliminate``, an integer ``m*row - q*pivot``
 (Bareiss 1968).  ``QuotientSpace`` gives a coordinate space modulo a
 span its lex-first basis and the coordinates in it: a graded piece of a
 rank-7 ring has 1716 columns, but a relation multiple has at most seven
-nonzero integer entries.  ``rref`` (and ``kernel_basis`` and ``solve``
-on it) reads the echelon of the column-reversed rows; ``det`` multiplies
-the pivots of the same reduction.  Dense rows hold ints or Fractions.
+nonzero integer entries.  ``rref``, ``kernel_basis`` and ``solve`` read
+the pivot residues of the column-reversed rows' echelon once; ``det``
+multiplies the pivots of one reduction.  Dense rows hold ints or Fractions.
 """
 
 from __future__ import annotations
@@ -19,42 +19,42 @@ Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 
-def frac_rows(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _pivot_residues(rows, ncols: int) -> dict[int, tuple[SparseRow, int]]:
+    """{p: (r, s)} for each RREF pivot p, ascending, r an integer row: the
+    column-reversed rows' echelon has the RREF pivots, and e_p - r/s (e_p
+    minus its residue) is the RREF row of p, 1 at p and 0 at other pivots."""
+    last = ncols - 1
+    space = QuotientSpace(ncols, [row[::-1] for row in rows])
+    out = {}
+    for c in space._order:
+        residue, scale = space._residue({c: 1})
+        out[last - c] = ({last - j: x for j, x in residue.items()}, scale)
+    return out
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Reversing the columns turns each row's leading column into its
-    largest, so the echelon of the reversed rows has the RREF pivots.
-    The RREF row of pivot p is e_p minus the residue of e_p: the span
-    element that is 1 at p and 0 at every other pivot.
-    """
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     ncols = len(rows[0]) if rows else 0
-    last = ncols - 1
-    space = QuotientSpace(ncols, [row[::-1] for row in rows])
-    pivots = sorted(last - c for c in space._echelon)
+    residues = _pivot_residues(rows, ncols)
     out = []
-    for p in pivots:
-        residue, scale = space._residue({last - p: 1})
-        row = [Fraction(-residue.get(last - j, 0), scale) for j in range(ncols)]
+    for p, (residue, scale) in residues.items():
+        row = [Fraction(-residue.get(j, 0), scale) for j in range(ncols)]
         row[p] = Fraction(1)
         out.append(row)
-    return out, pivots
+    return out, list(residues)
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the right kernel {x : A x = 0}, one vector per free column."""
-    basis, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    residues = _pivot_residues(rows, ncols)
     out = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for row, p in zip(basis, pivots):
-            v[p] = -row[c]
-        out.append(v)
+    for f in range(ncols):
+        if f not in residues:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for p, (residue, scale) in residues.items():
+                v[p] = Fraction(residue.get(f, 0), scale)
+            out.append(v)
     return out
 
 
@@ -79,18 +79,15 @@ def det(rows: Matrix) -> Fraction:
 
 
 def solve(rows: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free coordinates are set to zero, so the answer is deterministic.
-    """
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    """One exact solution of A x = b, or None if inconsistent: minus the
+    kernel vector of (A | b) at b's column, so 0 at every free column."""
     ncols = len(rows[0])
-    if ncols in pivots:
+    residues = _pivot_residues([[*row, b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in residues:
         return None
     x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
+    for p, (residue, scale) in residues.items():
+        x[p] = Fraction(-residue.get(ncols, 0), scale)
     return x
 
 

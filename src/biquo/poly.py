@@ -393,6 +393,8 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Hom
                 continue
             if "^" in part:
                 name, _, power = part.partition("^")
+                if not (power.isascii() and power.isdigit()):
+                    raise ValueError(f"invalid exponent in term {chunk!r}")
                 k = int(power)
             else:
                 name, k = part, 1

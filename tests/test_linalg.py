@@ -1,12 +1,14 @@
 """linalg against dense references and sympy.
 
 * The dense Fraction Gauss-Jordan ``rref`` and pivoting ``det`` that
-  ``linalg`` ran before its one fraction-free echelon, kept here as
-  references: ``rref``, ``kernel_basis``, ``solve`` and ``det`` must
-  give identical results on seeded matrices, and so must sympy's
-  ``Matrix.rref`` and ``Matrix.det``; ``is_free`` must agree with every
-  principal minor by the integer cofactor determinant, and with the
-  brute-force ``stabilizer_oracle``.
+  ``linalg`` ran before its one fraction-free echelon, and the
+  ``kernel_basis`` and ``solve`` that read the dense RREF rows, kept here
+  as references: ``rref``, ``kernel_basis``, ``solve`` and ``det`` must
+  give identical results (all Fractions) on seeded matrices, and so must
+  sympy's ``Matrix.rref``, ``Matrix.nullspace`` and ``Matrix.det``;
+  ``kernel_basis`` and ``solve`` must not go through ``rref`` at all;
+  ``is_free`` must agree with every principal minor by the integer
+  cofactor determinant, and with the brute-force ``stabilizer_oracle``.
 * The dense quotient ``QuotientSpace`` replaced (``DenseQuotientSpace``:
   one dense ``rref`` of the span with its columns reversed): basis
   indices, dimension and coordinates must be identical, on seeded spans
@@ -25,7 +27,9 @@ from math import gcd
 import pytest
 
 from biquo import linalg
-from biquo.biquotient import is_free, quotient_ring
+from biquo.biquotient import is_free, quotient_ring, t1_action_matrix
+from biquo.graded import square_map_kernel
+from biquo.invariants import rank_one_elements, t1_invariant_pipeline, t3_kernel_system
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
 from biquo.oracles import stabilizer_oracle
 from biquo.poly import HomPoly, monomials
@@ -53,6 +57,31 @@ def dense_rref(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def dense_kernel_basis(rows, ncols):
+    basis, pivots = dense_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for c in free:
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for row, p in zip(basis, pivots):
+            v[p] = -row[c]
+        out.append(v)
+    return out
+
+
+def dense_solve(rows, rhs):
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    reduced, pivots = dense_rref(aug)
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[-1]
+    return x
 
 
 def dense_det(rows):
@@ -141,17 +170,20 @@ def _seeded_matrices(seed, count):
         yield _seeded_matrix(rng, nrows, ncols, fractions=i % 2 == 0)
 
 
-def _dense_kernel_and_solve(monkeypatch, rows, rhs):
-    with monkeypatch.context() as patched:
-        patched.setattr(linalg, "rref", dense_rref)
-        return linalg.kernel_basis(rows, len(rows[0])), linalg.solve(rows, rhs)
+def _same_kernel_and_solve(rows, rhs):
+    ncols = len(rows[0])
+    kernel, x = kernel_basis(rows, ncols), solve(rows, rhs)
+    assert kernel == dense_kernel_basis(rows, ncols)
+    assert x == dense_solve(rows, rhs)
+    assert all(type(c) is Fraction for v in kernel for c in v)
+    assert x is None or all(type(c) is Fraction for c in x)
 
 
 def test_edge_matrices_match_dense_references():
     assert rref([]) == dense_rref([]) == ([], [])
     assert rref([[]]) == dense_rref([[]])
     assert det([]) == dense_det([]) == 1
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert kernel_basis([], 2) == dense_kernel_basis([], 2) == [[1, 0], [0, 1]]
     cases = [
         [[0, 0, 0]],
         [[0, 0], [0, 0]],
@@ -167,6 +199,8 @@ def test_edge_matrices_match_dense_references():
     for rows in cases:
         assert rref(rows) == dense_rref(rows)
         assert kernel_basis(rows, len(rows[0])) == kernel_basis(dense_rref(rows)[0], len(rows[0]))
+        for rhs in ([0] * len(rows), [1] * len(rows), list(range(len(rows)))):
+            _same_kernel_and_solve(rows, rhs)
         if len(rows) == len(rows[0]):
             assert det(rows) == dense_det(rows)
     assert det([[0, 1], [1, 0]]) == -1
@@ -174,7 +208,7 @@ def test_edge_matrices_match_dense_references():
     assert det([[1, -3, 0], [0, 1, -2], [-3, 0, 1]]) == -17
 
 
-def test_seeded_matrices_match_dense_references(monkeypatch):
+def test_seeded_matrices_match_dense_references():
     rng = random.Random(7)
     for rows in _seeded_matrices(8, 600):
         reduced, pivots = rref(rows)
@@ -185,9 +219,7 @@ def test_seeded_matrices_match_dense_references(monkeypatch):
         if rng.random() < 0.5:  # a consistent right-hand side
             x = [rng.randint(-3, 3) for _ in range(ncols)]
             rhs = linalg.mat_vec(rows, x)
-        assert (kernel_basis(rows, ncols), solve(rows, rhs)) == _dense_kernel_and_solve(
-            monkeypatch, rows, rhs
-        )
+        _same_kernel_and_solve(rows, rhs)
         if len(rows) == ncols:
             d = det(rows)
             assert type(d) is Fraction and d == dense_det(rows)
@@ -217,6 +249,32 @@ def test_seeded_matrices_match_sympy():
             assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
         if len(rows) == ncols:
             assert to_sympy([[det(rows)]])[0, 0] == matrix.det()
+
+
+def test_kernel_and_solve_read_the_echelon_without_rref(monkeypatch):
+    # kernel_basis and solve, and the kernel and t1/t3 pipelines on them,
+    # give the same answers with rref unavailable
+    rows = [[1, 2, Fraction(1, 2), 0], [2, 4, 0, 3], [3, 6, Fraction(1, 2), 3]]
+    table = quotient_ring(t1_action_matrix(3, -2)).product_table()
+
+    def answers():
+        return (
+            kernel_basis(rows, 4),
+            solve(rows, [1, 2, 3]),
+            solve(rows, [1, 0, 0]),
+            square_map_kernel(table),
+            rank_one_elements(t3_kernel_system(1, 5, 2)),
+            t1_invariant_pipeline(3, -2),
+        )
+
+    want = answers()
+    assert want[2] is None and len(want[0]) == 2
+
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert answers() == want
 
 
 def _old_is_free(m):

@@ -267,6 +267,8 @@ def test_value_parsers_round_trip_or_raise_value_error(name, data):
         (parse_gaussian, "1_5"),
         (_parse_poly3, "1/0*x1"),
         (_parse_poly3, "x1 - x1"),
+        (_parse_poly3, "x1^1_0"),
+        (_parse_poly3, "x1^\u0663"),
         (parse_cube_class, "7:1"),
         (parse_cube_class, "0:1"),
         (parse_cube_class, "-5:1"),
