@@ -8,8 +8,13 @@ Groebner machinery: all computations here live in degree <= 2n+2.
 Quotient bases are the lexicographically first independent monomial
 subsets, which pins deterministic coordinates for serialization; each
 graded piece is a ``linalg.QuotientSpace``, the one place that basis is
-built.  Degree-4 algorithms read the cup product as plain data, a ring's
-``product_table()``.  Rings are immutable; graded pieces and the table
+built.  Each relation is cleared to integers once, by the lcm of its
+denominators.  In weight w a monomial packs to one integer key, its
+exponents read as digits in base w + 1 (packed exponent vectors: Monagan
+and Pearce, CASC 2007), so a relation multiple's column is one key
+addition and one lookup, and its integer row goes straight into the
+echelon (``linalg._reduce``).  Degree-4 algorithms read the cup product
+as plain data, a ring's ``product_table()``.  Rings are immutable; graded pieces and the table
 are cached (idempotent writes, so concurrent readers are safe).
 """
 
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -65,7 +72,14 @@ class GradedQuotient:
         self.generators = generators
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree
+        # each relation times the lcm of its denominators, as (exponents, int)
+        # terms: a monic multiple has the same coefficients, so every
+        # relation multiple's row is already cleared
+        self._cleared = tuple(
+            linalg._integer_row(r.coeffs)[0].items() for r in self.relations
+        )
         self._pieces: dict[int, linalg.QuotientSpace] = {}
+        self._indexes: dict[int, tuple[list[int], dict[int, int]]] = {}
         self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None
         # lowest degree of a built zero piece; max_degree while none is known
         self._zero_degree = self.max_degree
@@ -82,28 +96,47 @@ class GradedQuotient:
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
             )
 
+    def _columns(self, weight: int) -> tuple[list[int], dict[int, int]]:
+        """(places, index) for the monomials of weight w: exponents e pack
+        to the key sum(e_i * places[i]), read as digits in base w + 1, and
+        ``index`` maps each key to its monomial's column.  No exponent
+        exceeds w, so no digit carries: the key of a product is the sum of
+        the keys, and descending keys are the columns' descending lex
+        order (``monomials``)."""
+        cached = self._indexes.get(weight)
+        if cached is None:
+            n, base = self.generators, weight + 1
+            places = [base ** (n - 1 - i) for i in range(n)]
+            keys = sorted(map(sum, combinations_with_replacement(places, weight)))
+            cached = places, {key: i for i, key in enumerate(reversed(keys))}
+            self._indexes[weight] = cached
+        return cached
+
     def piece(self, degree: int) -> linalg.QuotientSpace:
         """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
 
-        A piece above a zero piece is built by elimination too, and comes
-        out zero; ``graded_dim`` answers its dimension without building it.
+        Each relation multiple is the cleared relation shifted by a monic
+        multiplier's key: an integer row, reduced straight into the
+        echelon.  A piece above a zero piece is built by elimination too,
+        and comes out zero; ``graded_dim`` answers its dimension without
+        building it.
         """
         self._check_degree(degree)
         cached = self._pieces.get(degree)
         if cached is not None:
             return cached
         weight = degree // 2
-        monos = monomials(self.generators, weight)
-        index = {m: i for i, m in enumerate(monos)}
-        multipliers = monomials(self.generators, weight - 2) if weight >= 2 else []
-        rows = []
-        for rel in self.relations:
-            terms = rel.coeffs.items()
-            for mono in multipliers:
-                rows.append({
-                    index[tuple(a + b for a, b in zip(e, mono))]: c for e, c in terms
-                })
-        piece = linalg.QuotientSpace(len(monos), rows)
+        places, index = self._columns(weight)
+        echelon: dict[int, linalg.SparseRow] = {}
+        if weight >= 2:
+            shifts = sorted(
+                map(sum, combinations_with_replacement(places, weight - 2)), reverse=True
+            )
+            for rel in self._cleared:
+                terms = [(sum(map(mul, e, places)), c) for e, c in rel]
+                for shift in shifts:
+                    linalg._reduce(echelon, {index[key + shift]: c for key, c in terms})
+        piece = linalg.QuotientSpace._trusted(len(index), echelon)
         self._pieces[degree] = piece
         if piece.dim == 0:
             self._zero_degree = min(self._zero_degree, degree)
@@ -119,9 +152,12 @@ class GradedQuotient:
 
     def poly_coords(self, poly: HomPoly) -> list[Fraction]:
         """Coordinates of a polynomial's class in its degree's quotient basis."""
+        if poly.nvars != self.generators:
+            raise ValueError("polynomial has the wrong number of variables")
         piece = self.piece(poly.degree)
-        index = {m: i for i, m in enumerate(monomials(self.generators, poly.weight))}
-        return piece.coords({index[e]: c for e, c in poly.coeffs.items()})
+        places, index = self._columns(poly.weight)
+        terms = poly.coeffs.items()
+        return piece.coords({index[sum(map(mul, e, places))]: c for e, c in terms})
 
     # -- ring operations ----------------------------------------------------
 

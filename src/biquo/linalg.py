@@ -1,12 +1,17 @@
 """Exact linear algebra over Q on one sparse fraction-free echelon.
 
 Every pivoting step is ``_eliminate``, an integer ``m*row - q*pivot``
-(Bareiss 1968).  ``QuotientSpace`` gives a coordinate space modulo a
-span its lex-first basis and the coordinates in it: a graded piece of a
-rank-7 ring has 1716 columns, but a relation multiple has at most seven
-nonzero integer entries.  ``rref``, ``kernel_basis`` and ``solve`` read
-the pivot residues of the column-reversed rows' echelon once; ``det``
-multiplies the pivots of one reduction.  Dense rows hold ints or Fractions.
+(Bareiss 1968).  A row enters the echelon in two steps: ``_integer_row``
+clears a dense or sparse row of ints or Fractions by the lcm of its
+denominators, and ``_reduce`` reduces an integer row into the echelon.
+``QuotientSpace`` gives a coordinate space modulo a span its lex-first
+basis and the coordinates in it.  A graded piece (``graded``) builds its
+integer rows itself, already cleared, hands them to ``_reduce`` and wraps
+the echelon with ``QuotientSpace._trusted``: a piece of a rank-7 ring has
+1716 columns, but a relation multiple has at most seven nonzero integer
+entries.  ``rref``, ``kernel_basis`` and ``solve`` read the pivot
+residues of the column-reversed rows' echelon once; ``det`` multiplies
+the pivots of one reduction.  Dense rows hold ints or Fractions.
 """
 
 from __future__ import annotations
@@ -115,19 +120,28 @@ def _eliminate(row: SparseRow, pivot: SparseRow, c: int) -> tuple[SparseRow, int
     return out, m
 
 
-def _insert(echelon: dict[int, SparseRow], row) -> tuple[int, int]:
-    """Reduce a row into the echelon, stored primitive at its largest
-    column; returns its pivot entry (0 if it vanished) and its
-    denominator lcm times every multiplier ``m``."""
-    row, den = _integer_row(row)
+def _reduce(echelon: dict[int, SparseRow], row: SparseRow) -> tuple[int, int]:
+    """Reduce an integer row into the echelon, stored primitive at its
+    largest column; returns its pivot entry (0 if it vanished) and the
+    product of every multiplier ``m``."""
+    scale = 1
     while row and (c := max(row)) in echelon:
         row, m = _eliminate(row, echelon[c], c)
-        den *= m
+        scale *= m
     if not row:
-        return 0, den
+        return 0, scale
     g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
     echelon[c] = row if g == 1 else {j: x // g for j, x in row.items()}
-    return row[c], den
+    return row[c], scale
+
+
+def _insert(echelon: dict[int, SparseRow], row) -> tuple[int, int]:
+    """Clear a row of ints or Fractions with ``_integer_row``, then
+    ``_reduce`` it; the scale returned is its denominator lcm times every
+    multiplier."""
+    row, den = _integer_row(row)
+    pivot, scale = _reduce(echelon, row)
+    return pivot, den * scale
 
 
 class QuotientSpace:

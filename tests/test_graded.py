@@ -83,6 +83,10 @@ def test_product_in_quotient():
     basis = [monomials(3, 2)[i] for i in free.piece(4).basis_indices]
     assert basis[coords.index(1)] == (1, 1, 0)
     assert sum(1 for c in coords if c) == 1
+    # x1^2 in two variables is no polynomial of this ring; packed, its
+    # exponents (2, 0) would read as those of x2^2
+    with pytest.raises(ValueError, match="wrong number of variables"):
+        ring.poly_coords(HomPoly(2, 2, {(2, 0): 1}))
 
 
 def test_t3_product_identity():
@@ -152,6 +156,20 @@ def test_rank_seven_ring_builds_in_under_a_second():
     assert ring.is_complete_intersection()
     assert time.process_time() - start < 1.0
     assert dims == [comb(7, w) for w in range(8)]
+
+
+def test_pieces_reduce_their_integer_rows_without_clearing(monkeypatch):
+    # the relations are cleared once, as the ring is made; no row of a
+    # graded piece is cleared again
+    A = [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [-1, 3, 1, 0, 0], [0, -2, 1, 1, 0], [3, 0, -1, 2, 1]]
+    ring = quotient_ring(A)
+
+    def no_clearing(row):
+        raise AssertionError("a graded piece row was cleared again")
+
+    monkeypatch.setattr(linalg, "_integer_row", no_clearing)
+    assert [ring.graded_dim(d) for d in range(0, 11, 2)] == [comb(5, w) for w in range(6)]
+    assert ring.is_complete_intersection()
 
 
 def test_pieces_above_a_zero_piece_are_zero():

@@ -12,7 +12,9 @@
 * The dense quotient ``QuotientSpace`` replaced (``DenseQuotientSpace``:
   one dense ``rref`` of the span with its columns reversed): basis
   indices, dimension and coordinates must be identical, on seeded spans
-  and on every graded piece and pair product of seeded rank 3-6 rings.
+  and on every graded piece and pair product of seeded rank 3-6 rings,
+  integral and after a non-integral change of variables, and of
+  ``t3_rational_ring``.
 * An independent rank oracle (sympy): the lex-first basis takes e_i
   whenever it is independent of the span and of the e_j already taken;
   the coordinates of v must leave v - sum_j coords_j * e_{basis_j}
@@ -27,7 +29,7 @@ from math import gcd
 import pytest
 
 from biquo import linalg
-from biquo.biquotient import is_free, quotient_ring, t1_action_matrix
+from biquo.biquotient import is_free, quotient_ring, t1_action_matrix, t3_rational_ring
 from biquo.graded import square_map_kernel
 from biquo.invariants import rank_one_elements, t1_invariant_pipeline, t3_kernel_system
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
@@ -425,13 +427,48 @@ def _seeded_free_matrix(rng, k, density):
     ]
 
 
-@pytest.mark.parametrize(
-    "k, density, seed",
-    [(3, 1.0, 1), (3, 0.6, 2), (4, 1.0, 3), (4, 0.5, 4), (5, 1.0, 5), (5, 0.3, 6), (6, 0.1, 1)],
-)
-def test_matches_dense_reference_on_ring_pieces(k, density, seed):
+def _seeded_rational_change(rng, k, density):
+    """An invertible k x k matrix with non-integral Fraction entries, each
+    off-diagonal entry nonzero with probability ``density``."""
+    def entry(i, j):
+        if i != j and rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 4)))
+
+    while True:
+        P = [[entry(i, j) for j in range(k)] for i in range(k)]
+        if any(x.denominator > 1 for row in P for x in row) and det(P) != 0:
+            return P
+
+
+def _ring_case(k, density, seed, kind):
     rng = random.Random(seed)
+    if kind == "t3":
+        return t3_rational_ring(), rng
     ring = quotient_ring(_seeded_free_matrix(rng, k, density))
+    if kind == "rational":
+        ring = ring.change_of_variables(_seeded_rational_change(rng, k, density))
+        assert any(type(c) is Fraction for rel in ring.relations for c in rel.coeffs.values())
+    return ring, rng
+
+
+_INTEGER_RING_CASES = [
+    (3, 1.0, 1), (3, 0.6, 2), (4, 1.0, 3), (4, 0.5, 4), (5, 1.0, 5), (5, 0.3, 6), (6, 0.1, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "k, density, seed, kind",
+    [pytest.param(*case, "integer", id="-".join(map(str, case))) for case in _INTEGER_RING_CASES]
+    + [
+        pytest.param(3, 1.0, 7, "rational", id="3-1.0-7-rational"),
+        pytest.param(4, 0.5, 8, "rational", id="4-0.5-8-rational"),
+        pytest.param(5, 0.2, 9, "rational", id="5-0.2-9-rational"),
+        pytest.param(4, None, 10, "t3", id="t3_rational_ring"),
+    ],
+)
+def test_matches_dense_reference_on_ring_pieces(k, density, seed, kind):
+    ring, rng = _ring_case(k, density, seed, kind)
     for degree in range(0, 2 * k + 1, 2):
         dense, index = _dense_piece(ring, degree)
         piece = ring.piece(degree)
