@@ -121,6 +121,9 @@ def _unit_principal_minors(rows: list[list[int]]) -> bool:
     if a not in (1, -1):
         return False
     rest = [row[1:] for row in rows[1:]]
+    if not any(rows[0][1:]) or not any(row[0] for row in rows[1:]):
+        # a zero first row or column: the Schur complement is the rest
+        return _unit_principal_minors(rest)
     schur = [
         [x - row[0] * a * y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]
     ]
@@ -138,10 +141,15 @@ def quotient_ring(A, max_degree: int | None = None) -> GradedQuotient:
         raise ValueError("action is not free; quotient ring undefined")
     k = A.size
     rels = []
-    for i in range(k):
-        xi = HomPoly.variable(k, i)
-        row = HomPoly.linear(A.entries[i])
-        rels.append(xi * row)
+    for i, row in enumerate(A.entries):
+        terms = {}
+        for j, a in enumerate(row):
+            if a:
+                e = [0] * k
+                e[i] += 1
+                e[j] += 1
+                terms[tuple(e)] = a
+        rels.append(HomPoly._trusted(k, 2, terms))
     return GradedQuotient(k, rels, max_degree)
 
 

@@ -32,9 +32,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 # Largest torus rank that `ring` and `free` accept: the ring of a seeded
-# free action (unit lower triangular, entries in [-3, 3]) takes 0.2-0.3 s
-# at rank 8 and 1.4-3.2 s at rank 9 (in process, on a shared 2-vCPU host);
-# `free` checks all 2^k principal minors.
+# free action (unit lower triangular, entries in [-3, 3]) takes 0.02-0.03 s
+# at rank 8 and 0.07-0.08 s at rank 9 (in process, on a shared 2-vCPU
+# host); `free` checks the principal minors by Schur complements, up to
+# 2^k of them.
 MAX_RANK = 8
 
 # invariant subcommand: the family's function in `invariants` and its

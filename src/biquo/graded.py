@@ -3,18 +3,26 @@
 Generators sit in cohomological degree 2 and every relation in degree 4,
 so each graded piece is a finite monomial span modulo the span of
 relation multiples; everything reduces to exact row reduction.  No
-Groebner machinery: all computations here live in degree <= 2n+2.
+Groebner basis is computed: all computations here live in degree <= 2n+2.
+One rule borrowed from Groebner theory skips rows without changing the
+span: a relation multiple m * r_i is never built when m leads a row of
+the piece four degrees lower spanned by r_0..r_(i-1) (the F5 criterion:
+Faugere, "A new efficient algorithm for computing Groebner bases without
+reduction to zero", ISSAC 2002).  On a complete intersection the rows it
+skips are the Koszul syzygies r_j * r_i = r_i * r_j, and no row that is
+built reduces to zero.
 
 Quotient bases are the lexicographically first independent monomial
 subsets, which pins deterministic coordinates for serialization; each
 graded piece is a ``linalg.QuotientSpace``, the one place that basis is
-built.  Each relation is cleared to integers once, by the lcm of its
-denominators.  In weight w a monomial packs to one integer key, its
-exponents read as digits in base w + 1 (packed exponent vectors: Monagan
-and Pearce, CASC 2007), so a relation multiple's column is one key
-addition and one lookup, and its integer row goes straight into the
-echelon (``linalg._reduce``).  Degree-4 algorithms read the cup product
-as plain data, a ring's ``product_table()``.  Rings are immutable; graded pieces and the table
+built.  Each relation is cleared to primitive integer terms once.  A
+monomial packs to one integer key, its exponents read as digits in one
+base per ring, above every exponent up to max_degree (packed exponent
+vectors: Monagan and Pearce, CASC 2007), so a relation multiple's column
+is one key addition and one lookup, and its integer row is stored at its
+lead column or reduced into the echelon (``linalg._reduce``).  Degree-4
+algorithms read the cup product as plain data, a ring's
+``product_table()``.  Rings are immutable; graded pieces and the table
 are cached (idempotent writes, so concurrent readers are safe).
 """
 
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -72,14 +81,15 @@ class GradedQuotient:
         self.generators = generators
         self.relations = tuple(relations)
         self.max_degree = 2 * generators if max_degree is None else max_degree
-        # each relation times the lcm of its denominators, as (exponents, int)
-        # terms: a monic multiple has the same coefficients, so every
-        # relation multiple's row is already cleared
-        self._cleared = tuple(
-            linalg._integer_row(r.coeffs)[0].items() for r in self.relations
-        )
+        # one packing base for every weight: above every exponent of every
+        # piece (and of the relations), so keys add across weights
+        base = max(self.max_degree // 2, 2) + 1
+        self._places = [base ** (generators - 1 - i) for i in range(generators)]
+        self._packed = tuple(map(self._pack, self.relations))
         self._pieces: dict[int, linalg.QuotientSpace] = {}
-        self._indexes: dict[int, tuple[list[int], dict[int, int]]] = {}
+        # owner[col] = i: the pivot at col was stored inserting relation i's multiples
+        self._owners: dict[int, dict[int, int]] = {}
+        self._indexes: dict[int, dict[int, int]] = {}
         self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None
         # lowest degree of a built zero piece; max_degree while none is known
         self._zero_degree = self.max_degree
@@ -96,47 +106,76 @@ class GradedQuotient:
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
             )
 
-    def _columns(self, weight: int) -> tuple[list[int], dict[int, int]]:
-        """(places, index) for the monomials of weight w: exponents e pack
-        to the key sum(e_i * places[i]), read as digits in base w + 1, and
-        ``index`` maps each key to its monomial's column.  No exponent
-        exceeds w, so no digit carries: the key of a product is the sum of
+    def _key(self, exponents: Sequence[int]) -> int:
+        return sum(map(mul, exponents, self._places))
+
+    def _pack(self, relation: HomPoly) -> tuple[int, list[tuple[int, int]]]:
+        """(lead, terms): the relation as primitive integer (key, c) terms,
+        cleared by the lcm of its denominators and divided by its content
+        times the sign of the lead coefficient.  The lead key is the
+        lex-smallest monomial's; key order is multiplicative, so the lead
+        lands in the largest column of every multiple."""
+        row = linalg._integer_row(relation.coeffs)[0]
+        terms = [(self._key(e), c) for e, c in row.items()]
+        lead, c = min(terms)
+        g = gcd(*row.values()) * (1 if c > 0 else -1)
+        return lead, [(key, x // g) for key, x in terms]
+
+    def _columns(self, weight: int) -> dict[int, int]:
+        """{key: column} for the monomials of weight w, in column order.
+        A monomial's exponents pack to one key, read as digits in the
+        ring's one base, max(max_degree // 2, 2) + 1.  No exponent reaches
+        the base, so no digit carries: the key of a product is the sum of
         the keys, and descending keys are the columns' descending lex
         order (``monomials``)."""
-        cached = self._indexes.get(weight)
-        if cached is None:
-            n, base = self.generators, weight + 1
-            places = [base ** (n - 1 - i) for i in range(n)]
-            keys = sorted(map(sum, combinations_with_replacement(places, weight)))
-            cached = places, {key: i for i, key in enumerate(reversed(keys))}
-            self._indexes[weight] = cached
-        return cached
+        index = self._indexes.get(weight)
+        if index is None:
+            keys = map(sum, combinations_with_replacement(self._places, weight))
+            index = {key: i for i, key in enumerate(sorted(keys, reverse=True))}
+            self._indexes[weight] = index
+        return index
 
     def piece(self, degree: int) -> linalg.QuotientSpace:
         """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
 
-        Each relation multiple is the cleared relation shifted by a monic
-        multiplier's key: an integer row, reduced straight into the
-        echelon.  A piece above a zero piece is built by elimination too,
-        and comes out zero; ``graded_dim`` answers its dimension without
-        building it.
+        The rows are the multiples m * r_i, relation by relation, each
+        relation's multipliers m in column order; a row is the packed
+        relation shifted by m's key.  A row whose lead column is not yet a
+        pivot is stored as it is, the row ``linalg._reduce`` would store;
+        any other row is reduced into the echelon.  A row is never built
+        if m is a pivot of ``piece(degree - 4)`` stored by a relation
+        r_j, j < i (Faugere's F5 criterion): that pivot's row g lies in
+        the span of r_0..r_(i-1) and its other monomials come earlier in
+        the multiplier loop, so m * r_i lies in the span of the rows
+        already inserted, and reducing it would leave the echelon as it
+        is.  A piece above a zero piece is built the same way, and comes
+        out zero; ``graded_dim`` answers its dimension without building it.
         """
         self._check_degree(degree)
         cached = self._pieces.get(degree)
         if cached is not None:
             return cached
-        weight = degree // 2
-        places, index = self._columns(weight)
+        index = self._columns(degree // 2)
         echelon: dict[int, linalg.SparseRow] = {}
-        if weight >= 2:
-            shifts = sorted(
-                map(sum, combinations_with_replacement(places, weight - 2)), reverse=True
-            )
-            for rel in self._cleared:
-                terms = [(sum(map(mul, e, places)), c) for e, c in rel]
-                for shift in shifts:
-                    linalg._reduce(echelon, {index[key + shift]: c for key, c in terms})
+        owner: dict[int, int] = {}
+        if degree >= 4:
+            self.piece(degree - 4)
+            below = self._owners[degree - 4]
+            multipliers = self._columns(degree // 2 - 2).items()
+            for i, (lead, terms) in enumerate(self._packed):
+                for shift, m in multipliers:
+                    if below.get(m, i) < i:
+                        continue  # F5: m * r_i lies in the span already
+                    row = {index[key + shift]: c for key, c in terms}
+                    col = index[lead + shift]
+                    if col not in echelon:
+                        echelon[col] = row
+                        owner[col] = i
+                    elif linalg._reduce(echelon, row)[0]:
+                        # a new pivot: the echelon's last key
+                        owner[next(reversed(echelon))] = i
         piece = linalg.QuotientSpace._trusted(len(index), echelon)
+        self._owners[degree] = owner
         self._pieces[degree] = piece
         if piece.dim == 0:
             self._zero_degree = min(self._zero_degree, degree)
@@ -155,9 +194,8 @@ class GradedQuotient:
         if poly.nvars != self.generators:
             raise ValueError("polynomial has the wrong number of variables")
         piece = self.piece(poly.degree)
-        places, index = self._columns(poly.weight)
-        terms = poly.coeffs.items()
-        return piece.coords({index[sum(map(mul, e, places))]: c for e, c in terms})
+        index = self._columns(poly.weight)
+        return piece.coords({index[self._key(e)]: c for e, c in poly.coeffs.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -196,8 +234,20 @@ class GradedQuotient:
         return self.graded_dim(4)
 
     def kernel_of_square_map(self) -> "QuadricSystem":
-        """The quadrics annihilated by the product map into degree 4."""
-        return square_map_kernel(self.product_table())
+        """The quadrics annihilated by the product map into degree 4: the
+        degree-4 span of the relations.  Its lex-first basis (the one
+        ``square_map_kernel`` reads off the product table) is
+        e_p - residue(e_p) for each pivot p of ``piece(4)``, ascending."""
+        piece = self.piece(4)
+        vectors = []
+        for p in sorted(piece._echelon):
+            residue, scale = piece._residue({p: 1})
+            vec = [Fraction(0)] * piece.ambient_dim
+            for j, x in residue.items():
+                vec[j] = Fraction(-x, scale)
+            vec[p] = Fraction(1)
+            vectors.append(vec)
+        return _quadric_system(self.generators, vectors)
 
     def mult_by_class(self, y: HomPoly) -> "MultiplicationMap":
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
@@ -303,20 +353,26 @@ def gram_to_poly(gram) -> HomPoly:
     return HomPoly(n, 2, terms)
 
 
-def square_map_kernel(table) -> QuadricSystem:
-    """Kernel of S^2(degree-2) -> degree-4, from a product table."""
-    nvars = len(table)
+def _quadric_system(nvars: int, vectors) -> QuadricSystem:
+    """The quadrics whose (Fraction) coefficients at the pairs i <= j, in
+    ``monomials(nvars, 2)`` order, are the vectors: x_i^2 is Gram entry
+    (i, i), x_i x_j is split over (i, j) and (j, i)."""
     pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
-    rows = list(zip(*(table[i][j] for i, j in pairs)))
-    # a kernel vector holds a quadric's (Fraction) coefficients at the
-    # pairs: x_i^2 is Gram entry (i, i), x_i x_j is split over (i, j), (j, i)
     grams = []
-    for vec in linalg.kernel_basis(rows, len(pairs)):
+    for vec in vectors:
         gram = [[None] * nvars for _ in range(nvars)]
         for (i, j), v in zip(pairs, vec):
             gram[i][j] = gram[j][i] = v if i == j else v / 2
         grams.append(tuple(map(tuple, gram)))
     return QuadricSystem(nvars, tuple(grams))
+
+
+def square_map_kernel(table) -> QuadricSystem:
+    """Kernel of S^2(degree-2) -> degree-4, from a product table."""
+    nvars = len(table)
+    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
+    rows = list(zip(*(table[i][j] for i, j in pairs)))
+    return _quadric_system(nvars, linalg.kernel_basis(rows, len(pairs)))
 
 
 @dataclass(frozen=True)

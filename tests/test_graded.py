@@ -172,6 +172,32 @@ def test_pieces_reduce_their_integer_rows_without_clearing(monkeypatch):
     assert ring.is_complete_intersection()
 
 
+def test_no_relation_multiple_of_a_complete_intersection_reduces_to_zero(monkeypatch):
+    # the rows of a complete intersection that vanish are the Koszul
+    # syzygies; the F5 criterion skips each before it is built, and a row
+    # at a free lead column is stored without reduction.  Permuted
+    # triangular matrices (free, entries above the diagonal) still reduce.
+    results = []
+    reduce = linalg._reduce
+
+    def recorded(echelon, row):
+        out = reduce(echelon, row)
+        results.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    rng = random.Random(19)
+    for k in (4, 5, 6):
+        for trial in range(4):
+            A = [[rng.choice((1, -1)) if i == j else rng.randint(-3, 3) if j < i else 0
+                  for j in range(k)] for i in range(k)]
+            if trial % 2:
+                order = rng.sample(range(k), k)
+                A = [[A[i][j] for j in order] for i in order]
+            assert quotient_ring(A).is_complete_intersection()
+    assert results and all(results)
+
+
 def test_pieces_above_a_zero_piece_are_zero():
     x = [V(3, i) for i in range(3)]
     squares = [x[i] * x[j] for i in range(3) for j in range(i, 3)]

@@ -14,7 +14,14 @@
   indices, dimension and coordinates must be identical, on seeded spans
   and on every graded piece and pair product of seeded rank 3-6 rings,
   integral and after a non-integral change of variables, and of
-  ``t3_rational_ring``.
+  ``t3_rational_ring``; there ``kernel_of_square_map`` must equal
+  ``square_map_kernel`` of the product table.
+* The loop that sent every relation multiple through ``linalg._reduce``,
+  kept as a reference: every graded piece's stored echelon (rows, pivots
+  and their order) must be identical, on the rings above, on dependent
+  relations and on permuted (non-triangular) free actions, whether the
+  piece is built in ascending order or cold.
+* ``_unit_principal_minors`` against every principal minor by ``det``.
 * An independent rank oracle (sympy): the lex-first basis takes e_i
   whenever it is independent of the span and of the e_j already taken;
   the coordinates of v must leave v - sum_j coords_j * e_{basis_j}
@@ -25,12 +32,19 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import add
 
 import pytest
 
 from biquo import linalg
-from biquo.biquotient import is_free, quotient_ring, t1_action_matrix, t3_rational_ring
-from biquo.graded import square_map_kernel
+from biquo.biquotient import (
+    _unit_principal_minors,
+    is_free,
+    quotient_ring,
+    t1_action_matrix,
+    t3_rational_ring,
+)
+from biquo.graded import GradedQuotient, square_map_kernel
 from biquo.invariants import rank_one_elements, t1_invariant_pipeline, t3_kernel_system
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
 from biquo.oracles import stabilizer_oracle
@@ -333,6 +347,33 @@ def test_is_free_matches_minors_and_oracle_to_rank_8():
     assert seen_free > 40 and seen_not_free > 40
 
 
+def test_unit_principal_minors_match_every_minor():
+    # triangular inputs take the one-recursion path (a zero first row or
+    # column); permuted, perturbed and dense ones take the Schur complement
+    rng = random.Random(43)
+    seen_free = seen_not_free = 0
+    for k in range(1, 7):
+        for trial in range(40):
+            m = _seeded_free_matrix(rng, k, 0.6)
+            if trial % 5 == 1:
+                m = [list(col) for col in zip(*m)]
+            elif trial % 5 == 2:
+                m = _permuted_free_matrix(rng, k, 0.6)
+            elif trial % 5 == 3:
+                m[rng.randrange(k)][rng.randrange(k)] += rng.choice((1, -1, 2))
+            elif trial % 5 == 4:
+                m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            free = all(
+                det([[m[i][j] for j in S] for i in S]) in (1, -1)
+                for r in range(1, k + 1)
+                for S in combinations(range(k), r)
+            )
+            assert _unit_principal_minors(m) == free
+            seen_free += free
+            seen_not_free += not free
+    assert seen_free > 60 and seen_not_free > 60
+
+
 def _random_vector(rng, ncols, nonzero):
     v = [Fraction(0)] * ncols
     for _ in range(nonzero):
@@ -441,10 +482,28 @@ def _seeded_rational_change(rng, k, density):
             return P
 
 
+def _permuted_free_matrix(rng, k, density):
+    """A free matrix with entries above the diagonal: a seeded unit
+    lower-triangular one with its rows and columns permuted alike, which
+    permutes its principal minors."""
+    lower = _seeded_free_matrix(rng, k, density)
+    order = rng.sample(range(k), k)
+    return [[lower[i][j] for j in order] for i in order]
+
+
 def _ring_case(k, density, seed, kind):
     rng = random.Random(seed)
     if kind == "t3":
         return t3_rational_ring(), rng
+    if kind == "dependent":
+        x = [HomPoly.variable(3, i) for i in range(3)]
+        return GradedQuotient(3, [x[0] * x[0], x[0] * x[1], x[0] * x[2]]), rng
+    if kind == "squares":
+        x = [HomPoly.variable(3, i) for i in range(3)]
+        squares = [x[i] * x[j] for i in range(3) for j in range(i, 3)]
+        return GradedQuotient(3, squares, max_degree=12), rng
+    if kind == "permuted":
+        return quotient_ring(_permuted_free_matrix(rng, k, density)), rng
     ring = quotient_ring(_seeded_free_matrix(rng, k, density))
     if kind == "rational":
         ring = ring.change_of_variables(_seeded_rational_change(rng, k, density))
@@ -457,16 +516,17 @@ _INTEGER_RING_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "k, density, seed, kind",
-    [pytest.param(*case, "integer", id="-".join(map(str, case))) for case in _INTEGER_RING_CASES]
-    + [
-        pytest.param(3, 1.0, 7, "rational", id="3-1.0-7-rational"),
-        pytest.param(4, 0.5, 8, "rational", id="4-0.5-8-rational"),
-        pytest.param(5, 0.2, 9, "rational", id="5-0.2-9-rational"),
-        pytest.param(4, None, 10, "t3", id="t3_rational_ring"),
-    ],
-)
+_DENSE_RING_CASES = [
+    pytest.param(*case, "integer", id="-".join(map(str, case))) for case in _INTEGER_RING_CASES
+] + [
+    pytest.param(3, 1.0, 7, "rational", id="3-1.0-7-rational"),
+    pytest.param(4, 0.5, 8, "rational", id="4-0.5-8-rational"),
+    pytest.param(5, 0.2, 9, "rational", id="5-0.2-9-rational"),
+    pytest.param(4, None, 10, "t3", id="t3_rational_ring"),
+]
+
+
+@pytest.mark.parametrize("k, density, seed, kind", _DENSE_RING_CASES)
 def test_matches_dense_reference_on_ring_pieces(k, density, seed, kind):
     ring, rng = _ring_case(k, density, seed, kind)
     for degree in range(0, 2 * k + 1, 2):
@@ -487,6 +547,45 @@ def test_matches_dense_reference_on_ring_pieces(k, density, seed, kind):
                         vec[index[e]] = c
                     assert list(table[i][j]) == dense.coords(vec)
                     assert table[i][j] == table[j][i]
+            assert ring.kernel_of_square_map() == square_map_kernel(table)
+
+
+def _reference_echelon(ring, degree):
+    """The piece's echelon as it was built before rows were skipped or
+    stored directly: every relation multiple, relation by relation and
+    multiplier by multiplier in column order, cleared by the lcm of its
+    denominators and reduced by ``linalg._reduce``."""
+    n, weight = ring.generators, degree // 2
+    index = {m: i for i, m in enumerate(monomials(n, weight))}
+    echelon = {}
+    if weight >= 2:
+        for rel in ring.relations:
+            cleared = linalg._integer_row(rel.coeffs)[0]
+            for mono in monomials(n, weight - 2):
+                shifted = {tuple(map(add, e, mono)): c for e, c in cleared.items()}
+                linalg._reduce(echelon, {index[e]: c for e, c in shifted.items()})
+    return echelon
+
+
+@pytest.mark.parametrize(
+    "k, density, seed, kind",
+    _DENSE_RING_CASES
+    + [
+        pytest.param(3, None, 11, "dependent", id="x1^2,x1x2,x1x3"),
+        pytest.param(3, None, 12, "squares", id="six_squares"),
+        pytest.param(6, 0.6, 13, "permuted", id="6-0.6-13-permuted"),
+        pytest.param(7, 0.4, 14, "permuted", id="7-0.4-14-permuted"),
+    ],
+)
+def test_pieces_store_the_reference_echelon(k, density, seed, kind):
+    # the stored rows, their pivots and their order, not only the basis;
+    # a piece built cold (no lower piece built) is the same piece
+    ring = _ring_case(k, density, seed, kind)[0]
+    for degree in range(0, ring.max_degree + 1, 2):
+        stored = list(ring.piece(degree)._echelon.items())
+        assert stored == list(_reference_echelon(ring, degree).items())
+        cold = _ring_case(k, density, seed, kind)[0].piece(degree)
+        assert list(cold._echelon.items()) == stored
 
 
 
