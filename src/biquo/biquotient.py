@@ -28,6 +28,7 @@ from .graded import (
     GradedQuotient,
     MultiplicationMap,
     QuadricSystem,
+    _pairs,
     multiplication_map,
     square_map_kernel,
 )
@@ -316,9 +317,8 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     # the base table's W rows and columns, reduced into the cokernel once
     m = len(w_indices)
     w_table = [[()] * m for _ in range(m)]
-    for a, i in enumerate(w_indices):
-        for b in range(a, m):
-            w_table[a][b] = w_table[b][a] = target.coords(table[i][w_indices[b]])
+    for a, b in _pairs(m):
+        w_table[a][b] = w_table[b][a] = target.coords(table[w_indices[a]][w_indices[b]])
     kernel = square_map_kernel(w_table)
     image_dim = m * (m + 1) // 2 - kernel.dim
     return CircleBundleData(

@@ -24,8 +24,9 @@ from fractions import Fraction
 
 from . import __version__
 
-# let argparse treat "-3/4" as a value, not an option
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# let argparse treat "-3/4", "-.5" and "-1,0;0,1" as values, not options:
+# no option name starts with a digit
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -105,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t3.add_argument("--a", type=_rational, required=True)
     p_t3.add_argument("--b", type=_rational, required=True)
     p_t3.add_argument("--c", type=_rational, required=True)
-    for rational_parser in (p_t1, p_t2, p_t3):
-        rational_parser._negative_number_matcher = _NEGATIVE_VALUE
 
     p_ring = sub.add_parser("ring", help="quotient ring of a free torus action")
     p_ring.add_argument("--matrix", required=True, help='rows like "1,0,0;2,1,1;4,2,1"')
@@ -114,6 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_free = sub.add_parser("free", help="freeness of a torus action")
     p_free.add_argument("--matrix", required=True)
+
+    for valued_parser in (p_scan, p_t1, p_t2, p_t3, p_ring, p_free):
+        valued_parser._negative_number_matcher = _NEGATIVE_VALUE
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(

@@ -22,14 +22,17 @@ vectors: Monagan and Pearce, CASC 2007), so a relation multiple's column
 is one key addition and one lookup, and its integer row is stored at its
 lead column or reduced into the echelon (``linalg._reduce``).  Degree-4
 algorithms read the cup product as plain data, a ring's
-``product_table()``.  Rings are immutable; graded pieces and the table
-are cached (idempotent writes, so concurrent readers are safe).
+``product_table()``; a quadric's coordinates are its coefficients at the
+pairs i <= j (``_pairs``), and ``_grams`` turns them into Gram matrices.
+Rings are immutable; graded pieces and the table are cached (idempotent
+writes, so concurrent readers are safe).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd
 from operator import mul
@@ -218,8 +221,7 @@ class GradedQuotient:
         if self._table is None:
             piece, n = self.piece(4), self.generators
             table = [[()] * n for _ in range(n)]
-            for col, e in enumerate(monomials(n, 2)):
-                i, j = (k for k, m in enumerate(e) for _ in range(m))
+            for col, (i, j) in enumerate(_pairs(n)):
                 table[i][j] = table[j][i] = tuple(piece.coords({col: 1}))
             self._table = tuple(map(tuple, table))
         return self._table
@@ -236,18 +238,17 @@ class GradedQuotient:
     def kernel_of_square_map(self) -> "QuadricSystem":
         """The quadrics annihilated by the product map into degree 4: the
         degree-4 span of the relations.  Its lex-first basis (the one
-        ``square_map_kernel`` reads off the product table) is
-        e_p - residue(e_p) for each pivot p of ``piece(4)``, ascending."""
+        ``square_map_kernel`` reads off the product table) is the reduced
+        basis of ``piece(4)``'s span (``QuotientSpace._reduced``), as Grams."""
         piece = self.piece(4)
         vectors = []
-        for p in sorted(piece._echelon):
-            residue, scale = piece._residue({p: 1})
+        for p, (residue, scale) in piece._reduced().items():
             vec = [Fraction(0)] * piece.ambient_dim
             for j, x in residue.items():
                 vec[j] = Fraction(-x, scale)
             vec[p] = Fraction(1)
             vectors.append(vec)
-        return _quadric_system(self.generators, vectors)
+        return QuadricSystem(self.generators, _grams(self.generators, vectors))
 
     def mult_by_class(self, y: HomPoly) -> "MultiplicationMap":
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
@@ -292,7 +293,7 @@ class QuadricSystem:
         for g in self.basis:
             if len(g) != k or any(len(row) != k for row in g):
                 raise ValueError("Gram matrix has the wrong shape")
-            if any(g[i][j] != g[j][i] for i in range(k) for j in range(i + 1, k)):
+            if list(map(tuple, g)) != list(zip(*g)):
                 raise ValueError("Gram matrix is not symmetric")
         n = k * (k + 1) // 2
         span = linalg.QuotientSpace(n, map(self._flatten, self.basis))
@@ -302,8 +303,7 @@ class QuadricSystem:
 
     @staticmethod
     def _flatten(gram) -> list[Fraction]:
-        k = len(gram)
-        return [gram[i][j] for i in range(k) for j in range(i, k)]
+        return [gram[i][j] for i, j in _pairs(len(gram))]
 
     @property
     def dim(self) -> int:
@@ -323,56 +323,50 @@ class QuadricSystem:
         return cls(n, tuple(poly_to_gram(p) for p in polys))
 
 
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i <= j, in ``monomials(n, 2)`` order: the
+    coordinates of a quadric, and the upper triangle of its Gram matrix."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
+
+
+def _grams(n: int, vectors) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The Gram matrices of the quadrics whose coefficients at ``_pairs(n)``
+    are the vectors: x_i^2 is entry (i, i), and x_i x_j is split over
+    (i, j) and (j, i), halved as a Fraction, never with int / int."""
+    pairs = _pairs(n)
+    grams = []
+    for vec in vectors:
+        gram = [[None] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, vec):
+            if i != j or type(c) is not Fraction:
+                c = Fraction(c, 1 if i == j else 2)
+            gram[i][j] = gram[j][i] = c
+        grams.append(tuple(map(tuple, gram)))
+    return tuple(grams)
+
+
 def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
     if p.weight != 2:
         raise ValueError("not a quadric")
     n = p.nvars
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for e, c in p.coeffs.items():
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        i, j = idx
-        # c may be an int: halve it as a Fraction, never with int / int
-        if i == j:
-            g[i][i] = Fraction(c)
-        else:
-            g[i][j] = g[j][i] = Fraction(c, 2)
-    return tuple(tuple(row) for row in g)
+    return _grams(n, [[p.coeffs.get(e, 0) for e in monomials(n, 2)]])[0]
 
 
 def gram_to_poly(gram) -> HomPoly:
     n = len(gram)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = gram[i][j] if i == j else 2 * gram[i][j]
-            if c:
-                terms[tuple(e)] = c
-    return HomPoly(n, 2, terms)
-
-
-def _quadric_system(nvars: int, vectors) -> QuadricSystem:
-    """The quadrics whose (Fraction) coefficients at the pairs i <= j, in
-    ``monomials(nvars, 2)`` order, are the vectors: x_i^2 is Gram entry
-    (i, i), x_i x_j is split over (i, j) and (j, i)."""
-    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
-    grams = []
-    for vec in vectors:
-        gram = [[None] * nvars for _ in range(nvars)]
-        for (i, j), v in zip(pairs, vec):
-            gram[i][j] = gram[j][i] = v if i == j else v / 2
-        grams.append(tuple(map(tuple, gram)))
-    return QuadricSystem(nvars, tuple(grams))
+    return HomPoly(n, 2, {
+        e: gram[i][j] if i == j else 2 * gram[i][j]
+        for e, (i, j) in zip(monomials(n, 2), _pairs(n))
+    })
 
 
 def square_map_kernel(table) -> QuadricSystem:
-    """Kernel of S^2(degree-2) -> degree-4, from a product table."""
-    nvars = len(table)
-    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
+    """Kernel of S^2(degree-2) -> degree-4, from a product table, as Grams."""
+    n = len(table)
+    pairs = _pairs(n)
     rows = list(zip(*(table[i][j] for i, j in pairs)))
-    return _quadric_system(nvars, linalg.kernel_basis(rows, len(pairs)))
+    return QuadricSystem(n, _grams(n, linalg.kernel_basis(rows, len(pairs))))
 
 
 @dataclass(frozen=True)

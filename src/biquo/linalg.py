@@ -26,15 +26,14 @@ SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 def _pivot_residues(rows, ncols: int) -> dict[int, tuple[SparseRow, int]]:
     """{p: (r, s)} for each RREF pivot p, ascending, r an integer row: the
-    column-reversed rows' echelon has the RREF pivots, and e_p - r/s (e_p
-    minus its residue) is the RREF row of p, 1 at p and 0 at other pivots."""
+    reduced basis (``QuotientSpace._reduced``) of the column-reversed rows'
+    span, read back in the original columns, is the RREF."""
     last = ncols - 1
     space = QuotientSpace(ncols, [row[::-1] for row in rows])
-    out = {}
-    for c in space._order:
-        residue, scale = space._residue({c: 1})
-        out[last - c] = ({last - j: x for j, x in residue.items()}, scale)
-    return out
+    return {
+        last - c: ({last - j: x for j, x in residue.items()}, scale)
+        for c, (residue, scale) in reversed(space._reduced().items())
+    }
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -193,6 +192,11 @@ class QuotientSpace:
                 row, m = _eliminate(row, self._echelon[c], c)
                 scale *= m
         return row, scale
+
+    def _reduced(self) -> dict[int, tuple[SparseRow, int]]:
+        """{p: (r, s)} for each pivot p, ascending, r/s the residue of e_p: the
+        reduced basis, e_p - r/s in the span, 1 at p and 0 at other pivots."""
+        return {p: self._residue({p: 1}) for p in reversed(self._order)}
 
     def coords(self, vec) -> list[Fraction]:
         residue, scale = self._residue(vec)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .graded import QuadricSystem
+from .graded import QuadricSystem, _pairs
 from .poly import HomPoly, _clean, _mul_terms, _ratio
 from .univar import (
     UPoly,
@@ -56,9 +56,7 @@ _RESULTANT_SCALE = 8
 # Each second partial d^2/dx_i dx_j with i <= j, and the drop it makes in
 # a monomial's exponents.
 _SECOND_PARTIALS = tuple(
-    ((i, j), tuple((k == i) + (k == j) for k in range(3)))
-    for i in range(3)
-    for j in range(i, 3)
+    ((i, j), tuple((k == i) + (k == j) for k in range(3))) for i, j in _pairs(3)
 )
 
 
@@ -237,11 +235,10 @@ def det_cubic(net: QuadricSystem) -> TernaryCubic:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
     # entry (i, j) is the linear form sum_k G_k[i][j] x_k, symmetric in (i, j)
     entries = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            entries[i][j] = entries[j][i] = HomPoly._trusted(
-                3, 1, _clean({u: g[i][j] for u, g in zip(_UNITS, net.basis)})
-            )
+    for i, j in _pairs(3):
+        entries[i][j] = entries[j][i] = HomPoly._trusted(
+            3, 1, _clean({u: g[i][j] for u, g in zip(_UNITS, net.basis)})
+        )
     return _cubic_det(entries)
 
 
@@ -329,18 +326,11 @@ class SingularLocus:
 
 
 def _normalize_point(coords: Sequence[Fraction]) -> tuple[int, int, int]:
-    den = 1
-    for c in coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coords]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)  # type: ignore[return-value]
+    """A nonzero rational point as a primitive integer one, first nonzero entry > 0."""
+    den = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return tuple(v // g for v in ints)  # type: ignore[return-value]
 
 
 def _is_singular_at(partials: list[HomPoly], point) -> bool:

@@ -1,12 +1,14 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from biquo import linalg
-from biquo.graded import GradedQuotient, QuadricSystem, poly_to_gram
+from biquo.graded import GradedQuotient, QuadricSystem, gram_to_poly, poly_to_gram
 from biquo.biquotient import quotient_ring, t1_action_matrix
 from biquo.poly import HomPoly, monomials
 
@@ -282,3 +284,84 @@ def test_poly_to_gram_halves_int_coefficients_as_fractions():
     gram = poly_to_gram(x1 * x2 + (x2 * x2).scale(3))
     assert gram == ((0, Fraction(1, 2)), (Fraction(1, 2), 3))
     assert all(type(c) is Fraction for row in gram for c in row)
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def test_gram_round_trip_for_int_and_fraction_coefficients():
+    rng = random.Random(20)
+    for n in range(1, 6):
+        monos = monomials(n, 2)
+        for _ in range(30):
+            p = HomPoly(n, 2, {e: _random_coefficient(rng) for e in monos})
+            gram = poly_to_gram(p)
+            assert all(type(c) is Fraction for row in gram for c in row)
+            assert gram_to_poly(gram) == p
+        # a triangular list: quadric k has a unit at monomial k, zeros before
+        ps = [
+            HomPoly(n, 2, {e: 1 if i == k else _random_coefficient(rng)
+                           for i, e in enumerate(monos) if i >= k})
+            for k in range(0, len(monos), 2)
+        ]
+        assert QuadricSystem.from_polys(ps).polys() == ps
+
+
+def _upper_triangle_loops(tree):
+    """Lines of ``range(start, ...)`` loops whose start reads the target of
+    an enclosing ``range``/``enumerate`` loop, in statements and comprehensions."""
+    found = []
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def counted(it):
+        return (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id in ("range", "enumerate"))
+
+    def loop(it, target, bound):
+        if counted(it) and it.func.id == "range" and len(it.args) > 1:
+            if names(it.args[0]) & bound:
+                found.append(it.lineno)
+        visit(it, bound)
+        return bound | names(target) if counted(it) else bound
+
+    def visit(node, bound):
+        if isinstance(node, ast.FunctionDef) and node.name == "_pairs":
+            return
+        if isinstance(node, ast.For):
+            inner = loop(node.iter, node.target, bound)
+            for child in node.body + node.orelse:
+                visit(child, inner)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in node.generators:
+                bound = loop(gen.iter, gen.target, bound)
+                for cond in gen.ifs:
+                    visit(cond, bound)
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, ast.comprehension):
+                    visit(child, bound)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, bound)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_only_pairs_spells_the_upper_triangle():
+    # the pair order i <= j is graded._pairs; no other loop in src spells it
+    src = Path(__file__).resolve().parents[1] / "src" / "biquo"
+    assert _upper_triangle_loops(ast.parse(
+        "for i in range(3):\n    for j in range(i + 1, 3):\n        pass\n"
+        "x = [(a, b) for a, _ in enumerate(y) for b in range(a, 3)]\n"
+    )) == [2, 4]
+    found = {
+        path.name: lines
+        for path in sorted(src.rglob("*.py"))
+        if (lines := _upper_triangle_loops(ast.parse(path.read_text())))
+    }
+    assert found == {}

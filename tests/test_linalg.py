@@ -21,7 +21,13 @@
   and their order) must be identical, on the rings above, on dependent
   relations and on permuted (non-triangular) free actions, whether the
   piece is built in ascending order or cold.
-* ``_unit_principal_minors`` against every principal minor by ``det``.
+* ``_unit_principal_minors`` against every principal minor by ``det``;
+  the ``verify`` freeness check accepts a non-free matrix only when its
+  minors are beyond the oracle's torsion orders, never a wrong ``is_free``.
+* ``square_map_kernel`` of the Klein table and of circle-bundle W tables
+  against Gram matrices built from ``dense_kernel_basis``; each element of
+  ``QuotientSpace._reduced`` lies in the span, 1 at its pivot and 0 at the
+  other pivots.
 * An independent rank oracle (sympy): the lex-first basis takes e_i
   whenever it is independent of the span and of the e_j already taken;
   the coordinates of v must leave v - sum_j coords_j * e_{basis_j}
@@ -37,14 +43,22 @@ from operator import add
 import pytest
 
 from biquo import linalg
+from biquo import checks
 from biquo.biquotient import (
+    _KLEIN_PAIRS,
     _unit_principal_minors,
+    circle_bundle_degree4,
     is_free,
     quotient_ring,
     t1_action_matrix,
     t3_rational_ring,
 )
-from biquo.graded import GradedQuotient, square_map_kernel
+from biquo.graded import (
+    GradedQuotient,
+    QuadricSystem,
+    multiplication_map,
+    square_map_kernel,
+)
 from biquo.invariants import rank_one_elements, t1_invariant_pipeline, t3_kernel_system
 from biquo.linalg import QuotientSpace, det, kernel_basis, rref, solve
 from biquo.oracles import stabilizer_oracle
@@ -345,6 +359,82 @@ def test_is_free_matches_minors_and_oracle_to_rank_8():
             seen_free += free
             seen_not_free += not free
     assert seen_free > 40 and seen_not_free > 40
+
+
+def _flip_first_free(monkeypatch):
+    real, flipped = is_free, []
+
+    def wrong(m):
+        free = real(m)
+        if free and not flipped:
+            flipped.append(m)
+            return False
+        return free
+
+    monkeypatch.setattr(checks, "is_free", wrong)
+    return flipped
+
+
+def test_freeness_check_accepts_minors_beyond_the_oracle(monkeypatch):
+    # seed 155 draws [[1,1,3],[2,1,0],[0,-3,-1]] (det -17) and 827693100 a
+    # det -19 matrix: not free, but the oracle's orders 2..12 cannot see it
+    for seed in (155, 827693100):
+        assert all(r.ok for r in checks.verify("freeness", seed))
+    # a wrong is_free on a free matrix (every minor +-1) still fails; the
+    # default seed draws one free matrix among the 200
+    flipped = _flip_first_free(monkeypatch)
+    result = checks.verify("freeness")[0]
+    assert result.name == "criterion_vs_oracle_200" and not result.ok
+    assert flipped and f"matrix={flipped[0]} is_free=False oracle=True" == result.detail
+
+
+def _dense_grams(table):
+    """The square-map kernel as Gram matrices, by the dense reference:
+    coefficients at the pairs i <= j, off-diagonal ones halved."""
+    n = len(table)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = [list(r) for r in zip(*(table[i][j] for i, j in pairs))]
+    grams = []
+    for v in dense_kernel_basis(rows, len(pairs)):
+        gram = [[None] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, v):
+            gram[i][j] = gram[j][i] = c if i == j else c / 2
+        grams.append(tuple(map(tuple, gram)))
+    return QuadricSystem(n, tuple(grams))
+
+
+def test_square_map_kernel_matches_dense_grams():
+    assert square_map_kernel(_KLEIN_PAIRS) == _dense_grams(_KLEIN_PAIRS)
+    rng = random.Random(7)
+    base = t3_rational_ring(max_degree=8)
+    table = base.product_table()
+    ys = [[-1, -1, -1, 1]] + [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(4)] for _ in range(6)]
+    for y in ys:
+        if not any(y):
+            continue
+        data = circle_bundle_degree4(base, y)
+        target = multiplication_map(table, [Fraction(c) for c in y]).cokernel
+        w = data.w_indices
+        w_table = [[target.coords(table[i][j]) for j in w] for i in w]
+        assert data.kernel == square_map_kernel(w_table) == _dense_grams(w_table)
+
+
+def test_reduced_basis_is_one_at_its_pivot_and_zero_at_the_others():
+    rng = random.Random(12)
+    entries = (0, 0, 1, -1, 2, -3, 5, Fraction(1, 2))
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        rows = [[rng.choice(entries) for _ in range(ncols)]
+                for _ in range(rng.randint(0, ncols + 1))]
+        space = QuotientSpace(ncols, rows)
+        reduced = space._reduced()
+        assert list(reduced) == sorted(set(range(ncols)) - set(space.basis_indices))
+        for p, (residue, scale) in reduced.items():
+            element = [Fraction(-residue.get(j, 0), scale) for j in range(ncols)]
+            element[p] += 1
+            assert space.contains(element)
+            assert [element[q] for q in reduced] == [int(q == p) for q in reduced]
 
 
 def test_unit_principal_minors_match_every_minor():

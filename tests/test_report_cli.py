@@ -437,6 +437,15 @@ def test_cli_reads_signed_integers_as_arith_does():
     assert (free.returncode, free.stdout) == (0, "free\n")
 
 
+def test_cli_reads_a_matrix_that_starts_with_a_minus_sign():
+    spaced = run_cli("ring", "--matrix", "-1,0;0,1")
+    joined = run_cli("ring", "--matrix=-1,0;0,1")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout != ""
+    free = run_cli("free", "--matrix", "-2,0;0,1")
+    assert (free.returncode, free.stdout) == (0, "not free\n")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     proc = run_cli(code="import biquo.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
