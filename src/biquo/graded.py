@@ -16,14 +16,19 @@ Quotient bases are the lexicographically first independent monomial
 subsets, which pins deterministic coordinates for serialization; each
 graded piece is a ``linalg.QuotientSpace``, the one place that basis is
 built.  Each relation is cleared to primitive integer terms once.  A
-monomial packs to one integer key, its exponents read as digits in one
-base per ring, above every exponent up to max_degree (packed exponent
-vectors: Monagan and Pearce, CASC 2007), so a relation multiple's column
-is one key addition and one lookup, and its integer row is stored at its
-lead column or reduced into the echelon (``linalg._reduce``).  Degree-4
-algorithms read the cup product as plain data, a ring's
-``product_table()``; a quadric's coordinates are its coefficients at the
-pairs i <= j (``_pairs``), and ``_grams`` turns them into Gram matrices.
+monomial packs to one integer key, ``poly``'s encoding (``_places``) in
+one base per ring, above every exponent up to max_degree (packed
+exponent vectors: Monagan and Pearce, CASC 2007), so a relation
+multiple's column is one key addition and one lookup, and its integer
+row is stored at its lead column or reduced into the echelon
+(``linalg._reduce``).  Degree-4 algorithms read the cup product as plain
+data, a ring's ``product_table()``; a quadric's coordinates are its
+coefficients at the pairs i <= j (``_pairs``).  ``_grams`` is the one
+Gram builder, from integer rows and a denominator: ``poly_to_gram``
+clears a quadric's coefficients to one, and both square-map kernels
+read integer kernel rows and build their system through ``_net``, which
+reduces its span from the same integer rows, so no Gram is cleared back
+to integers a second time.
 Rings are immutable; graded pieces and the table are cached (idempotent
 writes, so concurrent readers are safe).
 """
@@ -35,12 +40,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import mul
 from typing import Sequence
 
 from . import linalg
 from .arith import CertificateError
-from .poly import HomPoly, monomials
+from .poly import HomPoly, _pack, _places, monomials
 
 
 def hilbert_coefficients(
@@ -87,7 +91,7 @@ class GradedQuotient:
         # one packing base for every weight: above every exponent of every
         # piece (and of the relations), so keys add across weights
         base = max(self.max_degree // 2, 2) + 1
-        self._places = [base ** (generators - 1 - i) for i in range(generators)]
+        self._places = _places(generators, base)
         self._packed = tuple(map(self._pack, self.relations))
         self._pieces: dict[int, linalg.QuotientSpace] = {}
         # owner[col] = i: the pivot at col was stored inserting relation i's multiples
@@ -109,17 +113,14 @@ class GradedQuotient:
                 f"degree {degree} out of bounds (even, 0..{self.max_degree})"
             )
 
-    def _key(self, exponents: Sequence[int]) -> int:
-        return sum(map(mul, exponents, self._places))
-
     def _pack(self, relation: HomPoly) -> tuple[int, list[tuple[int, int]]]:
         """(lead, terms): the relation as primitive integer (key, c) terms,
         cleared by the lcm of its denominators and divided by its content
         times the sign of the lead coefficient.  The lead key is the
         lex-smallest monomial's; key order is multiplicative, so the lead
         lands in the largest column of every multiple."""
-        row = linalg._integer_row(relation.coeffs)[0]
-        terms = [(self._key(e), c) for e, c in row.items()]
+        row = _pack(linalg._integer_row(relation.coeffs)[0], self._places)
+        terms = list(row.items())
         lead, c = min(terms)
         g = gcd(*row.values()) * (1 if c > 0 else -1)
         return lead, [(key, x // g) for key, x in terms]
@@ -198,7 +199,8 @@ class GradedQuotient:
             raise ValueError("polynomial has the wrong number of variables")
         piece = self.piece(poly.degree)
         index = self._columns(poly.weight)
-        return piece.coords({index[self._key(e)]: c for e, c in poly.coeffs.items()})
+        packed = _pack(poly.coeffs, self._places)
+        return piece.coords({index[k]: c for k, c in packed.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -239,16 +241,14 @@ class GradedQuotient:
         """The quadrics annihilated by the product map into degree 4: the
         degree-4 span of the relations.  Its lex-first basis (the one
         ``square_map_kernel`` reads off the product table) is the reduced
-        basis of ``piece(4)``'s span (``QuotientSpace._reduced``), as Grams."""
-        piece = self.piece(4)
-        vectors = []
-        for p, (residue, scale) in piece._reduced().items():
-            vec = [Fraction(0)] * piece.ambient_dim
-            for j, x in residue.items():
-                vec[j] = Fraction(-x, scale)
-            vec[p] = Fraction(1)
-            vectors.append(vec)
-        return QuadricSystem(self.generators, _grams(self.generators, vectors))
+        basis of ``piece(4)``'s span (``QuotientSpace._reduced``): e_p - r/s
+        is the integer row s*e_p - r over s."""
+        rows = []
+        for p, (residue, scale) in self.piece(4)._reduced().items():
+            row = {j: -x for j, x in residue.items()}
+            row[p] = scale
+            rows.append((row, scale))
+        return _net(self.generators, rows)
 
     def mult_by_class(self, y: HomPoly) -> "MultiplicationMap":
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
@@ -301,6 +301,16 @@ class QuadricSystem:
             raise ValueError("quadric basis is linearly dependent")
         object.__setattr__(self, "_span", span)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis, span) -> "QuadricSystem":
+        """Wrap Grams and the span of their flattenings without checks
+        (``_net`` builds both and certifies independence)."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "ambient_dim", ambient_dim)
+        object.__setattr__(system, "basis", basis)
+        object.__setattr__(system, "_span", span)
+        return system
+
     @staticmethod
     def _flatten(gram) -> list[Fraction]:
         return [gram[i][j] for i, j in _pairs(len(gram))]
@@ -330,18 +340,17 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
-def _grams(n: int, vectors) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """The Gram matrices of the quadrics whose coefficients at ``_pairs(n)``
-    are the vectors: x_i^2 is entry (i, i), and x_i x_j is split over
-    (i, j) and (j, i), halved as a Fraction, never with int / int."""
-    pairs = _pairs(n)
+def _grams(n: int, rows) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The Gram matrices of the quadrics r/d at ``_pairs(n)``, from integer
+    rows (r, d), d > 0: x_i^2 gives r/d at (i, i), and x_i x_j is split
+    over (i, j) and (j, i) as r/(2d); every entry is a Fraction."""
+    pairs, zero = _pairs(n), Fraction(0)
     grams = []
-    for vec in vectors:
-        gram = [[None] * n for _ in range(n)]
-        for (i, j), c in zip(pairs, vec):
-            if i != j or type(c) is not Fraction:
-                c = Fraction(c, 1 if i == j else 2)
-            gram[i][j] = gram[j][i] = c
+    for row, den in rows:
+        gram = [[zero] * n for _ in range(n)]
+        for col, x in row.items():
+            i, j = pairs[col]
+            gram[i][j] = gram[j][i] = Fraction(x, den if i == j else 2 * den)
         grams.append(tuple(map(tuple, gram)))
     return tuple(grams)
 
@@ -350,7 +359,8 @@ def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
     if p.weight != 2:
         raise ValueError("not a quadric")
     n = p.nvars
-    return _grams(n, [[p.coeffs.get(e, 0) for e in monomials(n, 2)]])[0]
+    row = linalg._integer_row([p.coeffs.get(e, 0) for e in monomials(n, 2)])
+    return _grams(n, [row])[0]
 
 
 def gram_to_poly(gram) -> HomPoly:
@@ -366,7 +376,25 @@ def square_map_kernel(table) -> QuadricSystem:
     n = len(table)
     pairs = _pairs(n)
     rows = list(zip(*(table[i][j] for i, j in pairs)))
-    return QuadricSystem(n, _grams(n, linalg.kernel_basis(rows, len(pairs))))
+    return _net(n, linalg._kernel_rows(rows, len(pairs)))
+
+
+def _net(n: int, rows: list[tuple[linalg.SparseRow, int]]) -> QuadricSystem:
+    """The system of the quadrics of integer rows (r, d), with ``_grams``.
+    Their span is reduced from 2r at a diagonal pair and r elsewhere, 2d
+    times the flattened Gram: the echelon ``QuadricSystem`` would store,
+    without clearing the Grams back to integers.  A row that reduces to
+    zero raises ``CertificateError``."""
+    pairs, echelon = _pairs(n), {}
+    for row, _ in rows:
+        flat = {
+            col: 2 * x if pairs[col][0] == pairs[col][1] else x for col, x in row.items()
+        }
+        if not linalg._reduce(echelon, flat)[0]:
+            raise CertificateError("quadric basis is linearly dependent")
+    return QuadricSystem._trusted(
+        n, _grams(n, rows), linalg.QuotientSpace._trusted(len(pairs), echelon)
+    )
 
 
 @dataclass(frozen=True)

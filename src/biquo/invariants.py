@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import linalg
@@ -152,6 +152,18 @@ def t1_invariant(b1: int, c1: int) -> T1Invariant:
     return T1Invariant.from_alpha_beta(value.re, value.im)
 
 
+def _primitive_cubic(F: TernaryCubic) -> TernaryCubic:
+    """The primitive integer cubic that is a positive rational multiple of F
+    (the zero cubic stays zero)."""
+    coeffs = F.poly.coeffs
+    if not coeffs:
+        return F
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+    g = gcd(*ints.values())
+    return TernaryCubic(HomPoly._trusted(3, 3, {e: c // g for e, c in ints.items()}))
+
+
 def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic:
     if node == (1, 0, 0):
         return F  # the substitution below would be the identity
@@ -197,9 +209,12 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     freedom (choice of net basis, moving the node, the orthogonal
     stabilizer of the cone) acts through rational scalings, cubes, and
     conjugation, all of which the invariant quotients out, so any basis
-    of the same net gives the same value.
+    of the same net gives the same value.  So the determinant cubic is
+    cleared once to a primitive integer cubic, a rational multiple that
+    the cube classes quotient out too: the node search and the node
+    move then run on ints.
     """
-    F = det_cubic(net)
+    F = _primitive_cubic(det_cubic(net))
     locus = singular_points(F)
     if not (locus.complete and len(locus.points) == 1):
         raise ValueError("expected exactly one rational node")
@@ -288,7 +303,14 @@ def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> Square
         ]
     else:
         vectors = [[Fraction(c) for c in vec] for vec in complement]
-        if len(vectors) != 4 or linalg.det([y] + vectors) == 0:
+        if len(vectors) != 4:
+            raise ValueError(f"complement must be four vectors, got {len(vectors)}")
+        for vec in vectors:
+            if len(vec) != 5:
+                raise ValueError(
+                    f"complement vectors must have 5 entries, got one with {len(vec)}"
+                )
+        if linalg.det([y] + vectors) == 0:
             raise ValueError("complement must be four vectors independent of y")
     induced = [
         [

@@ -10,8 +10,10 @@ integer rows itself, already cleared, hands them to ``_reduce`` and wraps
 the echelon with ``QuotientSpace._trusted``: a piece of a rank-7 ring has
 1716 columns, but a relation multiple has at most seven nonzero integer
 entries.  ``rref``, ``kernel_basis`` and ``solve`` read the pivot
-residues of the column-reversed rows' echelon once; ``det`` multiplies
-the pivots of one reduction.  Dense rows hold ints or Fractions.
+residues of the column-reversed rows' echelon once; ``kernel_basis``
+reads them through ``_kernel_rows``, the integer kernel rows that
+``graded`` builds quadric nets from.  ``det`` multiplies the pivots of
+one reduction.  Dense rows hold ints or Fractions.
 """
 
 from __future__ import annotations
@@ -48,17 +50,31 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return out, list(residues)
 
 
-def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of the right kernel {x : A x = 0}, one vector per free column."""
+def _kernel_rows(rows, ncols: int) -> list[tuple[SparseRow, int]]:
+    """The kernel basis of ``kernel_basis`` as integer rows: (r, d) for
+    each free column f, ascending, r/d the vector with 1 at f, 0 at the
+    other free columns, and d > 0 the lcm of its denominators."""
     residues = _pivot_residues(rows, ncols)
     out = []
     for f in range(ncols):
         if f not in residues:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for p, (residue, scale) in residues.items():
-                v[p] = Fraction(residue.get(f, 0), scale)
-            out.append(v)
+            entries = [(p, r[f], s) for p, (r, s) in residues.items() if f in r]
+            den = lcm(*(s for _, _, s in entries))
+            row = {f: den}
+            for p, x, s in entries:
+                row[p] = x * (den // s)
+            out.append((row, den))
+    return out
+
+
+def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
+    """Basis of the right kernel {x : A x = 0}, one vector per free column."""
+    out = []
+    for row, den in _kernel_rows(rows, ncols):
+        v = [Fraction(0)] * ncols
+        for j, x in row.items():
+            v[j] = Fraction(x, den)
+        out.append(v)
     return out
 
 

@@ -12,8 +12,11 @@ node-shaped input what remains is harmonic, and the elimination carries
 one universal constant which is divided out so the result is exact, not
 just exact-up-to-scale.  The elimination runs on integers: the cubic and
 the resultant are cleared by their denominators, the Hessian and the
-determinants expand on int term dicts, and alpha and beta are divided by
-the common denominator once, at the end.
+determinants expand on int term dicts keyed by packed exponents (one int
+per monomial, ``poly._places``), and alpha and beta are divided by the
+common denominator once, at the end.  ``invariants`` hands in the
+determinant cubic of a net already cleared to a primitive integer
+cubic, so its singular points are found on ints too.
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -35,7 +38,7 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _clean, _mul_terms, _ratio
+from .poly import HomPoly, _clean, _mul_terms, _pack, _places, _ratio, _unpack
 from .univar import (
     UPoly,
     bf_gcd,
@@ -167,22 +170,27 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     """Determinant of a small matrix of homogeneous polynomials.
 
     Each row is first cleared to integer term dicts by the lcm of its
-    denominators (1 for an int coefficient).  Cofactor expansion along the
+    denominators (1 for an int coefficient), keyed by packed exponents in
+    base 1 + the sum of the rows' largest weights, above every exponent
+    of every product (``poly._places``).  Cofactor expansion along the
     top remaining row, on those dicts, skips zero entries and minors with
-    no nonzero permutation product; each minor is computed once per column
-    set, as (weight, terms) or None.  The determinant is divided by the
-    product of the row scales once, at the end.  A matrix with no nonzero permutation product
-    gives ``HomPoly.zero(nvars, 0)``; otherwise the result has the weight
-    of those products, even when they cancel.
+    no nonzero permutation product; each minor is computed once per
+    column set, as (weight, terms) or None.  The determinant is divided
+    by the product of the row scales and unpacked once, at the end.  A
+    matrix with no nonzero permutation product gives
+    ``HomPoly.zero(nvars, 0)``; otherwise the result has the weight of
+    those products, even when they cancel.
     """
     n = len(mat)
     nvars = mat[0][0].nvars
+    places = _places(nvars, sum(max(entry.weight for entry in row) for row in mat) + 1)
     rows, scale = [], 1
     for row in mat:
         den = lcm(*(c.denominator for entry in row for c in entry.coeffs.values()))
+        packed = [_pack(entry.coeffs, places) for entry in row]
         rows.append([
-            {e: c.numerator * (den // c.denominator) for e, c in entry.coeffs.items()}
-            for entry in row
+            {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+            for terms in packed
         ])
         scale *= den
     # the 1x1 minors on the last row are its entries
@@ -216,7 +224,9 @@ def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
     if det is None:
         return HomPoly.zero(nvars, 0)
     weight, terms = det
-    return HomPoly._trusted(nvars, weight, {e: _ratio(c, scale) for e, c in terms.items()})
+    return HomPoly._trusted(
+        nvars, weight, _unpack({e: _ratio(c, scale) for e, c in terms.items()}, places)
+    )
 
 
 def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:

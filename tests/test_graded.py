@@ -8,8 +8,24 @@ from pathlib import Path
 import pytest
 
 from biquo import linalg
-from biquo.graded import GradedQuotient, QuadricSystem, gram_to_poly, poly_to_gram
-from biquo.biquotient import quotient_ring, t1_action_matrix
+from biquo.arith import CertificateError
+from biquo.graded import (
+    GradedQuotient,
+    QuadricSystem,
+    _net,
+    _pairs,
+    gram_to_poly,
+    multiplication_map,
+    poly_to_gram,
+    square_map_kernel,
+)
+from biquo.biquotient import (
+    _KLEIN_PAIRS,
+    circle_bundle_degree4,
+    quotient_ring,
+    t1_action_matrix,
+    t3_rational_ring,
+)
 from biquo.poly import HomPoly, monomials
 
 
@@ -365,3 +381,103 @@ def test_only_pairs_spells_the_upper_triangle():
         if (lines := _upper_triangle_loops(ast.parse(path.read_text())))
     }
     assert found == {}
+
+
+# -- one integer net builder against the Fraction route ------------------------
+
+
+def _fraction_net(table):
+    """The square-map kernel the way it was built before the integer
+    builder: Fraction kernel vectors, Fraction Grams with x_i x_j halved
+    over (i, j) and (j, i), and a system that validates them."""
+    n = len(table)
+    pairs = _pairs(n)
+    rows = list(zip(*(table[i][j] for i, j in pairs)))
+    grams = []
+    for vec in linalg.kernel_basis(rows, len(pairs)):
+        gram = [[None] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, vec):
+            gram[i][j] = gram[j][i] = c if i == j else c / 2
+        grams.append(tuple(map(tuple, gram)))
+    return QuadricSystem(n, tuple(grams))
+
+
+def _assert_same_net(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for g in got.basis for row in g for c in row)
+    assert got._span.same_span(want._span)
+    assert got._span._echelon == want._span._echelon
+
+
+def _seeded_free_ring(rng, k):
+    """A seeded free ring of rank k: a unit lower-triangular action,
+    sometimes permuted, sometimes with relations over Q by a rational
+    change of variables."""
+    matrix = [
+        [1 if i == j else rng.choice((-2, -1, 0, 1, 2)) if j < i else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    if rng.random() < 0.3:
+        order = rng.sample(range(k), k)
+        matrix = [[matrix[i][j] for j in order] for i in order]
+    ring = quotient_ring(matrix)
+    if rng.random() < 0.3:
+        while True:
+            P = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)]
+                 for _ in range(k)]
+            if linalg.det(P):
+                break
+        ring = ring.change_of_variables(P)
+    return ring
+
+
+def _net_rings():
+    rng = random.Random(30)
+    yield from (_seeded_free_ring(rng, 3 + s % 3) for s in range(15))
+    for b1 in range(-5, 6):
+        for c1 in range(-5, 6):
+            if (b1, c1) != (0, 0):
+                yield family_ring(b1, c1)
+
+
+def test_ring_nets_match_the_fraction_route():
+    for ring in _net_rings():
+        table = ring.product_table()
+        want = _fraction_net(table)
+        _assert_same_net(ring.kernel_of_square_map(), want)
+        _assert_same_net(square_map_kernel(table), want)
+
+
+def test_klein_and_circle_bundle_nets_match_the_fraction_route():
+    _assert_same_net(square_map_kernel(_KLEIN_PAIRS), _fraction_net(_KLEIN_PAIRS))
+    rng = random.Random(31)
+    base = t3_rational_ring(max_degree=8)
+    table = base.product_table()
+    ys = [[-1, -1, -1, 1]] + [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)] for _ in range(8)
+    ]
+    for y in filter(any, ys):
+        data = circle_bundle_degree4(base, y)
+        target = multiplication_map(table, [Fraction(c) for c in y]).cokernel
+        w = data.w_indices
+        w_table = [[target.coords(table[i][j]) for j in w] for i in w]
+        _assert_same_net(data.kernel, _fraction_net(w_table))
+
+
+def test_net_builders_skip_quadric_system_validation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("QuadricSystem validated a net it built itself")
+
+    ring = family_ring(3, 5)
+    table = ring.product_table()
+    monkeypatch.setattr(QuadricSystem, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        QuadricSystem.from_polys([V(2, 0) * V(2, 0)])
+    assert ring.kernel_of_square_map().dim == 3
+    assert square_map_kernel(table).dim == 3
+    assert square_map_kernel(_KLEIN_PAIRS).dim > 0
+
+
+def test_net_builder_rejects_dependent_rows():
+    with pytest.raises(CertificateError, match="dependent"):
+        _net(2, [({0: 1, 1: 3}, 1), ({0: 2, 1: 6}, 5)])

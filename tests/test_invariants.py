@@ -9,6 +9,7 @@ import pytest
 
 from biquo import linalg
 from biquo.arith import Gaussian, SquareClass, cube_class_mod_q, square_class
+from biquo.biquotient import quotient_ring, t1_action_matrix
 from biquo.graded import QuadricSystem
 from biquo.invariants import (
     DegenerateFamilyMember,
@@ -202,6 +203,40 @@ def test_t1_invariant_under_full_net_mixing():
         done += 1
 
 
+def test_t1_invariant_of_the_ring_net_is_free_of_scale_and_basis():
+    # the determinant cubic is cleared to a primitive integer cubic; the
+    # invariant must not depend on which representative of the net came in
+    from biquo.invariants import t1_invariant_from_net
+
+    rng = random.Random(21)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+
+    for b1 in range(-5, 6):
+        for c1 in range(-5, 6):
+            if (b1, c1) == (0, 0):
+                continue
+            net = quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map()
+            scaled = [
+                [[s * x for x in row] for row in gram]
+                for s, gram in zip([rational() for _ in range(3)], net.basis)
+            ]
+            while True:
+                M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                     for _ in range(3)]
+                if linalg.det(M) != 0:
+                    break
+            mixed = QuadricSystem(3, tuple(
+                tuple(
+                    tuple(sum(M[r][k] * scaled[k][i][j] for k in range(3)) for j in range(3))
+                    for i in range(3)
+                )
+                for r in range(3)
+            ))
+            assert t1_invariant_from_net(mixed) == t1_invariant(b1, c1), (b1, c1, M)
+
+
 def test_t1_pair_symmetric_in_alpha_beta():
     rng = random.Random(13)
     for _ in range(20):
@@ -337,6 +372,19 @@ def test_t2_det_class_complement_independent():
 def test_t2_det_class_rejects_bad_complement():
     with pytest.raises(ValueError):
         t2_det_class(1, 1, complement=[[1, 0, 0, 0, 0]] * 4)
+
+
+def test_t2_det_class_names_the_length_of_a_bad_complement_vector():
+    good = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    assert t2_det_class(2, 3, complement=good) == square_class(-6)
+    too_long = [[1, 0, 0, 0, 0, 9]] + good[1:]
+    with pytest.raises(ValueError, match="5 entries, got one with 6"):
+        t2_det_class(2, 3, complement=too_long)
+    too_short = [[0, 1, 0], [0, 0, 1], [1, 0, 0], [1, 1, 0]]
+    with pytest.raises(ValueError, match="5 entries, got one with 3"):
+        t2_det_class(2, 3, complement=too_short)
+    with pytest.raises(ValueError, match="four vectors, got 3"):
+        t2_det_class(2, 3, complement=good[:3])
 
 
 def test_t2_rejects_zero_parameters():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -507,3 +508,152 @@ def test_zero_operand_of_another_weight():
     assert (zero - p).weight == 2
     with pytest.raises(ValueError):
         x1 + p
+
+
+# -- packed-exponent kernels against the tuple-key reference ------------------
+
+
+def _tuple_mul_terms(a, b):
+    """The product of two term dicts keyed by exponent tuples, the kernel
+    ``_mul_terms`` replaced; a coefficient that cancels stays as 0."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
+
+
+def _canonical(terms):
+    """The nonzero terms, each an int when integral, else a Fraction."""
+    return {e: Fraction(c).numerator if Fraction(c).denominator == 1 else Fraction(c)
+            for e, c in terms.items() if c}
+
+
+def _assert_same_terms(got, weight, want):
+    """Equal key for key, each value in the same int-or-Fraction form."""
+    assert got.weight == weight
+    assert got.coeffs == want
+    for e, c in want.items():
+        assert type(got.coeffs[e]) is type(c), (e, got.coeffs[e], c)
+
+
+def _power(n, i, k, c):
+    """c * x_i^k: every exponent digit is k."""
+    return HomPoly(n, k, {tuple(k * (j == i) for j in range(n)): c})
+
+
+def _kernel_polys(rng, n, w):
+    """A seeded polynomial of weight w: mixed int and Fraction terms, a
+    pure power, or zero."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return HomPoly.zero(n, w)
+    if kind == 1:
+        return _power(n, rng.randrange(n), w, rng.choice((1, -3, Fraction(2, 3))))
+    return _mixed_hompoly(rng, n, w)
+
+
+def test_packed_product_matches_the_tuple_kernel():
+    rng = random.Random(21)
+    checked = 0
+    for n in range(1, 5):
+        for w1 in range(7):
+            for w2 in range(7 - w1):
+                for _ in range(4):
+                    p, q = _kernel_polys(rng, n, w1), _kernel_polys(rng, n, w2)
+                    want = _canonical(_tuple_mul_terms(p.coeffs, q.coeffs))
+                    _assert_same_terms(p * q, w1 + w2, want)
+                    checked += bool(want)
+                # pure powers: the product's one exponent is its weight,
+                # the largest digit of the base weight + 1
+                i = rng.randrange(n)
+                _assert_same_terms(
+                    _power(n, i, w1, 2) * _power(n, i, w2, Fraction(1, 2)),
+                    w1 + w2,
+                    {tuple((w1 + w2) * (j == i) for j in range(n)): 1},
+                )
+    assert checked > 100
+
+
+def _tuple_substitute(p, matrix):
+    """x_i -> sum_j matrix[i][j] x_j on tuple-keyed Fraction terms."""
+    n = p.nvars
+    images = [
+        {tuple(int(k == j) for k in range(n)): Fraction(c) for j, c in enumerate(row) if c}
+        for row in matrix
+    ]
+    out = {}
+    for e, c in p.coeffs.items():
+        term = {(0,) * n: Fraction(c)}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = _tuple_mul_terms(term, images[i])
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return _canonical(out)
+
+
+def test_packed_substitute_matches_the_tuple_kernel():
+    rng = random.Random(22)
+    for n in range(1, 5):
+        for w in range(7):
+            for _ in range(6):
+                p = _kernel_polys(rng, n, w)
+                matrix = [[_mixed_number(rng) for _ in range(n)] for _ in range(n)]
+                _assert_same_terms(p.substitute(matrix), w, _tuple_substitute(p, matrix))
+            # a permutation sends a pure power x_i^w to x_j^w: digit w = base - 1
+            order = rng.sample(range(n), n)
+            perm = [[int(j == order[i]) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                p = _power(n, i, w, Fraction(-5, 3))
+                want = {tuple(w * (j == order[i]) for j in range(n)): Fraction(-5, 3)}
+                _assert_same_terms(p.substitute(perm), w, want)
+                _assert_same_terms(p.substitute(perm), w, _tuple_substitute(p, perm))
+
+
+def _tuple_det(mat):
+    """(weight, terms) of the Leibniz sum on tuple-keyed Fraction terms;
+    weight 0 and no terms when no permutation product is nonzero."""
+    n, nvars = len(mat), mat[0][0].nvars
+    weight, out = None, {}
+    for perm in permutations(range(n)):
+        entries = [mat[i][j] for i, j in enumerate(perm)]
+        if any(entry.is_zero() for entry in entries):
+            continue
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
+        term = {(0,) * nvars: Fraction(-1 if inversions % 2 else 1)}
+        for entry in entries:
+            term = _tuple_mul_terms(term, entry.coeffs)
+        weight = sum(entry.weight for entry in entries)
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return (0, {}) if weight is None else (weight, _canonical(out))
+
+
+def test_packed_poly_det_matches_the_tuple_kernel():
+    from biquo import nodal
+
+    rng = random.Random(23)
+    for _ in range(400):
+        n, size = rng.randint(1, 4), rng.randint(1, 3)
+        # entry (i, j) has weight r_i + c_j, so every permutation product
+        # has one weight, at most 6
+        rows = [rng.randint(0, 1) for _ in range(size)]
+        cols = [rng.randint(0, 6 // size - 1) for _ in range(size)]
+        mat = [[_kernel_polys(rng, n, r + c) for c in cols] for r in rows]
+        weight, want = _tuple_det(mat)
+        _assert_same_terms(nodal._poly_det(mat), weight, want)
+    for n in range(1, 5):
+        for w in range(7):
+            # the pure power x_i^w alone, and beside zero entries of weight 0
+            i = rng.randrange(n)
+            power = _power(n, i, w, 3)
+            want = {tuple(w * (j == i) for j in range(n)): 3}
+            _assert_same_terms(nodal._poly_det([[power]]), w, want)
+            zero = HomPoly.zero(n, 0)
+            one = HomPoly(n, 0, {(0,) * n: 1})
+            _assert_same_terms(nodal._poly_det([[power, zero], [zero, one]]), w, want)
+            _assert_same_terms(
+                nodal._poly_det([[zero, zero], [zero, one]]), 0, {}
+            )
