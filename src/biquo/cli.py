@@ -2,10 +2,11 @@
 
 Subcommands:
   scan t1|t2|t3 --radius N [--format json|csv] [--out FILE] [--jobs N]
+                                    (at most report.MAX_SCAN_ROWS rows)
   invariant t1 --b1 B --c1 C
   invariant t2 --a0 A --a1 B
   invariant t3 --a A --b B --c C
-  ring --matrix "1,0,0;2,1,1;4,2,1" [--max-degree D]
+  ring --matrix "1,0,0;2,1,1;4,2,1" [--max-degree D]  (D <= MAX_DEGREE)
   free --matrix ...                 (ring and free: rank <= MAX_RANK)
   verify --suite arith|ring|freeness|t1|t2|t3|all
 
@@ -38,6 +39,11 @@ EXIT_BAD_INPUT = 2
 # host); `free` checks the principal minors by Schur complements, up to
 # 2^k of them.
 MAX_RANK = 8
+
+# Largest `ring --max-degree`: every piece above degree 2 * rank is zero,
+# yet each one is still built and printed (10^7 took about 4.5 s and printed
+# 15 MB for a rank-2 ring).
+MAX_DEGREE = 1000
 
 # invariant subcommand: the family's function in `invariants` and its
 # argument names
@@ -168,6 +174,8 @@ def _cmd_ring(args) -> int:
     from .biquotient import quotient_ring
 
     matrix = _matrix(args.matrix)
+    if args.max_degree is not None and args.max_degree > MAX_DEGREE:
+        raise ValueError(f"max degree {args.max_degree} is above the limit {MAX_DEGREE}")
     ring = quotient_ring(matrix, args.max_degree)
     print(f"generators: {ring.generators} (degree 2)")
     for rel in ring.relations:

@@ -11,12 +11,19 @@ with a Sylvester resultant and stripping the tangent-cone factor; for a
 node-shaped input what remains is harmonic, and the elimination carries
 one universal constant which is divided out so the result is exact, not
 just exact-up-to-scale.  The elimination runs on integers: the cubic and
-the resultant are cleared by their denominators, the Hessian and the
-determinants expand on int term dicts keyed by packed exponents (one int
-per monomial, ``poly._places``), and alpha and beta are divided by the
-common denominator once, at the end.  ``invariants`` hands in the
-determinant cubic of a net already cleared to a primitive integer
+the resultant are cleared by their denominators, and alpha and beta are
+divided by the common denominator once, at the end.  ``invariants`` hands
+in the determinant cubic of a net already cleared to a primitive integer
 cubic, so its singular points are found on ints too.
+
+The three determinants (``det_cubic``, ``TernaryCubic.hessian`` and the
+Sylvester determinant of ``resultant_in_var``) share one kernel,
+``_int_det``, on int term dicts.  Each caller builds its entries as such
+dicts straight from its input, cleared once by an lcm of denominators:
+the net's linear forms and the Hessian's second partials keyed by packed
+exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``), the Sylvester
+entries as binary forms keyed by the exponent of one variable.  Each
+divides the determinant once, at the end, with no ``HomPoly`` in between.
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -35,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _clean, _mul_terms, _pack, _places, _ratio, _unpack
+from .poly import HomPoly, _mul_terms, _places, _ratio, _unpack
 from .univar import (
     UPoly,
     bf_gcd,
@@ -56,10 +64,14 @@ VAR_NAMES = ("lam", "mu", "nu")
 # for every node-shaped cubic normalized to tangent cone -(mu^2+nu^2).
 _RESULTANT_SCALE = 8
 
+# Cubics, their second partials and Hessians are packed in base 4, above
+# every exponent of a cubic (``poly._places``).
+_CUBIC_PLACES = _places(3, 4)
+
 # Each second partial d^2/dx_i dx_j with i <= j, and the drop it makes in
-# a monomial's exponents.
+# a monomial's packed key.
 _SECOND_PARTIALS = tuple(
-    ((i, j), tuple((k == i) + (k == j) for k in range(3))) for i, j in _pairs(3)
+    ((i, j), _CUBIC_PLACES[i] + _CUBIC_PLACES[j]) for i, j in _pairs(3)
 )
 
 
@@ -106,31 +118,23 @@ class TernaryCubic:
 
         The six second partials of d * F, with d the lcm of F's
         denominators, come from one pass over the terms as int linear
-        forms; the determinant is divided by d^3 once.
+        forms packed in ``_CUBIC_PLACES``: d^2/dx_i dx_j keys a monomial's
+        term by its key less places[i] + places[j].  The determinant is
+        divided by d^3 once.
         """
         coeffs = self.poly.coeffs
         d = lcm(*(c.denominator for c in coeffs.values()))
         second = {pair: {} for pair, _ in _SECOND_PARTIALS}
         for e, c in coeffs.items():
             n = c.numerator * (d // c.denominator)
+            key = sum(map(mul, e, _CUBIC_PLACES))
             for (i, j), drop in _SECOND_PARTIALS:
                 k = e[i] * (e[j] - (i == j))
                 if k:
-                    m = (e[0] - drop[0], e[1] - drop[1], e[2] - drop[2])
-                    terms = second[i, j]
-                    terms[m] = terms.get(m, 0) + n * k
-        forms = {
-            pair: HomPoly._trusted(3, 1, {m: v for m, v in terms.items() if v})
-            for pair, terms in second.items()
-        }
-        mat = [[forms[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-        hess = _cubic_det(mat)
-        if d == 1:
-            return hess
-        scale = d**3
-        return TernaryCubic(HomPoly._trusted(
-            3, 3, {e: _ratio(c, scale) for e, c in hess.poly.coeffs.items()}
-        ))
+                    # distinct monomials keep distinct keys
+                    second[i, j][key - drop] = n * k
+        rows = [[second[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+        return _cubic_from_det(rows, d**3)
 
     def evaluate(self, point) -> int | Fraction:
         return self.poly.evaluate(point)
@@ -166,90 +170,81 @@ class TernaryCubic:
         return f"TernaryCubic({self.to_str()!r})"
 
 
-def _poly_det(mat: list[list[HomPoly]]) -> HomPoly:
-    """Determinant of a small matrix of homogeneous polynomials.
+def _int_det(rows: list[list[dict]]) -> dict | None:
+    """The determinant of a square matrix of int term dicts.
 
-    Each row is first cleared to integer term dicts by the lcm of its
-    denominators (1 for an int coefficient), keyed by packed exponents in
-    base 1 + the sum of the rows' largest weights, above every exponent
-    of every product (``poly._places``).  Cofactor expansion along the
-    top remaining row, on those dicts, skips zero entries and minors with
-    no nonzero permutation product; each minor is computed once per
-    column set, as (weight, terms) or None.  The determinant is divided
-    by the product of the row scales and unpacked once, at the end.  A
-    matrix with no nonzero permutation product gives
-    ``HomPoly.zero(nvars, 0)``; otherwise the result has the weight of
-    those products, even when they cancel.
+    The entries share one packing in which the key of a product of terms
+    is the sum of their keys: packed exponents (``poly._places``) in a
+    base above every exponent of every permutation product, or the
+    exponent of one variable when every minor is homogeneous in two
+    (``resultant_in_var``).  Cofactor expansion along the top remaining
+    row skips zero entries and minors with no nonzero permutation
+    product; each minor is computed once per column set.  None when no
+    permutation product is nonzero; otherwise the nonzero terms (empty
+    when the products cancel).  The caller clears its entries to ints
+    before and divides once after.
     """
-    n = len(mat)
-    nvars = mat[0][0].nvars
-    places = _places(nvars, sum(max(entry.weight for entry in row) for row in mat) + 1)
-    rows, scale = [], 1
-    for row in mat:
-        den = lcm(*(c.denominator for entry in row for c in entry.coeffs.values()))
-        packed = [_pack(entry.coeffs, places) for entry in row]
-        rows.append([
-            {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-            for terms in packed
-        ])
-        scale *= den
+    n = len(rows)
     # the 1x1 minors on the last row are its entries
-    minors: dict[tuple[int, ...], tuple[int, dict] | None] = {
-        (j,): (mat[-1][j].weight, entry) if entry else None
-        for j, entry in enumerate(rows[-1])
+    minors: dict[tuple[int, ...], dict | None] = {
+        (j,): entry or None for j, entry in enumerate(rows[-1])
     }
 
-    def minor(cols: tuple[int, ...]) -> tuple[int, dict] | None:
+    def minor(cols: tuple[int, ...]) -> dict | None:
         """The minor on the last len(cols) rows."""
         if cols in minors:
             return minors[cols]
-        i = n - len(cols)
-        weight, terms = None, {}
+        row = rows[n - len(cols)]
+        terms = None
         for k, j in enumerate(cols):
-            entry = rows[i][j]
+            entry = row[j]
             sub = minor(cols[:k] + cols[k + 1 :]) if entry else None
             if sub is None:
                 continue
-            weight = mat[i][j].weight + sub[0]
-            for e, c in _mul_terms(entry, sub[1]).items():
+            if terms is None:
+                terms = {}
+            for e, c in _mul_terms(entry, sub).items():
                 c = -c if k % 2 else c
                 terms[e] = terms[e] + c if e in terms else c
-        if weight is not None:
-            minors[cols] = weight, {e: c for e, c in terms.items() if c}
-        else:
-            minors[cols] = None
+        minors[cols] = None if terms is None else {e: c for e, c in terms.items() if c}
         return minors[cols]
 
-    det = minor(tuple(range(n)))
-    if det is None:
-        return HomPoly.zero(nvars, 0)
-    weight, terms = det
-    return HomPoly._trusted(
-        nvars, weight, _unpack({e: _ratio(c, scale) for e, c in terms.items()}, places)
-    )
+    return minor(tuple(range(n)))
 
 
-def _cubic_det(mat: list[list[HomPoly]]) -> TernaryCubic:
-    """The determinant of a 3x3 matrix of linear forms; the zero cubic
-    also when no permutation product is nonzero."""
-    det = _poly_det(mat)
-    return TernaryCubic(HomPoly.zero(3, 3) if det.is_zero() else det)
-
-
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _cubic_from_det(rows: list[list[dict]], scale: int) -> TernaryCubic:
+    """det(rows) / scale for a 3x3 matrix of linear forms packed in
+    ``_CUBIC_PLACES``; the zero cubic also when no permutation product
+    is nonzero."""
+    det = _int_det(rows)
+    if not det:
+        return TernaryCubic(HomPoly.zero(3, 3))
+    return TernaryCubic(HomPoly._trusted(
+        3, 3, _unpack({e: _ratio(c, scale) for e, c in det.items()}, _CUBIC_PLACES)
+    ))
 
 
 def det_cubic(net: QuadricSystem) -> TernaryCubic:
-    """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space."""
+    """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space.
+
+    Entry (i, j) is the linear form sum_k G_k[i][j] x_k, symmetric in
+    (i, j).  The six distinct entries are cleared to ints by the lcm D of
+    their denominators, and the determinant is divided by D^3 once.
+    """
     if net.ambient_dim != 3 or net.dim != 3:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
-    # entry (i, j) is the linear form sum_k G_k[i][j] x_k, symmetric in (i, j)
-    entries = [[None] * 3 for _ in range(3)]
-    for i, j in _pairs(3):
-        entries[i][j] = entries[j][i] = HomPoly._trusted(
-            3, 1, _clean({u: g[i][j] for u, g in zip(_UNITS, net.basis)})
-        )
-    return _cubic_det(entries)
+    entries = [[g[i][j] for g in net.basis] for i, j in _pairs(3)]
+    den = lcm(*(c.denominator for entry in entries for c in entry))
+    forms = {
+        pair: {
+            place: c.numerator * (den // c.denominator)
+            for place, c in zip(_CUBIC_PLACES, entry)
+            if c
+        }
+        for pair, entry in zip(_pairs(3), entries)
+    }
+    rows = [[forms[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+    return _cubic_from_det(rows, den**3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +269,42 @@ def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
     convention.  That constant certifies nothing about common zeros, so
     callers must not eliminate with such a pair; ``_eliminants`` takes
     the gcd of the two binary forms instead.
+
+    f and g are each cleared once by the lcm of their denominators and
+    split by their exponent of ``var`` into int binary forms keyed, like
+    the returned list, by the exponent of the last remaining variable t
+    alone: the products of a minor share one weight, which fixes the
+    other exponent.  The determinant is divided by den_f^dg * den_g^df
+    once.
     """
-    cf = f.coefficients_in_var(var)
-    cg = g.coefficients_in_var(var)
-    df = max(cf) if cf else 0
-    dg = max(cg) if cg else 0
+    t = max(i for i in range(3) if i != var)
+    split = []
+    for p in (f, g):
+        den = lcm(*(c.denominator for c in p.coeffs.values()))
+        parts: dict[int, dict[int, int]] = {}
+        for e, c in p.coeffs.items():
+            parts.setdefault(e[var], {})[e[t]] = c.numerator * (den // c.denominator)
+        split.append((max(parts, default=0), den, parts))
+    (df, den_f, cf), (dg, den_g, cg) = split
     if df == 0 and dg == 0:
         return [Fraction(1)]
-    zero = HomPoly.zero(3, 0)
     size = df + dg
-    rows: list[list[HomPoly]] = []
-    for shift in range(dg):
-        row = [zero] * size
-        for k in range(df + 1):
-            row[shift + df - k] = cf.get(k, zero)
-        rows.append(row)
-    for shift in range(df):
-        row = [zero] * size
-        for k in range(dg + 1):
-            row[shift + dg - k] = cg.get(k, zero)
-        rows.append(row)
-    return _binary_coeff_form(_poly_det(rows), max(i for i in range(3) if i != var))
+    rows: list[list[dict]] = []
+    for d, parts, shifts in ((df, cf, dg), (dg, cg, df)):
+        for shift in range(shifts):
+            row = [{}] * size
+            for k, entry in parts.items():
+                row[shift + d - k] = entry
+            rows.append(row)
+    det = _int_det(rows)
+    if det is None:
+        return [Fraction(0)]
+    # every permutation product has weight dg * wf + df * wg - df * dg
+    out = [Fraction(0)] * (dg * f.weight + df * g.weight - df * dg + 1)
+    scale = den_f**dg * den_g**df
+    for k, c in det.items():
+        out[k] = Fraction(c, scale)
+    return out
 
 
 def _eliminants(polys: Sequence[HomPoly]) -> Iterator[list[Fraction]]:

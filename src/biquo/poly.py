@@ -26,14 +26,13 @@ zeros.  Every other path wraps its result with the private
   D and the polynomial by its own d, multiplies packed int term dicts
   with ``_mul_terms`` (each image form's powers once per call) and
   divides the sum once by d * D^weight with ``_ratio``.
-* ``nodal._poly_det`` clears each row of its matrix to packed int term
-  dicts by the lcm of that row's denominators, expands on ints and
-  divides once by the product of the row scales with ``_ratio``.
-* ``nodal`` also wraps the second partials of ``TernaryCubic.hessian``
-  (int term dicts, zeros dropped), the linear entries of ``det_cubic``
-  (through ``_clean``) and the integer cubic of ``inflection_lines``;
-  ``invariants`` wraps the primitive integer cubic it clears a net's
-  determinant cubic to (nonzero ints, each divided by their gcd).
+* ``nodal`` wraps the cubics of ``det_cubic`` and
+  ``TernaryCubic.hessian``: each builds packed int term dicts straight
+  from its input, expands their determinant with ``nodal._int_det`` and
+  divides once with ``_ratio`` (zeros dropped), then unpacks.  It also
+  wraps the integer cubic of ``inflection_lines``; ``invariants`` wraps
+  the primitive integer cubic it clears a net's determinant cubic to
+  (nonzero ints, each divided by their gcd).
 
 They rely on the dict they pass being clean: int-tuple keys of length
 ``nvars`` that sum to the weight, and nonzero canonical values.
@@ -45,9 +44,9 @@ Pearce, CASC 2007); ``graded`` packs its monomials the same way.  When
 every exponent of a product stays below the base no digit carries, so
 the key of a product is the sum of the keys, and ``_mul_terms`` adds
 keys where it would add tuples.  ``*`` and ``substitute`` pack with
-base weight + 1 of the result, ``nodal._poly_det`` with one more than
-the sum of its rows' largest weights; each packs on entry and unpacks
-once on exit.  ``_mul_terms`` keeps int coefficients int and leaves
+base weight + 1 of the result, and so do ``nodal``'s cubic determinants
+(base 4); each packs on entry and unpacks once on exit.
+``_mul_terms`` keeps int coefficients int and leaves
 cancelled ones as zeros; its callers drop them.  A coefficient read
 back (``coeffs``, ``coefficient``, ``evaluate``) may be an int, so a
 caller that divides one goes through ``Fraction``: ``int / int`` is a

@@ -24,6 +24,10 @@ DEGENERATE = "degenerate"
 
 PARAM_NAMES = {"t1": ("b1", "c1"), "t2": ("a0", "a1"), "t3": ("a", "b", "c")}
 
+# Largest grid a scan builds: the rows are materialised before the first
+# one is computed (t3 at radius 50 has exactly this many).
+MAX_SCAN_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -94,6 +98,12 @@ def _t3_row(params: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
 _ROW_FUNCS = {"t1": _t1_row, "t2": _t2_row, "t3": _t3_row}
 
 
+def _row_count(family: str, radius: int) -> int:
+    """The length of ``_grid(family, radius)``, without building it."""
+    side = 2 * radius  # nonzero values in [-radius, radius]
+    return {"t1": (side + 1) ** 2 - 1, "t2": side**2, "t3": side**3}[family]
+
+
 def _grid(family: str, radius: int) -> list[tuple[int, ...]]:
     span = range(-radius, radius + 1)
     if family == "t1":
@@ -122,6 +132,11 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
         raise ValueError("radius must be at least 1")
     if family not in _ROW_FUNCS:
         raise ValueError(f"unknown family {family!r}")
+    rows = _row_count(family, radius)
+    if rows > MAX_SCAN_ROWS:
+        raise ValueError(
+            f"{family} radius {radius} gives {rows} rows, above the limit {MAX_SCAN_ROWS}"
+        )
     grid = _grid(family, radius)
     func = _ROW_FUNCS[family]
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only add overhead

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,7 @@ from biquo.nodal import (
     tangent_cone,
 )
 from biquo.oracles import inflection_residual
-from biquo.poly import HomPoly, monomials
+from biquo.poly import HomPoly, _pack, _places, _ratio, _unpack, monomials
 from biquo.univar import up_divmod, up_trim
 
 
@@ -371,7 +372,7 @@ def _fraction_inflection_lines(F):
     terms[1, 2, 0] = terms[1, 0, 2] = Fraction(-1)
     normalized = HomPoly(3, 3, terms)
     first = [normalized.partial(i) for i in range(3)]
-    hess = nodal._poly_det([[d.partial(j) for j in range(3)] for d in first])
+    hess = _poly_det([[d.partial(j) for j in range(3)] for d in first])
     if hess.is_zero():
         raise ValueError("degenerate elimination: the Hessian vanishes")
     form = [Fraction(c) for c in resultant_in_var(normalized, hess, 0)]
@@ -498,7 +499,44 @@ def test_hessian_matches_sympy():
     assert zero >= 3
 
 
-# -- _poly_det against a permutation expansion and sympy -----------------------
+# -- _int_det against a permutation expansion and sympy ------------------------
+
+
+def _poly_det(mat):
+    """The determinant of a square matrix of HomPolys through nodal._int_det.
+
+    Each row is cleared to int term dicts by the lcm of its denominators,
+    keyed by packed exponents in base 1 + the sum of the rows' largest
+    weights, above every exponent of every product; the determinant is
+    divided by the product of the row scales.  A matrix with no nonzero
+    permutation product gives zero(nvars, 0); otherwise the result has the
+    weight of those products, even when they cancel.
+    """
+    n, nvars = len(mat), mat[0][0].nvars
+    places = _places(nvars, sum(max(p.weight for p in row) for row in mat) + 1)
+    rows, scale = [], 1
+    for row in mat:
+        den = lcm(*(c.denominator for p in row for c in p.coeffs.values()))
+        rows.append([
+            {k: c.numerator * (den // c.denominator) for k, c in _pack(p.coeffs, places).items()}
+            for p in row
+        ])
+        scale *= den
+    det = nodal._int_det(rows)
+    if det is None:
+        return HomPoly.zero(nvars, 0)
+    weight = next(
+        sum(mat[i][j].weight for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+        if all(mat[i][j].coeffs for i, j in enumerate(perm))
+    )
+    return HomPoly._trusted(
+        nvars, weight, _unpack({k: _ratio(c, scale) for k, c in det.items()}, places)
+    )
+
+
+def _inversions(perm):
+    return sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
 
 
 def _permutation_det(mat):
@@ -506,15 +544,35 @@ def _permutation_det(mat):
     n, nvars = len(mat), mat[0][0].nvars
     total = None
     for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = mat[0][perm[0]]
         for i in range(1, n):
             term = term * mat[i][perm[i]]
         if term.is_zero():
             continue
-        term = term.scale((-1) ** inversions)
+        term = term.scale((-1) ** _inversions(perm))
         total = term if total is None else total + term
     return total if total is not None else HomPoly.zero(nvars, 0)
+
+
+def _int_permutation_det(rows):
+    """The same sum on int term dicts, whose keys add under products as
+    exponents do; None when every product is zero, else the nonzero terms."""
+    total = None
+    for perm in itertools.permutations(range(len(rows))):
+        entries = [rows[i][j] for i, j in enumerate(perm)]
+        if not all(entries):
+            continue
+        term = {0: (-1) ** _inversions(perm)}
+        for entry in entries:
+            product = {}
+            for k1, c1 in term.items():
+                for k2, c2 in entry.items():
+                    product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
+            term = product
+        total = {} if total is None else total
+        for k, c in term.items():
+            total[k] = total.get(k, 0) + c
+    return None if total is None else {k: c for k, c in total.items() if c}
 
 
 def _sparse_poly_matrix(rng, n, nvars):
@@ -574,15 +632,16 @@ def _fraction_det_cases():
 
 
 def _sylvester_matrices(monkeypatch):
-    """The matrices resultant_in_var hands to _poly_det for seeded forms."""
+    """The int matrices _int_det receives from resultant_in_var for seeded
+    forms, and from inflection_lines (its Hessian and its resultant)."""
     seen = []
-    det = nodal._poly_det
+    det = nodal._int_det
 
-    def recording(mat):
-        seen.append(mat)
-        return det(mat)
+    def recording(rows):
+        seen.append(rows)
+        return det(rows)
 
-    monkeypatch.setattr(nodal, "_poly_det", recording)
+    monkeypatch.setattr(nodal, "_int_det", recording)
     rng = random.Random(21)
     for _ in range(40):
         var = rng.randrange(3)
@@ -596,31 +655,47 @@ def _sylvester_matrices(monkeypatch):
 
 
 def _det_cases(monkeypatch):
+    """HomPoly matrices for ``_poly_det``, and the int matrices of
+    ``_sylvester_matrices`` for ``nodal._int_det``."""
     rng = random.Random(13)
     cases = [
         _sparse_poly_matrix(rng, n, rng.randint(2, 4))
         for n in (1, 2, 3, 4, 5)
         for _ in range(12)
     ]
-    cases += _sylvester_matrices(monkeypatch)
     zero = HomPoly.zero(3, 0)
     cases.append([[zero] * 4 for _ in range(4)])
-    return cases
+    return cases, _sylvester_matrices(monkeypatch)
 
 
 def test_poly_det_matches_permutation_expansion(monkeypatch):
-    cases = _det_cases(monkeypatch)
-    assert sum(len(m) == 5 for m in cases) >= 12
-    assert sum(len(m) >= 4 for m in cases) >= 30
+    cases, packed = _det_cases(monkeypatch)
+    assert sum(len(m) == 5 for m in cases + packed) >= 12
+    assert sum(len(m) >= 4 for m in cases + packed) >= 30
     kinds = set()
     for mat in cases:
-        got = nodal._poly_det(mat)
+        got = _poly_det(mat)
         assert got == _permutation_det(mat), mat
         kinds.add((got.is_zero(), got.weight > 0))
     # nonzero dets, all-zero products and nonzero products that cancel
     assert kinds == {(False, True), (False, False), (True, False), (True, True)}
+    for rows in packed:
+        assert nodal._int_det(rows) == _int_permutation_det(rows), rows
     zero = HomPoly.zero(3, 0)
-    assert nodal._poly_det([[zero] * 4 for _ in range(4)]) == HomPoly.zero(3, 0)
+    assert _poly_det([[zero] * 4 for _ in range(4)]) == HomPoly.zero(3, 0)
+
+
+def test_int_det_edge_cases():
+    # None when no permutation product is nonzero, {} when they cancel
+    assert nodal._int_det([[{}]]) is None
+    assert nodal._int_det([[{0: 1}, {}], [{5: 2}, {}]]) is None
+    assert nodal._int_det([[{1: 1}, {1: 1}], [{1: 2}, {1: 2}]]) == {}
+    assert nodal._int_det([[{0: 3}]]) == {0: 3}
+    # the cofactor signs: the anti-diagonal of a 3x3 is an odd permutation
+    anti = [[{0: 1} if i + j == 2 else {} for j in range(3)] for i in range(3)]
+    assert nodal._int_det(anti) == {0: -1}
+    rows = [[{1: 1, 0: 2}, {2: -1}], [{0: 3}, {1: 4, 0: -5}]]
+    assert nodal._int_det(rows) == {2: 7, 1: 3, 0: -10}
 
 
 def _row_dens(row):
@@ -634,7 +709,7 @@ def test_poly_det_clears_fraction_rows():
     assert any(all(p.is_zero() for p in row) for m in cases for row in m)
     kinds = set()
     for mat in cases:
-        got = nodal._poly_det(mat)
+        got = _poly_det(mat)
         assert got == _permutation_det(mat), mat
         # an int iff integral, else a Fraction with denominator > 1
         assert all(
@@ -648,6 +723,7 @@ def test_poly_det_clears_fraction_rows():
 def test_poly_det_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols("x0:4")
+    y = xs[0]
 
     def to_expr(p):
         return sum(
@@ -659,8 +735,153 @@ def test_poly_det_matches_sympy(monkeypatch):
             sympy.Integer(0),
         )
 
-    for mat in _det_cases(monkeypatch) + _fraction_det_cases():
+    def univariate(terms):
+        # a packed key read as one exponent: keys add as exponents do
+        return sum((c * y**k for k, c in (terms or {}).items()), sympy.Integer(0))
+
+    cases, packed = _det_cases(monkeypatch)
+    for mat in cases + _fraction_det_cases():
         want = sympy.Matrix([[to_expr(p) for p in row] for row in mat]).det(
             method="berkowitz"
         )
-        assert sympy.expand(to_expr(nodal._poly_det(mat)) - want) == 0, mat
+        assert sympy.expand(to_expr(_poly_det(mat)) - want) == 0, mat
+    for rows in packed:
+        want = sympy.Matrix([[univariate(e) for e in row] for row in rows]).det(
+            method="berkowitz"
+        )
+        assert sympy.expand(univariate(nodal._int_det(rows)) - want) == 0, rows
+
+
+# -- det_cubic, hessian and resultant_in_var against HomPoly references --------
+
+
+_MIXED = (0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4), Fraction(-5, 6))
+
+
+def _same_terms(got: dict, want: dict) -> bool:
+    """Equal coefficient dicts, entry types included."""
+    return got == want and all(type(got[e]) is type(want[e]) for e in want)
+
+
+def _reference_cubic(mat):
+    """A 3x3 determinant of linear HomPolys by the permutation expansion;
+    the zero cubic when it vanishes."""
+    det = _permutation_det(mat)
+    return TernaryCubic(det if det.coeffs else HomPoly.zero(3, 3))
+
+
+def _mixed_net(rng):
+    """A net of symmetric Grams with mixed int/Fraction entries, or None
+    when the Grams are dependent."""
+    grams = []
+    for _ in range(3):
+        g = [[0] * 3 for _ in range(3)]
+        for i, j in itertools.combinations_with_replacement(range(3), 2):
+            g[i][j] = g[j][i] = rng.choice(_MIXED)
+        grams.append(tuple(map(tuple, g)))
+    try:
+        return QuadricSystem(3, tuple(grams))
+    except ValueError:
+        return None
+
+
+def test_det_cubic_matches_the_hompoly_reference():
+    rng = random.Random(41)
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    nets = [QuadricSystem.from_polys([a * a, b * b, a * b]) for a, b in ((x2, x3), (x1 - x2, x3))]
+    nets += [t1_relation_net(rng.choice(_MIXED), rng.choice(_MIXED) or 1) for _ in range(20)]
+    while len(nets) < 120:
+        net = _mixed_net(rng)
+        if net is not None:
+            nets.append(net)
+    zero = 0
+    for net in nets:
+        mat = [
+            [HomPoly.linear([g[i][j] for g in net.basis]) for j in range(3)]
+            for i in range(3)
+        ]
+        got, want = det_cubic(net), _reference_cubic(mat)
+        assert got == want and _same_terms(got.poly.coeffs, want.poly.coeffs), net
+        assert got.poly.weight == 3
+        zero += got.is_zero()
+    assert zero >= 2
+
+
+def test_hessian_matches_the_hompoly_reference():
+    rng = random.Random(43)
+    cubics = [{}, {(3, 0, 0): 1}, {(0, 3, 0): Fraction(2, 3), (0, 0, 3): -1}, {(1, 1, 1): Fraction(3, 4)}]
+    line = HomPoly.linear([2, Fraction(-1, 3), 1])
+    cubics.append((line * line * line).coeffs)
+    for _ in range(150):
+        cubics.append({e: rng.choice(_MIXED) for e in monomials(3, 3) if rng.random() < 0.5})
+    zero = 0
+    for terms in cubics:
+        F = TernaryCubic.from_coefficients(terms)
+        first = [F.poly.partial(i) for i in range(3)]
+        want = _reference_cubic([[d.partial(j) for j in range(3)] for d in first])
+        got = F.hessian()
+        assert got == want and _same_terms(got.poly.coeffs, want.poly.coeffs), terms
+        assert got.poly.weight == 3
+        zero += got.is_zero()
+    assert zero >= 4
+
+
+def _reference_resultant(f, g, var):
+    """The Sylvester determinant of HomPoly entries by the permutation
+    expansion, read as a Fraction list indexed by the exponent of the last
+    remaining variable."""
+    cf, cg = f.coefficients_in_var(var), g.coefficients_in_var(var)
+    df, dg = max(cf, default=0), max(cg, default=0)
+    if df == 0 and dg == 0:
+        return [Fraction(1)]
+    zero = HomPoly.zero(3, 0)
+    rows = [
+        [parts.get(shift + d - col, zero) for col in range(df + dg)]
+        for d, parts, shifts in ((df, cf, dg), (dg, cg, df))
+        for shift in range(shifts)
+    ]
+    det = _permutation_det(rows)
+    t = max(i for i in range(3) if i != var)
+    out = [Fraction(0)] * (det.weight + 1)
+    for e, c in det.coeffs.items():
+        out[e[t]] += c
+    return out
+
+
+def test_resultant_in_var_matches_the_hompoly_reference():
+    rng = random.Random(47)
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+
+    def form(weight, free_of=None):
+        return HomPoly(3, weight, {
+            e: rng.choice(_MIXED)
+            for e in monomials(3, weight)
+            if (free_of is None or e[free_of] == 0) and rng.random() < 0.6
+        })
+
+    cancel = x1 * x2 + x3 * x3
+    pairs = [
+        (x1 * x2, x1 * x3, 0),  # no nonzero permutation product: [0]
+        (cancel, cancel, 0),  # products that cancel: weight + 1 zeros
+        (x2 * x2, x3, 0),  # both free of lam: the constant 1
+        (HomPoly.zero(3, 2), x1 * x3, 0),
+    ]
+    while len(pairs) < 400:
+        var = rng.randrange(3)
+        f = form(rng.randint(0, 3), var if rng.random() < 0.25 else None)
+        g = form(rng.randint(0, 3), var if rng.random() < 0.25 else None)
+        pick = rng.random()
+        if pick < 0.05:
+            g = f
+        elif pick < 0.1:
+            g = f.scale(Fraction(-3, 2))
+        pairs.append((f, g, var))
+    shapes = set()
+    for f, g, var in pairs:
+        got, want = resultant_in_var(f, g, var), _reference_resultant(f, g, var)
+        assert got == want, (f, g, var)
+        assert all(type(c) is Fraction for c in got), got
+        shapes.add((len(got) > 1, any(got)))
+    assert resultant_in_var(x1 * x2, x1 * x3, 0) == [Fraction(0)]
+    assert resultant_in_var(cancel, cancel, 0) == [Fraction(0)] * 4
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}

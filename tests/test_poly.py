@@ -344,11 +344,8 @@ def test_every_producing_path_stores_canonical_coefficients():
         r = _mixed_hompoly(rng, n, rng.randint(0, 2))
         c = _mixed_number(rng)
         matrix = [[_mixed_number(rng) for _ in range(n)] for _ in range(n)]
-        k = rng.randint(1, 3)
-        forms = [
-            [HomPoly.linear([_mixed_number(rng) for _ in range(3)]) for _ in range(k)]
-            for _ in range(k)
-        ]
+        cubic = nodal.TernaryCubic(_mixed_hompoly(rng, 3, 3))
+        net = invariants.t1_relation_net(_mixed_number(rng), _mixed_number(rng))
         results = [
             p, q, r, HomPoly.zero(n, w),
             HomPoly.linear([_mixed_number(rng) for _ in range(n)]),
@@ -357,7 +354,7 @@ def test_every_producing_path_stores_canonical_coefficients():
             *p.coefficients_in_var(rng.randrange(n)).values(),
             p.substitute(matrix),
             p + q, p - q, -p, p * r, p.scale(c), c * p, p * c,
-            nodal._poly_det(forms),
+            cubic.hessian().poly, nodal.det_cubic(net).poly,
         ]
         if not p.is_zero():
             results.append(parse_poly(p.to_str(), n))
@@ -632,7 +629,8 @@ def _tuple_det(mat):
 
 
 def test_packed_poly_det_matches_the_tuple_kernel():
-    from biquo import nodal
+    # nodal._int_det through the HomPoly-matrix wrapper of its tests
+    from test_nodal import _poly_det
 
     rng = random.Random(23)
     for _ in range(400):
@@ -643,17 +641,17 @@ def test_packed_poly_det_matches_the_tuple_kernel():
         cols = [rng.randint(0, 6 // size - 1) for _ in range(size)]
         mat = [[_kernel_polys(rng, n, r + c) for c in cols] for r in rows]
         weight, want = _tuple_det(mat)
-        _assert_same_terms(nodal._poly_det(mat), weight, want)
+        _assert_same_terms(_poly_det(mat), weight, want)
     for n in range(1, 5):
         for w in range(7):
             # the pure power x_i^w alone, and beside zero entries of weight 0
             i = rng.randrange(n)
             power = _power(n, i, w, 3)
             want = {tuple(w * (j == i) for j in range(n)): 3}
-            _assert_same_terms(nodal._poly_det([[power]]), w, want)
+            _assert_same_terms(_poly_det([[power]]), w, want)
             zero = HomPoly.zero(n, 0)
             one = HomPoly(n, 0, {(0,) * n: 1})
-            _assert_same_terms(nodal._poly_det([[power, zero], [zero, one]]), w, want)
+            _assert_same_terms(_poly_det([[power, zero], [zero, one]]), w, want)
             _assert_same_terms(
-                nodal._poly_det([[zero, zero], [zero, one]]), 0, {}
+                _poly_det([[zero, zero], [zero, one]]), 0, {}
             )

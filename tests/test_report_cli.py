@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from biquo.arith import parse_square_class
-from biquo.cli import MAX_RANK, _integer, _rational, main
+from biquo.cli import MAX_DEGREE, MAX_RANK, _integer, _rational, main
 from biquo.invariants import parse_t1_invariant
-from biquo.report import DEGENERATE, ScanReport, scan
+from biquo.report import DEGENERATE, MAX_SCAN_ROWS, ScanReport, _grid, _row_count, scan
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -228,6 +228,50 @@ def test_cli_ring_high_max_degree_stops_at_the_zero_piece(capsys):
     dims = [1, 3, 3, 1] + [0] * 147
     assert out[-2] == f"graded dims (even degrees 0..300): {dims}"
     assert out[-1] == "complete intersection: True"
+
+
+def test_cli_ring_accepts_the_max_degree_limit(capsys):
+    assert MAX_DEGREE >= 300
+    assert main(["ring", "--matrix", "1,0;1,1", "--max-degree", str(MAX_DEGREE)]) == 0
+    dims = [1, 2, 1] + [0] * (MAX_DEGREE // 2 - 2)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == f"graded dims (even degrees 0..{MAX_DEGREE}): {dims}"
+
+
+@pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10**7])
+def test_cli_ring_above_the_max_degree_limit_exit_2(degree, capsys):
+    start = time.process_time()
+    assert main(["ring", "--matrix", "1,0;1,1", "--max-degree", str(degree)]) == 2
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max degree {degree} is above the limit {MAX_DEGREE}\n"
+
+
+def test_scan_row_count_matches_the_grid():
+    for family in ("t1", "t2", "t3"):
+        for radius in (1, 2, 5):
+            assert _row_count(family, radius) == len(_grid(family, radius))
+    # t3 at radius 50 is exactly the limit, one more is above it
+    assert _row_count("t3", 50) == MAX_SCAN_ROWS
+    assert _row_count("t3", 51) > MAX_SCAN_ROWS
+
+
+@pytest.mark.parametrize(
+    "family,radius", [("t1", 500), ("t2", 501), ("t3", 51), ("t3", 100000)]
+)
+def test_scan_refuses_a_grid_above_the_row_limit(family, radius, capsys):
+    start = time.process_time()
+    rows = _row_count(family, radius)
+    with pytest.raises(ValueError) as info:
+        scan(family, radius)
+    assert str(info.value) == (
+        f"{family} radius {radius} gives {rows} rows, above the limit {MAX_SCAN_ROWS}"
+    )
+    assert main(["scan", family, "--radius", str(radius)]) == 2
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {info.value}\n"
 
 
 def test_cli_ring_non_free_exit_2(capsys):
