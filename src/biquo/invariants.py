@@ -176,7 +176,19 @@ def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic
 
 
 def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
-    """Substitute (mu, nu) so the tangent cone becomes A*(mu^2 + nu^2)."""
+    """F with its tangent cone turned into A*(mu^2 + nu^2), as a primitive
+    integer cubic.
+
+    With the cone a mu^2 + b mu nu + c nu^2 (mu and nu swapped first when
+    a = 0) and w = p/q the rational square root of (4ac - b^2) / (4a^2),
+    mu -> mu - b/(2aw) nu and nu -> nu/w take the cone to a(mu^2 + nu^2).
+    Both images are scaled by s = 2ap, so the one substitution is the
+    integer matrix [[1,0,0],[0,2ap,-bq],[0,0,2aq]]: the cone is multiplied
+    by s^2 and the lam-free cubic by s^3.  That multiplies the inflection
+    cubic's alpha + beta*i by a rational scalar, which the cube classes
+    quotient out, as they do the positive rational that ``_primitive_cubic``
+    divides by.
+    """
     cone = tangent_cone(F)
     a, b, c = cone.a, cone.b, cone.c
     if a == 0:
@@ -184,19 +196,16 @@ def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
             raise ValueError("tangent cone is degenerate (no definite part)")
         F = F.substitute([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         a, b, c = c, b, a
-    # the cone's coefficients may be ints: divide as Fractions
-    w2 = Fraction(4 * a * c - b * b, 4 * a * a)
-    w = is_rational_square(w2)
+    w = is_rational_square(Fraction(4 * a * c - b * b, 4 * a * a))
     if w is None or w == 0:
         raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
-    sub = [
+    p, q = w.numerator, w.denominator
+    out = _primitive_cubic(F.substitute([
         [1, 0, 0],
-        [0, 1, Fraction(-b, 2 * a) / w],
-        [0, 0, 1 / w],
-    ]
-    out = F.substitute(sub)
-    new_cone = tangent_cone(out)
-    if not new_cone.is_multiple_of_circle():
+        [0, 2 * a * p, -b * q],
+        [0, 0, 2 * a * q],
+    ]))
+    if not tangent_cone(out).is_multiple_of_circle():
         raise CertificateError("cone normalization failed")
     return out
 
@@ -211,8 +220,8 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     conjugation, all of which the invariant quotients out, so any basis
     of the same net gives the same value.  So the determinant cubic is
     cleared once to a primitive integer cubic, a rational multiple that
-    the cube classes quotient out too: the node search and the node
-    move then run on ints.
+    the cube classes quotient out too: the node search, the node move
+    and the cone normalization then run on ints.
     """
     F = _primitive_cubic(det_cubic(net))
     locus = singular_points(F)
@@ -221,7 +230,9 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     F0 = _node_to_origin(F, locus.points[0])
     F1 = _normalize_cone(F0)
     cubic = inflection_lines(F1)
-    return T1Invariant.from_alpha_beta(cubic.alpha, cubic.beta)
+    # inflection_lines certified the harmonic shape, so its alpha and
+    # beta are c03 and c30
+    return T1Invariant.from_alpha_beta(cubic.c03, cubic.c30)
 
 
 def t1_invariant_pipeline(b1: int, c1: int) -> T1Invariant:

@@ -18,12 +18,16 @@ cubic, so its singular points are found on ints too.
 
 The three determinants (``det_cubic``, ``TernaryCubic.hessian`` and the
 Sylvester determinant of ``resultant_in_var``) share one kernel,
-``_int_det``, on int term dicts.  Each caller builds its entries as such
-dicts straight from its input, cleared once by an lcm of denominators:
-the net's linear forms and the Hessian's second partials keyed by packed
-exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``), the Sylvester
-entries as binary forms keyed by the exponent of one variable.  Each
-divides the determinant once, at the end, with no ``HomPoly`` in between.
+``_int_det``, on int term dicts.  It walks a cofactor plan made once per
+size (``_det_plan``): every column set as a bitmask, with the steps that
+build its minor from the row above, run bottom-up with each product
+added straight into the minor's dict.  Each caller builds its entries as
+such dicts straight from its input, cleared once by an lcm of
+denominators: the net's linear forms and the Hessian's second partials
+keyed by packed exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``),
+the Sylvester entries as binary forms keyed by the exponent of one
+variable.  Each divides the determinant once, at the end, with no
+``HomPoly`` in between.
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -40,13 +44,14 @@ every eliminant vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _mul_terms, _places, _ratio, _unpack
+from .poly import HomPoly, _places, _ratio, _unpack, monomials
 from .univar import (
     UPoly,
     bf_gcd,
@@ -68,11 +73,24 @@ _RESULTANT_SCALE = 8
 # every exponent of a cubic (``poly._places``).
 _CUBIC_PLACES = _places(3, 4)
 
-# Each second partial d^2/dx_i dx_j with i <= j, and the drop it makes in
-# a monomial's packed key.
-_SECOND_PARTIALS = tuple(
-    ((i, j), _CUBIC_PLACES[i] + _CUBIC_PLACES[j]) for i, j in _pairs(3)
+# A symmetric 3x3 matrix from its entries at _pairs(3): entry (i, j) is
+# the one at index _SYMMETRIC[i][j].
+_SYMMETRIC = tuple(
+    tuple(_pairs(3).index((min(i, j), max(i, j))) for j in range(3)) for i in range(3)
 )
+
+# For each cubic monomial, the second partials d^2/dx_i dx_j (i <= j) that
+# do not kill it: (the index of (i, j) in _pairs(3), the packed key of the
+# derivative's monomial, the factor it takes).  Distinct monomials keep
+# distinct keys under one partial.
+_SECOND_PARTIALS = {
+    e: tuple(
+        (k, sum(map(mul, e, _CUBIC_PLACES)) - _CUBIC_PLACES[i] - _CUBIC_PLACES[j], factor)
+        for k, (i, j) in enumerate(_pairs(3))
+        if (factor := e[i] * (e[j] - (i == j)))
+    )
+    for e in monomials(3, 3)
+}
 
 
 class TernaryCubic:
@@ -118,23 +136,17 @@ class TernaryCubic:
 
         The six second partials of d * F, with d the lcm of F's
         denominators, come from one pass over the terms as int linear
-        forms packed in ``_CUBIC_PLACES``: d^2/dx_i dx_j keys a monomial's
-        term by its key less places[i] + places[j].  The determinant is
-        divided by d^3 once.
+        forms packed in ``_CUBIC_PLACES``, each term sent where
+        ``_SECOND_PARTIALS`` says.  The determinant is divided by d^3 once.
         """
         coeffs = self.poly.coeffs
         d = lcm(*(c.denominator for c in coeffs.values()))
-        second = {pair: {} for pair, _ in _SECOND_PARTIALS}
+        second: list[dict[int, int]] = [{} for _ in _pairs(3)]
         for e, c in coeffs.items():
             n = c.numerator * (d // c.denominator)
-            key = sum(map(mul, e, _CUBIC_PLACES))
-            for (i, j), drop in _SECOND_PARTIALS:
-                k = e[i] * (e[j] - (i == j))
-                if k:
-                    # distinct monomials keep distinct keys
-                    second[i, j][key - drop] = n * k
-        rows = [[second[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-        return _cubic_from_det(rows, d**3)
+            for k, key, factor in _SECOND_PARTIALS[e]:
+                second[k][key] = n * factor
+        return _cubic_from_det([[second[k] for k in row] for row in _SYMMETRIC], d**3)
 
     def evaluate(self, point) -> int | Fraction:
         return self.poly.evaluate(point)
@@ -170,6 +182,28 @@ class TernaryCubic:
         return f"TernaryCubic({self.to_str()!r})"
 
 
+@cache
+def _det_plan(n: int) -> tuple[tuple[int, tuple], ...]:
+    """The cofactor steps of an n x n determinant, bottom-up.
+
+    The minor on the last k rows and a set of k columns is keyed by that
+    set as a bitmask.  One level per row from the second-to-last up to the
+    top: (row, ((mask, steps), ...)) for every mask of n - row columns,
+    each step (odd, column, sub-mask) expanding along that row, with odd
+    the parity of the column's position in the set.
+    """
+    levels = []
+    for row in range(n - 2, -1, -1):
+        masks = []
+        for mask in range(1 << n):
+            if mask.bit_count() == n - row:
+                cols = [j for j in range(n) if mask >> j & 1]
+                steps = tuple((k % 2, j, mask ^ (1 << j)) for k, j in enumerate(cols))
+                masks.append((mask, steps))
+        levels.append((row, tuple(masks)))
+    return tuple(levels)
+
+
 def _int_det(rows: list[list[dict]]) -> dict | None:
     """The determinant of a square matrix of int term dicts.
 
@@ -177,39 +211,42 @@ def _int_det(rows: list[list[dict]]) -> dict | None:
     is the sum of their keys: packed exponents (``poly._places``) in a
     base above every exponent of every permutation product, or the
     exponent of one variable when every minor is homogeneous in two
-    (``resultant_in_var``).  Cofactor expansion along the top remaining
-    row skips zero entries and minors with no nonzero permutation
-    product; each minor is computed once per column set.  None when no
+    (``resultant_in_var``).  The minors are built bottom-up along the plan
+    of ``_det_plan``: each from the row above the ones it spans, with
+    every product of an entry and a sub-minor added straight into its
+    dict; zero entries and minors with no nonzero permutation product are
+    skipped, and zero terms are dropped once, at the top.  None when no
     permutation product is nonzero; otherwise the nonzero terms (empty
     when the products cancel).  The caller clears its entries to ints
     before and divides once after.
     """
     n = len(rows)
-    # the 1x1 minors on the last row are its entries
-    minors: dict[tuple[int, ...], dict | None] = {
-        (j,): entry or None for j, entry in enumerate(rows[-1])
-    }
-
-    def minor(cols: tuple[int, ...]) -> dict | None:
-        """The minor on the last len(cols) rows."""
-        if cols in minors:
-            return minors[cols]
-        row = rows[n - len(cols)]
-        terms = None
-        for k, j in enumerate(cols):
-            entry = row[j]
-            sub = minor(cols[:k] + cols[k + 1 :]) if entry else None
-            if sub is None:
-                continue
-            if terms is None:
-                terms = {}
-            for e, c in _mul_terms(entry, sub).items():
-                c = -c if k % 2 else c
-                terms[e] = terms[e] + c if e in terms else c
-        minors[cols] = None if terms is None else {e: c for e, c in terms.items() if c}
-        return minors[cols]
-
-    return minor(tuple(range(n)))
+    # the minors on the last row are its entries; an absent mask has no
+    # nonzero permutation product
+    minors = {1 << j: entry for j, entry in enumerate(rows[-1]) if entry}
+    for i, masks in _det_plan(n):
+        row = rows[i]
+        for mask, steps in masks:
+            terms = None
+            for odd, j, sub in steps:
+                entry = row[j]
+                if not entry:
+                    continue
+                minor = minors.get(sub)
+                if minor is None:
+                    continue
+                if terms is None:
+                    terms = {}
+                for e1, c1 in entry.items():
+                    if odd:
+                        c1 = -c1
+                    for e2, c2 in minor.items():
+                        e = e1 + e2
+                        terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+            if terms is not None:
+                minors[mask] = terms
+    det = minors.get((1 << n) - 1)
+    return None if det is None else {e: c for e, c in det.items() if c}
 
 
 def _cubic_from_det(rows: list[list[dict]], scale: int) -> TernaryCubic:
@@ -235,16 +272,15 @@ def det_cubic(net: QuadricSystem) -> TernaryCubic:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
     entries = [[g[i][j] for g in net.basis] for i, j in _pairs(3)]
     den = lcm(*(c.denominator for entry in entries for c in entry))
-    forms = {
-        pair: {
+    forms = [
+        {
             place: c.numerator * (den // c.denominator)
             for place, c in zip(_CUBIC_PLACES, entry)
             if c
         }
-        for pair, entry in zip(_pairs(3), entries)
-    }
-    rows = [[forms[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-    return _cubic_from_det(rows, den**3)
+        for entry in entries
+    ]
+    return _cubic_from_det([[forms[k] for k in row] for row in _SYMMETRIC], den**3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from biquo.invariants import (
     MonicQuadratic,
     T1Invariant,
     _normalize_cone,
+    _primitive_cubic,
     parse_t1_invariant,
     rank_one_elements,
     rotate_alpha_beta,
@@ -117,10 +118,13 @@ def test_t1_pipeline_tail_runs_one_substitution_and_no_polynomial_division(monke
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
 
     calls = {"substitute": 0, "up_divmod": 0}
+    matrices = []
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            if name == "substitute":
+                matrices.append(args[1])
             return fn(*args)
         return wrapper
 
@@ -129,6 +133,8 @@ def test_t1_pipeline_tail_runs_one_substitution_and_no_polynomial_division(monke
     net = t1_relation_net(*t1_parameters(7, -3))
     assert t1_invariant_from_net(net) == t1_invariant(7, -3)
     assert calls == {"substitute": 1, "up_divmod": 0}
+    # the cone normalization substitutes an integer matrix
+    assert all(type(v) is int for row in matrices[0] for v in row), matrices
 
 
 @pytest.mark.parametrize(
@@ -829,13 +835,48 @@ def test_rank_one_splitting_class_invariance():
         done += 1
 
 
-def test_normalize_cone_divides_int_coefficients_as_fractions():
-    # lam*(2 mu^2 + 2 mu nu + nu^2) + mu^3 + nu^3: all ints, w2 = 1/4
+def test_normalize_cone_returns_the_primitive_integer_cubic():
+    # lam*(2 mu^2 + 2 mu nu + nu^2) + mu^3 + nu^3: the cone (a, b, c) =
+    # (2, 2, 1) has w = 1/2, so the substitution is [[1,0,0],[0,4,-4],[0,0,8]]
     F = TernaryCubic.from_coefficients(
         {(1, 2, 0): 2, (1, 1, 1): 2, (1, 0, 2): 1, (0, 3, 0): 1, (0, 0, 3): 1}
     )
-    assert all(type(c) is int for c in F.poly.coeffs.values())
     out = _normalize_cone(F)
-    assert out == F.substitute([[1, 0, 0], [0, 1, -1], [0, 0, 2]])
-    assert tangent_cone(out) == BinaryQuadratic(2, 0, 2)
-    assert all(type(c) in (int, Fraction) for c in out.poly.coeffs.values())
+    assert out == _primitive_cubic(F.substitute([[1, 0, 0], [0, 4, -4], [0, 0, 8]]))
+    assert out == TernaryCubic.from_coefficients(
+        {(1, 2, 0): 1, (1, 0, 2): 1, (0, 3, 0): 2, (0, 2, 1): -6, (0, 1, 2): 6, (0, 0, 3): 14}
+    )
+    assert all(type(c) is int for c in out.poly.coeffs.values())
+    assert tangent_cone(out) == BinaryQuadratic(1, 0, 1)
+
+
+def _fraction_normalize_cone(F):
+    """The reference normalization: the Fraction substitution mu -> mu -
+    b/(2aw) nu, nu -> nu/w, which leaves the lam-free cubic unscaled."""
+    cone = tangent_cone(F)
+    a, b, c = cone.a, cone.b, cone.c
+    if a == 0:
+        F = F.substitute([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        a, b, c = c, b, a
+    w = is_rational_square(Fraction(4 * a * c - b * b, 4 * a * a))
+    return F.substitute([[1, 0, 0], [0, 1, Fraction(-b, 2 * a) / w], [0, 0, 1 / w]])
+
+
+def test_normalize_cone_matches_the_fraction_reference_on_the_t1_grid():
+    # on every t1 r=20 net the integer normalization moves alpha + beta*i
+    # by a rational factor only, so both give the same invariant
+    from biquo.invariants import _node_to_origin, t1_relation_net
+    from biquo.nodal import det_cubic, inflection_lines, singular_points
+
+    for b1 in range(-20, 21):
+        for c1 in range(-20, 21):
+            if (b1, c1) == (0, 0):
+                continue
+            F = _primitive_cubic(det_cubic(t1_relation_net(*t1_parameters(b1, c1))))
+            F0 = _node_to_origin(F, singular_points(F).points[0])
+            ref = inflection_lines(_fraction_normalize_cone(F0))
+            got = inflection_lines(_normalize_cone(F0))
+            assert ref.alpha * got.beta == got.alpha * ref.beta, (b1, c1)
+            assert T1Invariant.from_alpha_beta(ref.alpha, ref.beta) == T1Invariant.from_alpha_beta(
+                got.alpha, got.beta
+            ), (b1, c1)

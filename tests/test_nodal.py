@@ -633,7 +633,8 @@ def _fraction_det_cases():
 
 def _sylvester_matrices(monkeypatch):
     """The int matrices _int_det receives from resultant_in_var for seeded
-    forms, and from inflection_lines (its Hessian and its resultant)."""
+    forms (pairs of lam-cubics among them), and from inflection_lines (its
+    Hessian and its resultant)."""
     seen = []
     det = nodal._int_det
 
@@ -649,14 +650,50 @@ def _sylvester_matrices(monkeypatch):
         g = _random_form(rng, rng.randint(1, 3))
         if not (f.is_zero() or g.is_zero()):
             resultant_in_var(f, g, var)
+    # two lam-cubics: the banded 6x6 Sylvester matrix, the largest one
+    # resultant_in_var builds from cubics
+    for _ in range(3):
+        f, g = (
+            HomPoly(3, 3, {**_random_form(rng, 3).coeffs, (3, 0, 0): rng.choice((1, -2, 3))})
+            for _ in range(2)
+        )
+        resultant_in_var(f, g, 0)
     inflection_lines(family_cubic(2, 3))
     monkeypatch.undo()
     return seen
 
 
+def _int_matrix(rng, n):
+    """An n x n matrix of univariate int term dicts, about a third empty."""
+    return [
+        [
+            {} if rng.random() < 0.3 else {
+                rng.randint(0, 2): rng.randint(-3, 3) or 1 for _ in range(rng.randint(1, 2))
+            }
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def _blank_line_matrices():
+    """Int matrices of sizes 2-6 with one all-empty row or column."""
+    rng = random.Random(42)
+    out = []
+    for n in range(2, 7):
+        rows = _int_matrix(rng, n)
+        rows[rng.randrange(n)] = [{}] * n
+        out.append(rows)
+        rows = _int_matrix(rng, n)
+        j = rng.randrange(n)
+        out.append([[{} if k == j else e for k, e in enumerate(row)] for row in rows])
+    return out
+
+
 def _det_cases(monkeypatch):
     """HomPoly matrices for ``_poly_det``, and the int matrices of
-    ``_sylvester_matrices`` for ``nodal._int_det``."""
+    ``_sylvester_matrices`` and ``_blank_line_matrices`` for
+    ``nodal._int_det``."""
     rng = random.Random(13)
     cases = [
         _sparse_poly_matrix(rng, n, rng.randint(2, 4))
@@ -665,13 +702,14 @@ def _det_cases(monkeypatch):
     ]
     zero = HomPoly.zero(3, 0)
     cases.append([[zero] * 4 for _ in range(4)])
-    return cases, _sylvester_matrices(monkeypatch)
+    return cases, _sylvester_matrices(monkeypatch) + _blank_line_matrices()
 
 
 def test_poly_det_matches_permutation_expansion(monkeypatch):
     cases, packed = _det_cases(monkeypatch)
     assert sum(len(m) == 5 for m in cases + packed) >= 12
     assert sum(len(m) >= 4 for m in cases + packed) >= 30
+    assert sum(len(m) == 6 for m in packed) >= 5
     kinds = set()
     for mat in cases:
         got = _poly_det(mat)
@@ -696,6 +734,24 @@ def test_int_det_edge_cases():
     assert nodal._int_det(anti) == {0: -1}
     rows = [[{1: 1, 0: 2}, {2: -1}], [{0: 3}, {1: 4, 0: -5}]]
     assert nodal._int_det(rows) == {2: 7, 1: 3, 0: -10}
+    # an all-empty row or column leaves no nonzero permutation product
+    for rows in _blank_line_matrices():
+        assert nodal._int_det(rows) is None, rows
+
+
+def test_int_det_plans_each_size_apart():
+    # a plan made for one size must never serve another, whatever the
+    # order in which the sizes first arrive
+    rng = random.Random(55)
+    mats = {}
+    for n in range(1, 7):
+        rows = _int_matrix(rng, n)
+        while not _int_permutation_det(rows):
+            rows = _int_matrix(rng, n)
+        mats[n] = rows
+    for order in (range(1, 7), range(6, 0, -1)):
+        for n in order:
+            assert nodal._int_det(mats[n]) == _int_permutation_det(mats[n]), n
 
 
 def _row_dens(row):
