@@ -23,12 +23,14 @@ multiple's column is one key addition and one lookup, and its integer
 row is stored at its lead column or reduced into the echelon
 (``linalg._reduce``).  Degree-4 algorithms read the cup product as plain
 data, a ring's ``product_table()``; a quadric's coordinates are its
-coefficients at the pairs i <= j (``_pairs``).  ``_grams`` is the one
-Gram builder, from integer rows and a denominator: ``poly_to_gram``
-clears a quadric's coefficients to one, and both square-map kernels
-read integer kernel rows and build their system through ``_net``, which
-reduces its span from the same integer rows, so no Gram is cleared back
-to integers a second time.
+coefficients at the pairs i <= j (``_pairs``).  A ``QuadricSystem``
+keeps each quadric as an integer row (r, d), the quadric r/d, and
+reduces its span from those rows (``_span_of``).  Both square-map
+kernels read integer kernel rows and build their system through
+``_net``, and ``from_polys`` clears each quadric's coefficients once;
+``_grams``, the one Gram builder, makes the Fraction Grams of ``basis``
+from the rows only when they are read, so no Gram is cleared back to
+integers.
 Rings are immutable; graded pieces and the table are cached (idempotent
 writes, so concurrent readers are safe).
 """
@@ -282,33 +284,60 @@ class GradedQuotient:
 
 @dataclass(frozen=True)
 class QuadricSystem:
-    """A linear system of quadrics: independent symmetric Gram matrices."""
+    """A linear system of quadrics: independent symmetric Gram matrices.
+
+    A system keeps each quadric as an integer row (r, d), d > 0, the
+    quadric r/d at ``_pairs``, and its span reduced from those rows
+    (``_span_of``).  The public constructor clears the Grams it is given
+    to such rows; ``from_polys`` and the net builder (``_net``) start from
+    integer rows and build the Fraction Grams (``_grams``) only when
+    ``basis`` is first read.
+    """
 
     ambient_dim: int
     basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _rows: tuple[tuple[linalg.SparseRow, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
     _span: linalg.QuotientSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Certify the system: Grams given to the constructor are checked
+        for shape and symmetry and cleared to integer rows (x_i^2 at G_ii,
+        x_i x_j at 2 G_ij); rows that ``from_polys`` set are taken as
+        they are.  The rows must be independent."""
         k = self.ambient_dim
-        for g in self.basis:
-            if len(g) != k or any(len(row) != k for row in g):
-                raise ValueError("Gram matrix has the wrong shape")
-            if list(map(tuple, g)) != list(zip(*g)):
-                raise ValueError("Gram matrix is not symmetric")
-        n = k * (k + 1) // 2
-        span = linalg.QuotientSpace(n, map(self._flatten, self.basis))
-        if span.dim != n - self.dim:
+        if "_rows" not in vars(self):
+            for g in self.basis:
+                if len(g) != k or any(len(row) != k for row in g):
+                    raise ValueError("Gram matrix has the wrong shape")
+                if list(map(tuple, g)) != list(zip(*g)):
+                    raise ValueError("Gram matrix is not symmetric")
+            rows = tuple(
+                linalg._integer_row([g[i][j] if i == j else 2 * g[i][j] for i, j in _pairs(k)])
+                for g in self.basis
+            )
+            object.__setattr__(self, "_rows", rows)
+        span = _span_of(k, self._rows)
+        if span is None:
             raise ValueError("quadric basis is linearly dependent")
         object.__setattr__(self, "_span", span)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the Grams of a
+        # system built from integer rows, made on first read
+        if name != "basis":
+            raise AttributeError(name)
+        basis = _grams(self.ambient_dim, self._rows)
+        object.__setattr__(self, "basis", basis)
+        return basis
+
     @classmethod
-    def _trusted(cls, ambient_dim: int, basis, span) -> "QuadricSystem":
-        """Wrap Grams and the span of their flattenings without checks
-        (``_net`` builds both and certifies independence)."""
+    def _from_rows(cls, ambient_dim: int, rows) -> "QuadricSystem":
+        """A system of integer rows, with no Grams built yet."""
         system = object.__new__(cls)
         object.__setattr__(system, "ambient_dim", ambient_dim)
-        object.__setattr__(system, "basis", basis)
-        object.__setattr__(system, "_span", span)
+        object.__setattr__(system, "_rows", tuple(rows))
         return system
 
     @staticmethod
@@ -317,7 +346,7 @@ class QuadricSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def contains(self, gram) -> bool:
         return self._span.contains(self._flatten(gram))
@@ -330,7 +359,12 @@ class QuadricSystem:
         if not polys:
             raise ValueError("empty quadric list")
         n = polys[0].nvars
-        return cls(n, tuple(poly_to_gram(p) for p in polys))
+        rows = [_quadric_row(p) for p in polys]
+        if any(p.nvars != n for p in polys):
+            raise ValueError("Gram matrix has the wrong shape")
+        system = cls._from_rows(n, rows)
+        system.__post_init__()
+        return system
 
 
 @cache
@@ -355,12 +389,29 @@ def _grams(n: int, rows) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     return tuple(grams)
 
 
-def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
+def _span_of(n: int, rows) -> linalg.QuotientSpace | None:
+    """The span of the flattened Grams of the quadrics r/d, reduced from
+    2r at a diagonal pair and r elsewhere (2d times the flattened Gram);
+    None when a row reduces to zero."""
+    pairs, echelon = _pairs(n), {}
+    for row, _ in rows:
+        flat = {
+            col: 2 * x if pairs[col][0] == pairs[col][1] else x for col, x in row.items()
+        }
+        if not linalg._reduce(echelon, flat)[0]:
+            return None
+    return linalg.QuotientSpace._trusted(len(pairs), echelon)
+
+
+def _quadric_row(p: HomPoly) -> tuple[linalg.SparseRow, int]:
+    """A quadric's integer row (r, d): its coefficients at ``_pairs`` as r/d."""
     if p.weight != 2:
         raise ValueError("not a quadric")
-    n = p.nvars
-    row = linalg._integer_row([p.coeffs.get(e, 0) for e in monomials(n, 2)])
-    return _grams(n, [row])[0]
+    return linalg._integer_row([p.coeffs.get(e, 0) for e in monomials(p.nvars, 2)])
+
+
+def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
+    return _grams(p.nvars, [_quadric_row(p)])[0]
 
 
 def gram_to_poly(gram) -> HomPoly:
@@ -380,21 +431,16 @@ def square_map_kernel(table) -> QuadricSystem:
 
 
 def _net(n: int, rows: list[tuple[linalg.SparseRow, int]]) -> QuadricSystem:
-    """The system of the quadrics of integer rows (r, d), with ``_grams``.
-    Their span is reduced from 2r at a diagonal pair and r elsewhere, 2d
-    times the flattened Gram: the echelon ``QuadricSystem`` would store,
-    without clearing the Grams back to integers.  A row that reduces to
-    zero raises ``CertificateError``."""
-    pairs, echelon = _pairs(n), {}
-    for row, _ in rows:
-        flat = {
-            col: 2 * x if pairs[col][0] == pairs[col][1] else x for col, x in row.items()
-        }
-        if not linalg._reduce(echelon, flat)[0]:
-            raise CertificateError("quadric basis is linearly dependent")
-    return QuadricSystem._trusted(
-        n, _grams(n, rows), linalg.QuotientSpace._trusted(len(pairs), echelon)
-    )
+    """The system of the quadrics of integer rows (r, d), kept as rows:
+    the echelon ``QuadricSystem`` would store, with no Gram built (its
+    ``basis`` is made on first read).  A row that reduces to zero raises
+    ``CertificateError``."""
+    span = _span_of(n, rows)
+    if span is None:
+        raise CertificateError("quadric basis is linearly dependent")
+    system = QuadricSystem._from_rows(n, rows)
+    object.__setattr__(system, "_span", span)
+    return system
 
 
 @dataclass(frozen=True)

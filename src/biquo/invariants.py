@@ -45,6 +45,7 @@ from .biquotient import (
 from .graded import QuadricSystem
 from .nodal import (
     TernaryCubic,
+    _binary_substitute,
     _eliminants,
     _line_gcd,
     _normalize_point,
@@ -155,13 +156,19 @@ def t1_invariant(b1: int, c1: int) -> T1Invariant:
 def _primitive_cubic(F: TernaryCubic) -> TernaryCubic:
     """The primitive integer cubic that is a positive rational multiple of F
     (the zero cubic stays zero)."""
-    coeffs = F.poly.coeffs
-    if not coeffs:
+    if not F.poly.coeffs:
         return F
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+    return TernaryCubic(HomPoly._trusted(3, 3, _primitive_terms(F.poly.coeffs)))
+
+
+def _primitive_terms(terms: dict) -> dict:
+    """Nonzero int or Fraction terms as the primitive int terms of a
+    positive rational multiple: cleared by the lcm of the denominators,
+    divided by the content gcd."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     g = gcd(*ints.values())
-    return TernaryCubic(HomPoly._trusted(3, 3, {e: c // g for e, c in ints.items()}))
+    return {e: c // g for e, c in ints.items()}
 
 
 def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic:
@@ -179,32 +186,38 @@ def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
     """F with its tangent cone turned into A*(mu^2 + nu^2), as a primitive
     integer cubic.
 
-    With the cone a mu^2 + b mu nu + c nu^2 (mu and nu swapped first when
-    a = 0) and w = p/q the rational square root of (4ac - b^2) / (4a^2),
-    mu -> mu - b/(2aw) nu and nu -> nu/w take the cone to a(mu^2 + nu^2).
-    Both images are scaled by s = 2ap, so the one substitution is the
-    integer matrix [[1,0,0],[0,2ap,-bq],[0,0,2aq]]: the cone is multiplied
-    by s^2 and the lam-free cubic by s^3.  That multiplies the inflection
-    cubic's alpha + beta*i by a rational scalar, which the cube classes
-    quotient out, as they do the positive rational that ``_primitive_cubic``
-    divides by.
+    F = lam*q(mu, nu) + c(mu, nu).  With the cone q = a mu^2 + b mu nu +
+    c nu^2 (mu and nu swapped first when a = 0, by reversing both
+    coefficient lists) and w = p/q the rational square root of
+    (4ac - b^2) / (4a^2), mu -> mu - b/(2aw) nu and nu -> nu/w take the
+    cone to a(mu^2 + nu^2).  Both images are scaled by s = 2ap, so the
+    substitution is mu -> 2ap mu - bq nu, nu -> 2aq nu, applied to the
+    binary forms q and c alone (``nodal._binary_substitute``): lam stays
+    fixed, the cone is multiplied by s^2 and c by s^3.  That multiplies
+    the inflection cubic's alpha + beta*i by a rational scalar, which the
+    cube classes quotient out, as they do the positive rational that the
+    content gcd divides by.
     """
     cone = tangent_cone(F)
     a, b, c = cone.a, cone.b, cone.c
+    quadratic, cubic = [a, b, c], list(F.cubic_part())
     if a == 0:
         if c == 0:
             raise ValueError("tangent cone is degenerate (no definite part)")
-        F = F.substitute([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-        a, b, c = c, b, a
+        quadratic, cubic = quadratic[::-1], cubic[::-1]
+        a, c = c, a
     w = is_rational_square(Fraction(4 * a * c - b * b, 4 * a * a))
     if w is None or w == 0:
         raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
     p, q = w.numerator, w.denominator
-    out = _primitive_cubic(F.substitute([
-        [1, 0, 0],
-        [0, 2 * a * p, -b * q],
-        [0, 0, 2 * a * q],
-    ]))
+    image = (2 * a * p, -b * q, 0, 2 * a * q)
+    terms = {
+        (lam, 3 - lam - k, k): x
+        for lam, form in ((1, quadratic), (0, cubic))
+        for k, x in enumerate(_binary_substitute(form, *image))
+        if x
+    }
+    out = TernaryCubic(HomPoly._trusted(3, 3, _primitive_terms(terms)))
     if not tangent_cone(out).is_multiple_of_circle():
         raise CertificateError("cone normalization failed")
     return out

@@ -10,24 +10,31 @@ inflection points is computed by eliminating lam from {F = 0, Hess F = 0}
 with a Sylvester resultant and stripping the tangent-cone factor; for a
 node-shaped input what remains is harmonic, and the elimination carries
 one universal constant which is divided out so the result is exact, not
-just exact-up-to-scale.  The elimination runs on integers: the cubic and
-the resultant are cleared by their denominators, and alpha and beta are
-divided by the common denominator once, at the end.  ``invariants`` hands
+just exact-up-to-scale.  The elimination runs on integers: the cubic is
+cleared by its denominators, the resultant comes out on ints, and the
+inflection cubic is divided by the common denominator once, at the end.  ``invariants`` hands
 in the determinant cubic of a net already cleared to a primitive integer
-cubic, so its singular points are found on ints too.
+cubic, so its singular points are found on ints too, and turns its cone
+on the int binary forms of F with ``_binary_substitute``, so the cubic
+that reaches ``inflection_lines`` is integral.
 
 The three determinants (``det_cubic``, ``TernaryCubic.hessian`` and the
-Sylvester determinant of ``resultant_in_var``) share one kernel,
+Sylvester determinant of ``_int_resultant``) share one kernel,
 ``_int_det``, on int term dicts.  It walks a cofactor plan made once per
 size (``_det_plan``): every column set as a bitmask, with the steps that
 build its minor from the row above, run bottom-up with each product
 added straight into the minor's dict.  Each caller builds its entries as
 such dicts straight from its input, cleared once by an lcm of
-denominators: the net's linear forms and the Hessian's second partials
-keyed by packed exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``),
-the Sylvester entries as binary forms keyed by the exponent of one
-variable.  Each divides the determinant once, at the end, with no
-``HomPoly`` in between.
+denominators: the net's linear forms (read from the net's integer rows,
+never its Fraction Grams) and the Hessian's second partials keyed by
+packed exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``), the
+Sylvester entries as binary forms keyed by the exponent of one variable.
+Each divides the determinant once, at the end, with no ``HomPoly`` in
+between; ``inflection_lines`` keeps the resultant's int coefficients, and
+only ``resultant_in_var`` turns them into Fractions.
+Binary forms are substituted into by one helper, ``_binary_substitute``
+(``BinaryCubic.substitute``, and the cone normalization in
+``invariants``).
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -51,7 +58,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _places, _ratio, _unpack, monomials
+from .poly import HomPoly, _coerce, _places, _ratio, _unpack, monomials
 from .univar import (
     UPoly,
     bf_gcd,
@@ -78,6 +85,10 @@ _CUBIC_PLACES = _places(3, 4)
 _SYMMETRIC = tuple(
     tuple(_pairs(3).index((min(i, j), max(i, j))) for j in range(3)) for i in range(3)
 )
+
+# Twice a quadric's Gram matrix has 2x at (i, i) and x at (i, j), i < j,
+# with x its coefficient of x_i^2 or of x_i x_j: the factor at each pair.
+_DOUBLED = tuple(2 if i == j else 1 for i, j in _pairs(3))
 
 # For each cubic monomial, the second partials d^2/dx_i dx_j (i <= j) that
 # do not kill it: (the index of (i, j) in _pairs(3), the packed key of the
@@ -264,23 +275,23 @@ def _cubic_from_det(rows: list[list[dict]], scale: int) -> TernaryCubic:
 def det_cubic(net: QuadricSystem) -> TernaryCubic:
     """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space.
 
-    Entry (i, j) is the linear form sum_k G_k[i][j] x_k, symmetric in
-    (i, j).  The six distinct entries are cleared to ints by the lcm D of
-    their denominators, and the determinant is divided by D^3 once.
+    Read from the net's integer rows (r_k, d_k), the quadric r_k/d_k
+    (``QuadricSystem``), with no Gram built: with L the lcm of the d_k,
+    2L * G_k has the int entry 2r L/d_k at a diagonal pair and r L/d_k
+    elsewhere, so entry (i, j) of 2L times the matrix is an int linear
+    form keyed by ``_CUBIC_PLACES``.  Its determinant is divided by
+    (2L)^3 once.
     """
     if net.ambient_dim != 3 or net.dim != 3:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
-    entries = [[g[i][j] for g in net.basis] for i, j in _pairs(3)]
-    den = lcm(*(c.denominator for entry in entries for c in entry))
-    forms = [
-        {
-            place: c.numerator * (den // c.denominator)
-            for place, c in zip(_CUBIC_PLACES, entry)
-            if c
-        }
-        for entry in entries
-    ]
-    return _cubic_from_det([[forms[k] for k in row] for row in _SYMMETRIC], den**3)
+    rows = net._rows
+    big = lcm(*(d for _, d in rows))
+    forms: list[dict[int, int]] = [{} for _ in _pairs(3)]
+    for place, (row, d) in zip(_CUBIC_PLACES, rows):
+        m = big // d
+        for col, x in row.items():
+            forms[col][place] = x * m * _DOUBLED[col]
+    return _cubic_from_det([[forms[k] for k in row] for row in _SYMMETRIC], (2 * big) ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +307,15 @@ def _binary_coeff_form(p: HomPoly, t: int) -> list[Fraction]:
     return out
 
 
-def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
-    """Res_var(f, g) as a binary form in the two remaining variables.
-
-    The Sylvester determinant at the actual degrees in ``var``: when one
-    form does not involve ``var`` the matrix is diagonal and the result
-    is c^deg; two forms free of ``var`` give the constant 1 by
-    convention.  That constant certifies nothing about common zeros, so
-    callers must not eliminate with such a pair; ``_eliminants`` takes
-    the gcd of the two binary forms instead.
+def _int_resultant(f: HomPoly, g: HomPoly, var: int) -> tuple[list[int], int]:
+    """(ints, scale) with Res_var(f, g) = ints / scale, scale > 0, as the
+    binary form of ``resultant_in_var`` with int coefficients.
 
     f and g are each cleared once by the lcm of their denominators and
     split by their exponent of ``var`` into int binary forms keyed, like
-    the returned list, by the exponent of the last remaining variable t
-    alone: the products of a minor share one weight, which fixes the
-    other exponent.  The determinant is divided by den_f^dg * den_g^df
-    once.
+    the list, by the exponent of the last remaining variable t alone: the
+    products of a minor share one weight, which fixes the other exponent.
+    The scale is den_f^dg * den_g^df.
     """
     t = max(i for i in range(3) if i != var)
     split = []
@@ -323,7 +327,7 @@ def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
         split.append((max(parts, default=0), den, parts))
     (df, den_f, cf), (dg, den_g, cg) = split
     if df == 0 and dg == 0:
-        return [Fraction(1)]
+        return [1], 1
     size = df + dg
     rows: list[list[dict]] = []
     for d, parts, shifts in ((df, cf, dg), (dg, cg, df)):
@@ -334,13 +338,27 @@ def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
             rows.append(row)
     det = _int_det(rows)
     if det is None:
-        return [Fraction(0)]
+        return [0], 1
     # every permutation product has weight dg * wf + df * wg - df * dg
-    out = [Fraction(0)] * (dg * f.weight + df * g.weight - df * dg + 1)
-    scale = den_f**dg * den_g**df
+    out = [0] * (dg * f.weight + df * g.weight - df * dg + 1)
     for k, c in det.items():
-        out[k] = Fraction(c, scale)
-    return out
+        out[k] = c
+    return out, den_f**dg * den_g**df
+
+
+def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
+    """Res_var(f, g) as a binary form in the two remaining variables.
+
+    The Sylvester determinant at the actual degrees in ``var``: when one
+    form does not involve ``var`` the matrix is diagonal and the result
+    is c^deg; two forms free of ``var`` give the constant 1 by
+    convention.  That constant certifies nothing about common zeros, so
+    callers must not eliminate with such a pair; ``_eliminants`` takes
+    the gcd of the two binary forms instead.  The coefficients are
+    ``_int_resultant``'s, divided by its scale.
+    """
+    ints, scale = _int_resultant(f, g, var)
+    return [Fraction(c, scale) for c in ints]
 
 
 def _eliminants(polys: Sequence[HomPoly]) -> Iterator[list[Fraction]]:
@@ -571,23 +589,9 @@ class BinaryCubic:
 
     def substitute(self, e, f, g, h) -> "BinaryCubic":
         """The cubic after mu -> e*mu + f*nu, nu -> g*mu + h*nu."""
-        p = HomPoly(
-            2,
-            3,
-            {
-                (3, 0): self.c30,
-                (2, 1): self.c21,
-                (1, 2): self.c12,
-                (0, 3): self.c03,
-            },
-        )
-        q = p.substitute([[e, f], [g, h]])
-        return BinaryCubic(
-            q.coefficient((3, 0)),
-            q.coefficient((2, 1)),
-            q.coefficient((1, 2)),
-            q.coefficient((0, 3)),
-        )
+        form = list(map(_coerce, self.coefficients()))
+        out = _binary_substitute(form, *map(_coerce, (e, f, g, h)))
+        return BinaryCubic(*map(_coerce, out))
 
     def rotate(self, c, d) -> "BinaryCubic":
         """The special orthogonal substitution mu -> c mu + d nu, nu -> -d mu + c nu."""
@@ -597,6 +601,36 @@ class BinaryCubic:
 
     def swapped(self) -> "BinaryCubic":
         return BinaryCubic(self.c03, self.c12, self.c21, self.c30)
+
+
+def _binary_substitute(form: Sequence, e, f, g, h) -> list:
+    """The binary form sum_k form[k] * mu^(n-k) * nu^k after mu -> e*mu +
+    f*nu, nu -> g*mu + h*nu, as its coefficient list in the same order.
+
+    Horner's rule in the image N of nu: starting from form[n], each step
+    multiplies by N and adds form[k] times a power of the image M of mu,
+    each power built once.  Exact arithmetic on the numbers given, so an
+    int form under an int substitution stays int.
+    """
+    n = len(form) - 1
+    powers = [[1]]
+    for _ in range(n):
+        powers.append(_times_linear(powers[-1], e, f))
+    out = [form[n]]
+    for k in range(n - 1, -1, -1):
+        out = _times_linear(out, g, h)
+        if c := form[k]:
+            out = [x + c * y for x, y in zip(out, powers[n - k])]
+    return out
+
+
+def _times_linear(form: list, e, f) -> list:
+    """A binary form times e*mu + f*nu."""
+    out = [0] * (len(form) + 1)
+    for k, c in enumerate(form):
+        out[k] += c * e
+        out[k + 1] += c * f
+    return out
 
 
 def _strip_circle(form: list[int]) -> list[int]:
@@ -628,10 +662,11 @@ def inflection_lines(F: TernaryCubic) -> BinaryCubic:
     linear in the lam-free part c: it is -(mu^2+nu^2)(8c + h) with h the
     lam-free part of the Hessian, linear in c.  So c is cleared to
     integers by the lcm d of its denominators, which multiplies the
-    resultant by d; the resultant is cleared by the lcm D of its own
-    denominators, (mu^2+nu^2) is stripped by integer synthetic division,
-    harmonicity is tested on the integer cubic, and alpha and beta are
-    divided by 8 * d * D once.
+    resultant by d; the Hessian of that integer cubic is integral too, so
+    ``_int_resultant`` gives the resultant as ints with scale 1.
+    (mu^2+nu^2) is stripped by integer synthetic division, harmonicity is
+    tested on the integer cubic, and the cubic's coefficients are divided
+    by 8 * d once, the only Fractions built.
     """
     cone = tangent_cone(F)
     if not cone.is_multiple_of_circle():
@@ -645,15 +680,15 @@ def inflection_lines(F: TernaryCubic) -> BinaryCubic:
     hess = normalized.hessian()
     if hess.is_zero():
         raise ValueError("degenerate elimination: the Hessian vanishes")
-    res = resultant_in_var(normalized.poly, hess.poly, 0)
-    if bf_is_zero(res):
+    # both forms are integral, so the resultant's scale is 1
+    res = _int_resultant(normalized.poly, hess.poly, 0)[0]
+    if not any(res):
         raise ValueError("degenerate elimination: zero resultant")
-    den = lcm(*(c.denominator for c in res))
-    stripped = _strip_circle([c.numerator * (den // c.denominator) for c in res])
+    stripped = _strip_circle(res)
     if len(stripped) != 4:
         raise ValueError("elimination did not produce a binary cubic")
     c30, c21, c12, c03 = stripped
     if c12 != -3 * c30 or c21 != -3 * c03:
         raise ValueError("inflection cubic has a nonzero non-harmonic component")
-    scale = _RESULTANT_SCALE * d * den
-    return BinaryCubic.harmonic(Fraction(c03, scale), Fraction(c30, scale))
+    scale = _RESULTANT_SCALE * d
+    return BinaryCubic(*(Fraction(c, scale) for c in stripped))

@@ -1,4 +1,5 @@
 import ast
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -324,6 +325,70 @@ def test_gram_round_trip_for_int_and_fraction_coefficients():
             for k in range(0, len(monos), 2)
         ]
         assert QuadricSystem.from_polys(ps).polys() == ps
+
+
+def _reference_grams(polys):
+    """The Fraction Grams of quadrics as built before systems kept integer
+    rows: x_i^2's coefficient at (i, i) and half of x_i x_j's at (i, j)
+    and (j, i), every entry a Fraction."""
+    grams = []
+    for p in polys:
+        n = p.nvars
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for e, c in p.coeffs.items():
+            i, j = [k for k in range(n) for _ in range(e[k])]
+            gram[i][j] = gram[j][i] = Fraction(c) if i == j else Fraction(c) / 2
+        grams.append(tuple(map(tuple, gram)))
+    return tuple(grams)
+
+
+def _entry_types(grams):
+    return [type(c) for g in grams for row in g for c in row]
+
+
+def test_systems_from_rows_read_back_the_fraction_grams():
+    # from_polys and _net keep integer rows and build .basis on first
+    # read; the public constructor keeps the Grams it was given.  All
+    # three give the same Grams, equality, hash, repr and errors.
+    rng = random.Random(61)
+    built = 0
+    for n in range(1, 5):
+        monos = monomials(n, 2)
+        for _ in range(60):
+            polys = [
+                HomPoly(n, 2, {e: _random_coefficient(rng) for e in monos if rng.random() < 0.6})
+                for _ in range(rng.randint(1, len(monos)))
+            ]
+            want = _reference_grams(polys)
+            rows = [linalg._integer_row([p.coeffs.get(e, 0) for e in monos]) for p in polys]
+            try:
+                via_polys = QuadricSystem.from_polys(polys)
+            except ValueError as exc:
+                assert str(exc) == "quadric basis is linearly dependent"
+                with pytest.raises(ValueError, match="^quadric basis is linearly dependent$"):
+                    QuadricSystem(n, want)
+                with pytest.raises(CertificateError, match="^quadric basis is linearly dependent$"):
+                    _net(n, rows)
+                continue
+            public, via_rows = QuadricSystem(n, want), _net(n, rows)
+            assert public.basis is want
+            for system in (via_polys, via_rows):
+                assert "basis" not in vars(system)
+                assert system.dim == public.dim == len(polys)
+                assert system._span._echelon == public._span._echelon
+                assert system.basis == want and _entry_types(system.basis) == _entry_types(want)
+                assert system == public and public == system and hash(system) == hash(public)
+                assert repr(system) == repr(public) == f"QuadricSystem(ambient_dim={n!r}, basis={want!r})"
+                assert all(system.contains(g) for g in want)
+                assert system.polys() == polys
+                assert pickle.loads(pickle.dumps(system)) == system
+            built += 1
+    assert built >= 100
+    system = QuadricSystem.from_polys([V(2, 0) * V(2, 0)])
+    with pytest.raises(AttributeError):
+        system.missing
+    with pytest.raises(AttributeError):
+        system.ambient_dim = 3
 
 
 def _upper_triangle_loops(tree):

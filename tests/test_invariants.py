@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from biquo import linalg
-from biquo.arith import Gaussian, SquareClass, cube_class_mod_q, square_class
+from biquo.arith import CertificateError, Gaussian, SquareClass, cube_class_mod_q, square_class
 from biquo.biquotient import quotient_ring, t1_action_matrix
 from biquo.graded import QuadricSystem
 from biquo.invariants import (
@@ -110,31 +110,33 @@ def test_t1_pipeline_matches_closed_form():
         seen += 1
 
 
-def test_t1_pipeline_tail_runs_one_substitution_and_no_polynomial_division(monkeypatch):
-    # the node of a family net is [1, 0, 0], so only the cone normalization
-    # substitutes, and the tail from the net to (alpha, beta) strips
-    # (mu^2+nu^2) on integers: a Fraction division would call up_divmod
-    from biquo import univar
+def test_t1_pipeline_tail_runs_no_substitution_division_or_gram(monkeypatch):
+    # the node of a family net is [1, 0, 0] and the cone is turned on binary
+    # forms, so nothing substitutes into a HomPoly; (mu^2+nu^2) is stripped
+    # on integers, so nothing calls up_divmod; and det_cubic reads the net's
+    # integer rows, so no Fraction Gram is built
+    from biquo import graded, univar
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
 
     calls = {"substitute": 0, "up_divmod": 0}
-    matrices = []
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            if name == "substitute":
-                matrices.append(args[1])
             return fn(*args)
         return wrapper
 
+    def no_grams(*args):
+        raise AssertionError("the t1 tail built Fraction Grams")
+
     monkeypatch.setattr(HomPoly, "substitute", counted("substitute", HomPoly.substitute))
     monkeypatch.setattr(univar, "up_divmod", counted("up_divmod", univar.up_divmod))
-    net = t1_relation_net(*t1_parameters(7, -3))
-    assert t1_invariant_from_net(net) == t1_invariant(7, -3)
-    assert calls == {"substitute": 1, "up_divmod": 0}
-    # the cone normalization substitutes an integer matrix
-    assert all(type(v) is int for row in matrices[0] for v in row), matrices
+    monkeypatch.setattr(graded, "_grams", no_grams)
+    for b1, c1 in ((7, -3), (1, 0), (0, 8), (-13, 5), (20, 19)):
+        assert t1_invariant_pipeline(b1, c1) == t1_invariant(b1, c1)
+        net = t1_relation_net(*t1_parameters(b1, c1))
+        assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
+    assert calls == {"substitute": 0, "up_divmod": 0}
 
 
 @pytest.mark.parametrize(
@@ -848,6 +850,79 @@ def test_normalize_cone_returns_the_primitive_integer_cubic():
     )
     assert all(type(c) is int for c in out.poly.coeffs.values())
     assert tangent_cone(out) == BinaryQuadratic(1, 0, 1)
+
+
+def _substitution_normalize_cone(F):
+    """The reference normalization by ``HomPoly.substitute``: the mu <-> nu
+    swap when a = 0, then the integer matrix [[1,0,0],[0,2ap,-bq],[0,0,2aq]]
+    on the whole cubic, cleared to a primitive integer cubic."""
+    cone = tangent_cone(F)
+    a, b, c = cone.a, cone.b, cone.c
+    if a == 0:
+        if c == 0:
+            raise ValueError("tangent cone is degenerate (no definite part)")
+        F = F.substitute([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        a, b, c = c, b, a
+    w = is_rational_square(Fraction(4 * a * c - b * b, 4 * a * a))
+    if w is None or w == 0:
+        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
+    p, q = w.numerator, w.denominator
+    return _primitive_cubic(F.substitute([[1, 0, 0], [0, 2 * a * p, -b * q], [0, 0, 2 * a * q]]))
+
+
+def _normalized_or_error(normalize, F):
+    try:
+        return normalize(F)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_normalize_cone_on_binary_forms_matches_the_substitution_reference(monkeypatch):
+    # seeded lam*q + c: cones that are images of a multiple of the circle,
+    # random cones (mostly not), cones with a = 0 or degenerate, int and
+    # Fraction coefficients, and a few cubics without the node shape
+    from biquo import invariants
+
+    rng = random.Random(67)
+    entries = (0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3))
+    outcomes = {}
+    for case in range(1500):
+        pick = rng.random()
+        if pick < 0.6:
+            k = rng.choice((1, -2, 3, Fraction(1, 3)))
+            p, r, s, t = (rng.randint(-3, 3) for _ in range(4))
+            cone = (k * (p * p + s * s), k * 2 * (p * r + s * t), k * (r * r + t * t))
+        elif pick < 0.75:
+            cone = (0, rng.choice(entries), rng.choice(entries))
+        else:
+            cone = tuple(rng.choice(entries) for _ in range(3))
+        terms = {(1, 2 - j, j): x for j, x in enumerate(cone)}
+        terms.update({(0, 3 - j, j): rng.choice(entries) for j in range(4)})
+        if case % 100 == 0:
+            terms[2, 1, 0] = 1
+        F = TernaryCubic.from_coefficients(terms)
+        got = _normalized_or_error(_normalize_cone, F)
+        want = _normalized_or_error(_substitution_normalize_cone, F)
+        assert got == want, F
+        if isinstance(got, TernaryCubic):
+            assert all(type(c) is int for c in got.poly.coeffs.values())
+            assert tangent_cone(got).is_multiple_of_circle()
+            outcomes["normalized"] = outcomes.get("normalized", 0) + 1
+        else:
+            outcomes[got] = outcomes.get(got, 0) + 1
+    assert set(outcomes) == {
+        "normalized",
+        "cubic does not have the node shape lam*q + c",
+        "tangent cone is degenerate (no definite part)",
+        "tangent cone is not equivalent to a multiple of mu^2+nu^2",
+    }, outcomes
+    assert outcomes["normalized"] >= 500
+    # the certificate on the output cone: a substitution that leaves the
+    # forms alone fails it
+    monkeypatch.setattr(invariants, "_binary_substitute", lambda form, *image: list(form))
+    F = TernaryCubic.from_coefficients({(1, 2, 0): 2, (1, 1, 1): 2, (1, 0, 2): 1, (0, 3, 0): 1})
+    with pytest.raises(CertificateError, match="^cone normalization failed$"):
+        _normalize_cone(F)
 
 
 def _fraction_normalize_cone(F):

@@ -5,8 +5,9 @@ from math import lcm
 
 import pytest
 
-from biquo.graded import QuadricSystem
-from biquo.invariants import t1_relation_net
+from biquo.biquotient import quotient_ring, t1_action_matrix
+from biquo.graded import QuadricSystem, _pairs
+from biquo.invariants import t1_parameters, t1_relation_net
 from biquo import nodal
 from biquo.nodal import (
     BinaryCubic,
@@ -19,7 +20,7 @@ from biquo.nodal import (
     tangent_cone,
 )
 from biquo.oracles import inflection_residual
-from biquo.poly import HomPoly, _pack, _places, _ratio, _unpack, monomials
+from biquo.poly import HomPoly, _coerce, _pack, _places, _ratio, _unpack, monomials
 from biquo.univar import up_divmod, up_trim
 
 
@@ -435,8 +436,8 @@ def test_inflection_lines_error_messages(monkeypatch):
     raises("degenerate elimination: zero resultant", family_cubic(0, 0))
     # a circle cone gives a Hessian with lam-part 8*lam*(mu^2+nu^2) and a
     # harmonic cubic after one strip, so the other failures are reached by
-    # replacing the resultant or the Hessian
-    resultant = nodal.resultant_in_var
+    # replacing the integer resultant core or the Hessian
+    resultant = nodal._int_resultant
     forms = {
         # (mu^2+nu^2) * mu^3, a non-harmonic cubic
         "inflection cubic has a nonzero non-harmonic component": [1, 0, 1, 0, 0, 0],
@@ -444,9 +445,9 @@ def test_inflection_lines_error_messages(monkeypatch):
         "elimination did not produce a binary cubic": [1, 0, 0],
     }
     for message, form in forms.items():
-        monkeypatch.setattr(nodal, "resultant_in_var", lambda *_, form=form: list(map(Fraction, form)))
+        monkeypatch.setattr(nodal, "_int_resultant", lambda *_, form=form: (form, 1))
         raises(message)
-    monkeypatch.setattr(nodal, "resultant_in_var", resultant)
+    monkeypatch.setattr(nodal, "_int_resultant", resultant)
     monkeypatch.setattr(TernaryCubic, "hessian", lambda self: TernaryCubic(HomPoly.zero(3, 3)))
     raises("degenerate elimination: the Hessian vanishes")
 
@@ -941,3 +942,106 @@ def test_resultant_in_var_matches_the_hompoly_reference():
     assert resultant_in_var(x1 * x2, x1 * x3, 0) == [Fraction(0)]
     assert resultant_in_var(cancel, cancel, 0) == [Fraction(0)] * 4
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- det_cubic from the net's integer rows against the Fraction Grams ----------
+
+
+def _fraction_gram_det_cubic(net):
+    """det_cubic as it read the net's Fraction Grams: the six distinct
+    entries cleared by the lcm D of their denominators, and the
+    determinant divided by D^3."""
+    entries = [[g[i][j] for g in net.basis] for i, j in _pairs(3)]
+    den = lcm(*(c.denominator for entry in entries for c in entry))
+    forms = [
+        {
+            place: c.numerator * (den // c.denominator)
+            for place, c in zip(nodal._CUBIC_PLACES, entry)
+            if c
+        }
+        for entry in entries
+    ]
+    return nodal._cubic_from_det([[forms[k] for k in row] for row in nodal._SYMMETRIC], den**3)
+
+
+def _assert_same_cubic(got, want):
+    assert got == want and _same_terms(got.poly.coeffs, want.poly.coeffs), (got, want)
+
+
+def test_det_cubic_from_rows_matches_the_gram_reference_on_ring_nets():
+    # every t1 r=20 kernel net, as the pipeline builds it from the ring
+    for b1 in range(-20, 21):
+        for c1 in range(-20, 21):
+            if (b1, c1) != (0, 0):
+                net = quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map()
+                _assert_same_cubic(det_cubic(net), _fraction_gram_det_cubic(net))
+
+
+def test_det_cubic_from_rows_matches_the_gram_reference_on_public_nets():
+    # nets through the public constructor, whose rows are cleared from
+    # mixed int/Fraction Grams, the rescaled nets of the relation_scaling
+    # check, and two degenerate nets through from_polys
+    rng = random.Random(53)
+    x1, x2, x3 = (HomPoly.variable(3, i) for i in range(3))
+    nets = [QuadricSystem.from_polys([a * a, b * b, a * b]) for a, b in ((x2, x3), (x1 - x2, x3))]
+    while len(nets) < 1002:
+        net = _mixed_net(rng)
+        if net is not None:
+            nets.append(net)
+    while len(nets) < 1302:
+        b1, c1 = rng.randint(-8, 8), rng.randint(-8, 8)
+        if (b1, c1) == (0, 0):
+            continue
+        net = t1_relation_net(*t1_parameters(b1, c1))
+        scales = [
+            Fraction(rng.randint(1, 5) * rng.choice([1, -1]), rng.randint(1, 3))
+            for _ in range(3)
+        ]
+        nets.append(QuadricSystem(3, tuple(
+            tuple(tuple(s * x for x in row) for row in gram)
+            for s, gram in zip(scales, net.basis)
+        )))
+    zero = 0
+    for net in nets:
+        got = det_cubic(net)
+        _assert_same_cubic(got, _fraction_gram_det_cubic(net))
+        zero += got.is_zero()
+    assert zero >= 2
+
+
+# -- one binary substitution ----------------------------------------------------
+
+
+def test_binary_substitute_matches_hompoly_substitute():
+    rng = random.Random(59)
+    entries = (0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    kinds = {"singular": 0, "swap": 0, "fraction": 0}
+    for case in range(2000):
+        n = case % 4
+        form = [rng.choice(entries) for _ in range(n + 1)]
+        pick = rng.random()
+        if pick < 0.1:
+            e, f, g, h = 0, 1, 1, 0  # the mu <-> nu swap
+        elif pick < 0.25:
+            e, f = rng.choice(entries), rng.choice(entries)  # rank <= 1
+            k = rng.choice(entries)
+            g, h = k * e, k * f
+        else:
+            e, f, g, h = (rng.choice(entries) for _ in range(4))
+        kinds["swap"] += (e, f, g, h) == (0, 1, 1, 0)
+        kinds["singular"] += e * h == f * g
+        kinds["fraction"] += any(type(x) is Fraction for x in (*form, e, f, g, h))
+        poly = HomPoly(2, n, {(n - k, k): c for k, c in enumerate(form)})
+        want = poly.substitute([[e, f], [g, h]])
+        got = [_coerce(c) for c in nodal._binary_substitute(form, e, f, g, h)]
+        assert len(got) == n + 1
+        assert got == [want.coefficient((n - k, k)) for k in range(n + 1)], (form, e, f, g, h)
+        assert [type(c) for c in got] == [type(want.coefficient((n - k, k))) for k in range(n + 1)]
+        if n == 3:
+            moved = BinaryCubic(*form).substitute(e, f, g, h)
+            assert moved.coefficients() == tuple(got)
+            assert [type(c) for c in moved.coefficients()] == [type(c) for c in got]
+    assert min(kinds.values()) >= 100, kinds
+    # int forms under int matrices stay int before any coercion
+    moved = nodal._binary_substitute([1, 2, 3, 4], 2, -1, 0, 3)
+    assert moved == [8, 12, 36, 86] and all(type(c) is int for c in moved)
