@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import linalg
@@ -44,22 +44,26 @@ from .biquotient import (
 )
 from .graded import QuadricSystem
 from .nodal import (
+    _CONE_KEYS,
+    _CUBIC_PART_KEYS,
     TernaryCubic,
     _binary_substitute,
     _eliminants,
+    _family_locus,
+    _inflection_ints,
+    _is_circle_multiple,
     _line_gcd,
+    _net_det,
     _normalize_point,
-    det_cubic,
-    inflection_lines,
+    _packed_cone,
+    _packed_cubic,
     singular_points,
-    tangent_cone,
 )
 from .poly import HomPoly, monomials
 from .univar import (
     UPoly,
     bf_rational_proj_roots,
     bf_to_upoly,
-    is_rational_square,
     up_factor,
 )
 
@@ -153,14 +157,6 @@ def t1_invariant(b1: int, c1: int) -> T1Invariant:
     return T1Invariant.from_alpha_beta(value.re, value.im)
 
 
-def _primitive_cubic(F: TernaryCubic) -> TernaryCubic:
-    """The primitive integer cubic that is a positive rational multiple of F
-    (the zero cubic stays zero)."""
-    if not F.poly.coeffs:
-        return F
-    return TernaryCubic(HomPoly._trusted(3, 3, _primitive_terms(F.poly.coeffs)))
-
-
 def _primitive_terms(terms: dict) -> dict:
     """Nonzero int or Fraction terms as the primitive int terms of a
     positive rational multiple: cleared by the lcm of the denominators,
@@ -184,41 +180,51 @@ def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic
 
 def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
     """F with its tangent cone turned into A*(mu^2 + nu^2), as a primitive
-    integer cubic.
+    integer cubic: ``_normalized_cone_terms`` on F's packed terms."""
+    return _packed_cubic(_normalized_cone_terms(F._packed()))
+
+
+def _normalized_cone_terms(terms: dict) -> dict[int, int]:
+    """A cubic packed in ``nodal._CUBIC_PLACES`` with its tangent cone
+    turned into A*(mu^2 + nu^2), as a primitive packed int cubic.
 
     F = lam*q(mu, nu) + c(mu, nu).  With the cone q = a mu^2 + b mu nu +
-    c nu^2 (mu and nu swapped first when a = 0, by reversing both
-    coefficient lists) and w = p/q the rational square root of
-    (4ac - b^2) / (4a^2), mu -> mu - b/(2aw) nu and nu -> nu/w take the
-    cone to a(mu^2 + nu^2).  Both images are scaled by s = 2ap, so the
+    c nu^2, a != 0, and w = p/q the rational square root of (4ac - b^2) /
+    (4a^2), mu -> mu - b/(2aw) nu and nu -> nu/w take the cone to a(mu^2
+    + nu^2).  w is found on the cone cleared to ints (the ratio does not
+    change): 4ac - b^2 must be a positive integer square s^2, and w =
+    s / (2|a|) in lowest terms.  Both images are scaled by 2ap, so the
     substitution is mu -> 2ap mu - bq nu, nu -> 2aq nu, applied to the
     binary forms q and c alone (``nodal._binary_substitute``): lam stays
-    fixed, the cone is multiplied by s^2 and c by s^3.  That multiplies
-    the inflection cubic's alpha + beta*i by a rational scalar, which the
-    cube classes quotient out, as they do the positive rational that the
-    content gcd divides by.
+    fixed, the cone is multiplied by (2ap)^2 and c by (2ap)^3.  That
+    multiplies the inflection cubic's alpha + beta*i by a rational
+    scalar, which the cube classes quotient out, as they do the positive
+    rational that the content gcd divides by.  A cone with a = 0 is
+    c nu^2 + b mu nu, which is never definite: it raises at once.
     """
-    cone = tangent_cone(F)
-    a, b, c = cone.a, cone.b, cone.c
-    quadratic, cubic = [a, b, c], list(F.cubic_part())
+    a, b, c = _packed_cone(terms)
     if a == 0:
         if c == 0:
             raise ValueError("tangent cone is degenerate (no definite part)")
-        quadratic, cubic = quadratic[::-1], cubic[::-1]
-        a, c = c, a
-    w = is_rational_square(Fraction(4 * a * c - b * b, 4 * a * a))
-    if w is None or w == 0:
         raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
-    p, q = w.numerator, w.denominator
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    a_int, b_int, c_int = (x.numerator * (den // x.denominator) for x in (a, b, c))
+    disc = 4 * a_int * c_int - b_int * b_int
+    root = isqrt(disc) if disc > 0 else 0
+    if not root or root * root != disc:
+        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
+    g = gcd(root, 2 * a_int)
+    p, q = root // g, abs(2 * a_int) // g
     image = (2 * a * p, -b * q, 0, 2 * a * q)
-    terms = {
-        (lam, 3 - lam - k, k): x
-        for lam, form in ((1, quadratic), (0, cubic))
-        for k, x in enumerate(_binary_substitute(form, *image))
+    cubic = [terms.get(key, 0) for key in _CUBIC_PART_KEYS]
+    normalized = {
+        key: x
+        for keys, form in ((_CONE_KEYS, [a, b, c]), (_CUBIC_PART_KEYS, cubic))
+        for key, x in zip(keys, _binary_substitute(form, *image))
         if x
     }
-    out = TernaryCubic(HomPoly._trusted(3, 3, _primitive_terms(terms)))
-    if not tangent_cone(out).is_multiple_of_circle():
+    out = _primitive_terms(normalized)
+    if not _is_circle_multiple(*_packed_cone(out)):
         raise CertificateError("cone normalization failed")
     return out
 
@@ -231,21 +237,31 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     freedom (choice of net basis, moving the node, the orthogonal
     stabilizer of the cone) acts through rational scalings, cubes, and
     conjugation, all of which the invariant quotients out, so any basis
-    of the same net gives the same value.  So the determinant cubic is
-    cleared once to a primitive integer cubic, a rational multiple that
-    the cube classes quotient out too: the node search, the node move
-    and the cone normalization then run on ints.
+    of the same net gives the same value.  So the net's integer
+    determinant (``nodal._net_det``) is divided by its content gcd, a
+    positive rational multiple of the determinant cubic that the cube
+    classes quotient out too, and one packed int cubic runs through the
+    tail: the node is read off its coefficients (``nodal._family_locus``),
+    the cone is normalized on its binary forms and the inflection cubic
+    eliminated on ints, with Fractions built for alpha and beta alone.  A
+    cubic of another shape (a mixed net puts the node elsewhere) takes
+    the general ``singular_points`` and ``_node_to_origin`` on a
+    ``TernaryCubic`` before it rejoins the packed tail.
     """
-    F = _primitive_cubic(det_cubic(net))
-    locus = singular_points(F)
+    det, _ = _net_det(net)
+    terms = _primitive_terms(det) if det else {}
+    locus = _family_locus(terms)
+    if locus is None:
+        F = _packed_cubic(terms)
+        locus = singular_points(F)
     if not (locus.complete and len(locus.points) == 1):
         raise ValueError("expected exactly one rational node")
-    F0 = _node_to_origin(F, locus.points[0])
-    F1 = _normalize_cone(F0)
-    cubic = inflection_lines(F1)
-    # inflection_lines certified the harmonic shape, so its alpha and
-    # beta are c03 and c30
-    return T1Invariant.from_alpha_beta(cubic.c03, cubic.c30)
+    if locus.points[0] != (1, 0, 0):  # found by the general search alone
+        terms = _node_to_origin(F, locus.points[0])._packed()
+    ints, scale = _inflection_ints(_normalized_cone_terms(terms))
+    # _inflection_ints certified the harmonic shape, so alpha and beta
+    # are c03 and c30
+    return T1Invariant.from_alpha_beta(Fraction(ints[3], scale), Fraction(ints[0], scale))
 
 
 def t1_invariant_pipeline(b1: int, c1: int) -> T1Invariant:

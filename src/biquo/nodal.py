@@ -10,31 +10,39 @@ inflection points is computed by eliminating lam from {F = 0, Hess F = 0}
 with a Sylvester resultant and stripping the tangent-cone factor; for a
 node-shaped input what remains is harmonic, and the elimination carries
 one universal constant which is divided out so the result is exact, not
-just exact-up-to-scale.  The elimination runs on integers: the cubic is
-cleared by its denominators, the resultant comes out on ints, and the
-inflection cubic is divided by the common denominator once, at the end.  ``invariants`` hands
-in the determinant cubic of a net already cleared to a primitive integer
-cubic, so its singular points are found on ints too, and turns its cone
-on the int binary forms of F with ``_binary_substitute``, so the cubic
-that reaches ``inflection_lines`` is integral.
+just exact-up-to-scale.
 
-The three determinants (``det_cubic``, ``TernaryCubic.hessian`` and the
-Sylvester determinant of ``_int_resultant``) share one kernel,
-``_int_det``, on int term dicts.  It walks a cofactor plan made once per
-size (``_det_plan``): every column set as a bitmask, with the steps that
+One packed int cubic runs through the t1 tail.  A cubic is packed in
+base 4 (``_CUBIC_PLACES``, ``poly._places``): lam^i mu^j nu^k has the
+key 16 i + 4 j + k, so the key of a product of terms is the sum of their
+keys, key >> 4 is the exponent of lam and key & 3 that of nu.  The
+kernels take such dicts: ``_net_det`` (the net's determinant, from its
+integer rows, never its Fraction Grams), ``_family_locus`` (the node and
+cone read off coefficients, with no partial built), ``_packed_cone``,
+``_int_hessian`` and ``_inflection_ints``, which eliminates lam on ints,
+strips (mu^2+nu^2) and checks harmonicity, and leaves the one division
+to its caller.  ``invariants`` divides the net's determinant by its
+content gcd and turns the cone on the int binary forms of F with
+``_binary_substitute``, so no ``HomPoly``, partial or Fraction is built
+between the net and alpha and beta.  The public functions are readers
+of the same kernels: ``det_cubic`` and ``TernaryCubic.hessian`` divide
+once and unpack (``_packed_cubic``), and ``singular_points``,
+``tangent_cone`` and ``inflection_lines`` pack their cubic first.
+
+The three determinants (the net's, the Hessian and the Sylvester
+determinant of ``_int_resultant``) share one kernel, ``_int_det``, on
+int term dicts.  It walks a cofactor plan made once per size
+(``_det_plan``): every column set as a bitmask, with the steps that
 build its minor from the row above, run bottom-up with each product
-added straight into the minor's dict.  Each caller builds its entries as
-such dicts straight from its input, cleared once by an lcm of
-denominators: the net's linear forms (read from the net's integer rows,
-never its Fraction Grams) and the Hessian's second partials keyed by
-packed exponents in base 4 (``_CUBIC_PLACES``, ``poly._places``), the
-Sylvester entries as binary forms keyed by the exponent of one variable.
-Each divides the determinant once, at the end, with no ``HomPoly`` in
-between; ``inflection_lines`` keeps the resultant's int coefficients, and
-only ``resultant_in_var`` turns them into Fractions.
-Binary forms are substituted into by one helper, ``_binary_substitute``
-(``BinaryCubic.substitute``, and the cone normalization in
-``invariants``).
+added straight into the minor's dict.  Each caller builds its entries
+as such dicts, cleared once by an lcm of denominators: linear forms
+packed like the cubics for the net and the Hessian, and for the
+Sylvester matrix binary forms keyed by the exponent of one variable,
+split from the packed cubics (``_split_in_lam``) or from ``HomPoly``
+forms (``_split_in_var``, for ``resultant_in_var``, the only place the
+resultant becomes Fractions).  Binary forms are substituted into by one
+helper, ``_binary_substitute`` (``BinaryCubic.substitute``, and the cone
+normalization in ``invariants``).
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -58,7 +66,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _coerce, _places, _ratio, _unpack, monomials
+from .poly import HomPoly, _coerce, _pack, _places, _ratio, _unpack, monomials
 from .univar import (
     UPoly,
     bf_gcd,
@@ -77,8 +85,22 @@ VAR_NAMES = ("lam", "mu", "nu")
 _RESULTANT_SCALE = 8
 
 # Cubics, their second partials and Hessians are packed in base 4, above
-# every exponent of a cubic (``poly._places``).
+# every exponent of a cubic (``poly._places``; see the module docstring).
 _CUBIC_PLACES = _places(3, 4)
+
+
+def _cubic_key(*e: int) -> int:
+    """The key of the monomial with exponents e in ``_CUBIC_PLACES``."""
+    return sum(map(mul, e, _CUBIC_PLACES))
+
+
+# The keys of lam*mu^2, lam*mu*nu, lam*nu^2 (the tangent cone at [1,0,0]
+# of a node-shaped cubic) and of mu^3, mu^2 nu, mu nu^2, nu^3 (its
+# lam-free part).  A key has a lam exponent of at least 2 exactly when it
+# is at least _LAM_SQUARED.
+_CONE_KEYS = tuple(_cubic_key(1, 2 - k, k) for k in range(3))
+_CUBIC_PART_KEYS = tuple(_cubic_key(0, 3 - k, k) for k in range(4))
+_LAM_SQUARED = _cubic_key(2, 0, 0)
 
 # A symmetric 3x3 matrix from its entries at _pairs(3): entry (i, j) is
 # the one at index _SYMMETRIC[i][j].
@@ -90,13 +112,13 @@ _SYMMETRIC = tuple(
 # with x its coefficient of x_i^2 or of x_i x_j: the factor at each pair.
 _DOUBLED = tuple(2 if i == j else 1 for i, j in _pairs(3))
 
-# For each cubic monomial, the second partials d^2/dx_i dx_j (i <= j) that
-# do not kill it: (the index of (i, j) in _pairs(3), the packed key of the
-# derivative's monomial, the factor it takes).  Distinct monomials keep
-# distinct keys under one partial.
+# For the packed key of each cubic monomial, the second partials
+# d^2/dx_i dx_j (i <= j) that do not kill it: (the index of (i, j) in
+# _pairs(3), the packed key of the derivative's monomial, the factor it
+# takes).  Distinct monomials keep distinct keys under one partial.
 _SECOND_PARTIALS = {
-    e: tuple(
-        (k, sum(map(mul, e, _CUBIC_PLACES)) - _CUBIC_PLACES[i] - _CUBIC_PLACES[j], factor)
+    _cubic_key(*e): tuple(
+        (k, _cubic_key(*e) - _CUBIC_PLACES[i] - _CUBIC_PLACES[j], factor)
         for k, (i, j) in enumerate(_pairs(3))
         if (factor := e[i] * (e[j] - (i == j)))
     )
@@ -139,32 +161,34 @@ class TernaryCubic:
     def substitute(self, matrix) -> "TernaryCubic":
         return TernaryCubic(self.poly.substitute(matrix))
 
+    def _packed(self) -> dict:
+        """The terms keyed by ``_CUBIC_PLACES`` (see the module docstring)."""
+        return _pack(self.poly.coeffs, _CUBIC_PLACES)
+
     def partials(self) -> list[HomPoly]:
         return [self.poly.partial(i) for i in range(3)]
 
     def hessian(self) -> "TernaryCubic":
         """det of the matrix of second partials.
 
-        The six second partials of d * F, with d the lcm of F's
-        denominators, come from one pass over the terms as int linear
-        forms packed in ``_CUBIC_PLACES``, each term sent where
-        ``_SECOND_PARTIALS`` says.  The determinant is divided by d^3 once.
+        F is cleared to ints by d, the lcm of its denominators, and packed
+        in ``_CUBIC_PLACES``; ``_int_hessian`` takes the determinant, which
+        is divided by d^3 once.
         """
         coeffs = self.poly.coeffs
         d = lcm(*(c.denominator for c in coeffs.values()))
-        second: list[dict[int, int]] = [{} for _ in _pairs(3)]
-        for e, c in coeffs.items():
-            n = c.numerator * (d // c.denominator)
-            for k, key, factor in _SECOND_PARTIALS[e]:
-                second[k][key] = n * factor
-        return _cubic_from_det([[second[k] for k in row] for row in _SYMMETRIC], d**3)
+        terms = {
+            key: c.numerator * (d // c.denominator)
+            for key, c in self._packed().items()
+        }
+        return _packed_cubic(_int_hessian(terms), d**3)
 
     def evaluate(self, point) -> int | Fraction:
         return self.poly.evaluate(point)
 
     def is_node_shape(self) -> bool:
         """True when F = lam * q(mu,nu) + c(mu,nu): no lam^2 or lam^3 terms."""
-        return all(e[0] <= 1 for e in self.poly.coeffs)
+        return _is_node_shape(self._packed())
 
     def lam_coefficient_form(self) -> tuple[int | Fraction, ...]:
         """(A, B, C) with the lam part equal to lam*(A mu^2 + B mu nu + C nu^2)."""
@@ -260,28 +284,45 @@ def _int_det(rows: list[list[dict]]) -> dict | None:
     return None if det is None else {e: c for e, c in det.items() if c}
 
 
-def _cubic_from_det(rows: list[list[dict]], scale: int) -> TernaryCubic:
-    """det(rows) / scale for a 3x3 matrix of linear forms packed in
-    ``_CUBIC_PLACES``; the zero cubic also when no permutation product
-    is nonzero."""
-    det = _int_det(rows)
-    if not det:
+def _is_node_shape(terms: dict) -> bool:
+    """``TernaryCubic.is_node_shape`` of a cubic packed in ``_CUBIC_PLACES``.
+
+    The gradient at [1,0,0] is (3 [lam^3], [lam^2 mu], [lam^2 nu]), the
+    coefficients of the only cubic monomials with a lam exponent of at
+    least 2, so this is also whether the cubic is singular there.
+    """
+    return max(terms, default=0) < _LAM_SQUARED
+
+
+def _packed_cubic(terms: dict | None, scale: int = 1) -> TernaryCubic:
+    """terms / scale as a cubic, for nonzero int terms packed in
+    ``_CUBIC_PLACES`` (a determinant of ``_int_det`` or a primitive
+    cubic); the zero cubic when there are none."""
+    if not terms:
         return TernaryCubic(HomPoly.zero(3, 3))
     return TernaryCubic(HomPoly._trusted(
-        3, 3, _unpack({e: _ratio(c, scale) for e, c in det.items()}, _CUBIC_PLACES)
+        3, 3, _unpack({e: _ratio(c, scale) for e, c in terms.items()}, _CUBIC_PLACES)
     ))
 
 
-def det_cubic(net: QuadricSystem) -> TernaryCubic:
-    """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space.
+def _int_hessian(terms: dict[int, int]) -> dict | None:
+    """The Hessian determinant of an int cubic packed in ``_CUBIC_PLACES``,
+    as ``_int_det`` returns it.
 
-    Read from the net's integer rows (r_k, d_k), the quadric r_k/d_k
-    (``QuadricSystem``), with no Gram built: with L the lcm of the d_k,
-    2L * G_k has the int entry 2r L/d_k at a diagonal pair and r L/d_k
-    elsewhere, so entry (i, j) of 2L times the matrix is an int linear
-    form keyed by ``_CUBIC_PLACES``.  Its determinant is divided by
-    (2L)^3 once.
+    The six second partials come from one pass over the terms as int
+    linear forms in the same packing, each term sent where
+    ``_SECOND_PARTIALS`` says.
     """
+    second: list[dict[int, int]] = [{} for _ in _pairs(3)]
+    for key, n in terms.items():
+        for k, sub, factor in _SECOND_PARTIALS[key]:
+            second[k][sub] = n * factor
+    return _int_det([[second[k] for k in row] for row in _SYMMETRIC])
+
+
+def _net_det(net: QuadricSystem) -> tuple[dict | None, int]:
+    """(det, scale) with det / scale the determinant cubic of the net:
+    det as ``_int_det`` returns it, packed in ``_CUBIC_PLACES``."""
     if net.ambient_dim != 3 or net.dim != 3:
         raise ValueError("need a 3-dimensional net of quadrics on a 3-space")
     rows = net._rows
@@ -291,7 +332,21 @@ def det_cubic(net: QuadricSystem) -> TernaryCubic:
         m = big // d
         for col, x in row.items():
             forms[col][place] = x * m * _DOUBLED[col]
-    return _cubic_from_det([[forms[k] for k in row] for row in _SYMMETRIC], (2 * big) ** 3)
+    det = _int_det([[forms[k] for k in row] for row in _SYMMETRIC])
+    return det, (2 * big) ** 3
+
+
+def det_cubic(net: QuadricSystem) -> TernaryCubic:
+    """det(lam*G1 + mu*G2 + nu*G3) for a net of quadrics on a 3-space.
+
+    Read from the net's integer rows (r_k, d_k), the quadric r_k/d_k
+    (``QuadricSystem``), with no Gram built (``_net_det``): with L the
+    lcm of the d_k, 2L * G_k has the int entry 2r L/d_k at a diagonal
+    pair and r L/d_k elsewhere, so entry (i, j) of 2L times the matrix is
+    an int linear form keyed by ``_CUBIC_PLACES``.  Its determinant is
+    divided by (2L)^3 once.
+    """
+    return _packed_cubic(*_net_det(net))
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +362,22 @@ def _binary_coeff_form(p: HomPoly, t: int) -> list[Fraction]:
     return out
 
 
-def _int_resultant(f: HomPoly, g: HomPoly, var: int) -> tuple[list[int], int]:
-    """(ints, scale) with Res_var(f, g) = ints / scale, scale > 0, as the
-    binary form of ``resultant_in_var`` with int coefficients.
-
-    f and g are each cleared once by the lcm of their denominators and
-    split by their exponent of ``var`` into int binary forms keyed, like
-    the list, by the exponent of the last remaining variable t alone: the
-    products of a minor share one weight, which fixes the other exponent.
-    The scale is den_f^dg * den_g^df.
+def _int_resultant(
+    f: dict[int, dict[int, int]], wf: int, g: dict[int, dict[int, int]], wg: int
+) -> list[int]:
+    """The Sylvester resultant of two int forms of weights wf and wg in
+    three variables, split by their exponent of the eliminated one: each
+    part an int binary form keyed by the exponent of one remaining
+    variable t alone, since the products of a minor share one weight,
+    which fixes the other exponent.  The result is the binary form of
+    ``resultant_in_var``, indexed by the exponent of t.
     """
-    t = max(i for i in range(3) if i != var)
-    split = []
-    for p in (f, g):
-        den = lcm(*(c.denominator for c in p.coeffs.values()))
-        parts: dict[int, dict[int, int]] = {}
-        for e, c in p.coeffs.items():
-            parts.setdefault(e[var], {})[e[t]] = c.numerator * (den // c.denominator)
-        split.append((max(parts, default=0), den, parts))
-    (df, den_f, cf), (dg, den_g, cg) = split
+    df, dg = max(f, default=0), max(g, default=0)
     if df == 0 and dg == 0:
-        return [1], 1
+        return [1]
     size = df + dg
     rows: list[list[dict]] = []
-    for d, parts, shifts in ((df, cf, dg), (dg, cg, df)):
+    for d, parts, shifts in ((df, f, dg), (dg, g, df)):
         for shift in range(shifts):
             row = [{}] * size
             for k, entry in parts.items():
@@ -338,12 +385,33 @@ def _int_resultant(f: HomPoly, g: HomPoly, var: int) -> tuple[list[int], int]:
             rows.append(row)
     det = _int_det(rows)
     if det is None:
-        return [0], 1
+        return [0]
     # every permutation product has weight dg * wf + df * wg - df * dg
-    out = [0] * (dg * f.weight + df * g.weight - df * dg + 1)
+    out = [0] * (dg * wf + df * wg - df * dg + 1)
     for k, c in det.items():
         out[k] = c
-    return out, den_f**dg * den_g**df
+    return out
+
+
+def _split_in_var(p: HomPoly, var: int, t: int) -> tuple[dict[int, dict[int, int]], int]:
+    """(parts, den): p cleared to ints by den, the lcm of its denominators,
+    and split for ``_int_resultant`` by its exponent of ``var``, each part
+    keyed by the exponent of t."""
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    parts: dict[int, dict[int, int]] = {}
+    for e, c in p.coeffs.items():
+        parts.setdefault(e[var], {})[e[t]] = c.numerator * (den // c.denominator)
+    return parts, den
+
+
+def _split_in_lam(terms: dict[int, int]) -> dict[int, dict[int, int]]:
+    """An int cubic packed in ``_CUBIC_PLACES`` split for ``_int_resultant``
+    by its exponent of lam (key >> 4), each part keyed by that of nu
+    (key & 3)."""
+    parts: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        parts.setdefault(key >> 4, {})[key & 3] = c
+    return parts
 
 
 def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
@@ -354,10 +422,15 @@ def resultant_in_var(f: HomPoly, g: HomPoly, var: int) -> list[Fraction]:
     is c^deg; two forms free of ``var`` give the constant 1 by
     convention.  That constant certifies nothing about common zeros, so
     callers must not eliminate with such a pair; ``_eliminants`` takes
-    the gcd of the two binary forms instead.  The coefficients are
-    ``_int_resultant``'s, divided by its scale.
+    the gcd of the two binary forms instead.  f and g are cleared to ints
+    by the lcm of their denominators, den_f and den_g, and split by
+    ``_split_in_var``; ``_int_resultant``'s coefficients are divided by
+    den_f^dg * den_g^df, with df and dg the degrees in ``var``.
     """
-    ints, scale = _int_resultant(f, g, var)
+    t = max(i for i in range(3) if i != var)
+    (cf, den_f), (cg, den_g) = _split_in_var(f, var, t), _split_in_var(g, var, t)
+    ints = _int_resultant(cf, f.weight, cg, g.weight)
+    scale = den_f ** max(cg, default=0) * den_g ** max(cf, default=0)
     return [Fraction(c, scale) for c in ints]
 
 
@@ -411,6 +484,24 @@ def _is_singular_at(partials: list[HomPoly], point) -> bool:
     return all(p.evaluate(point) == 0 for p in partials)
 
 
+def _family_locus(terms: dict) -> SingularLocus | None:
+    """The closed-form singular locus of a cubic packed in
+    ``_CUBIC_PLACES`` that has the family's shape, None for any other.
+
+    The shape: no lam^2 or lam^3 terms (the node shape lam*q + c, which
+    is singular at [1,0,0]: see ``_is_node_shape``), and a tangent cone q
+    whose discriminant is not a rational square, so that q has no
+    rational zero direction (a cone with no mu^2 term has (1 : 0)).  A
+    singular point of lam*q + c must kill q, so [1,0,0] is the only one.
+    """
+    if not _is_node_shape(terms):
+        return None
+    A, B, C = _packed_cone(terms)
+    if is_rational_square(B * B - 4 * A * C) is not None:
+        return None
+    return SingularLocus(((1, 0, 0),), True, "family-closed-form")
+
+
 def _lam_slice(p: HomPoly, mu0, nu0) -> UPoly:
     """p(lam, mu0, nu0) as a univariate polynomial in lam.
 
@@ -441,7 +532,8 @@ def singular_points(
     """All rational projective singular points of a nonzero cubic.
 
     For the scanned family (node shape with definite tangent cone) the
-    answer is closed-form.  Otherwise one loop runs over directions
+    answer is closed-form (``_family_locus``), read off coefficients
+    with no partial built.  Otherwise one loop runs over directions
     (mu0 : nu0), takes the rational lam-roots of the partials' gcd on each
     line and re-checks every point exactly.  The directions are the
     rational roots of the gcd of the eliminants, which certifies
@@ -452,19 +544,12 @@ def singular_points(
     """
     if F.is_zero():
         raise ValueError("the zero cubic is singular everywhere")
+    terms = F._packed()
+    locus = _family_locus(terms)
+    if locus is not None:
+        return locus
+
     partials = F.partials()
-
-    if F.is_node_shape():
-        A, B, C = F.lam_coefficient_form()
-        disc = B * B - 4 * A * C
-        if A != 0 and is_rational_square(disc) is None:
-            # the tangent cone has no rational zero directions, and a
-            # singular point of lam*q + c must kill q, so [1,0,0] is all
-            pts = []
-            if _is_singular_at(partials, (1, 0, 0)):
-                pts.append((1, 0, 0))
-            return SingularLocus(tuple(pts), True, "family-closed-form")
-
     eliminant = None
     for r in _eliminants(partials):
         eliminant = r if eliminant is None else bf_gcd(eliminant, r)
@@ -480,9 +565,7 @@ def singular_points(
         ]
         complete, method = False, "bounded-search"
 
-    points: list[tuple[int, int, int]] = []
-    if _is_singular_at(partials, (1, 0, 0)):
-        points.append((1, 0, 0))
+    points: list[tuple[int, int, int]] = [(1, 0, 0)] if _is_node_shape(terms) else []
     for mu0, nu0 in directions:
         common = _line_gcd(partials, mu0, nu0)
         if common is None:
@@ -517,7 +600,12 @@ class BinaryQuadratic:
         return self.a * mu * mu + self.b * mu * nu + self.c * nu * nu
 
     def is_multiple_of_circle(self) -> bool:
-        return self.b == 0 and self.a == self.c and self.a != 0
+        return _is_circle_multiple(self.a, self.b, self.c)
+
+
+def _is_circle_multiple(a, b, c) -> bool:
+    """Whether a mu^2 + b mu nu + c nu^2 is a nonzero multiple of mu^2+nu^2."""
+    return b == 0 and a == c and a != 0
 
 
 def tangent_cone(F: TernaryCubic) -> BinaryQuadratic:
@@ -526,10 +614,15 @@ def tangent_cone(F: TernaryCubic) -> BinaryQuadratic:
     Requires F = lam*q(mu,nu) + c(mu,nu) and singularity at [1,0,0]
     (both hold exactly when no monomial has lam-exponent >= 2).
     """
-    if not F.is_node_shape():
+    return BinaryQuadratic(*_packed_cone(F._packed()))
+
+
+def _packed_cone(terms: dict) -> tuple:
+    """The coefficients (a, b, c) of ``tangent_cone`` of a cubic packed in
+    ``_CUBIC_PLACES``."""
+    if not _is_node_shape(terms):
         raise ValueError("cubic does not have the node shape lam*q + c")
-    A, B, C = F.lam_coefficient_form()
-    return BinaryQuadratic(A, B, C)
+    return tuple(terms.get(key, 0) for key in _CONE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -626,10 +719,10 @@ def _binary_substitute(form: Sequence, e, f, g, h) -> list:
 
 def _times_linear(form: list, e, f) -> list:
     """A binary form times e*mu + f*nu."""
-    out = [0] * (len(form) + 1)
-    for k, c in enumerate(form):
-        out[k] += c * e
-        out[k + 1] += c * f
+    out = [c * e for c in form]
+    out.append(0)
+    for k, c in enumerate(form, 1):
+        out[k] += c * f
     return out
 
 
@@ -657,31 +750,38 @@ def inflection_lines(F: TernaryCubic) -> BinaryCubic:
     (the universal elimination constant divided out), so for the family
     determinant cubic the result is exactly
     beta*mu^3 - 3 alpha*mu^2 nu - 3 beta*mu nu^2 + alpha*nu^3.
+    The elimination is ``_inflection_ints`` on F packed in
+    ``_CUBIC_PLACES``; the four Fractions are the only ones built.
+    """
+    ints, scale = _inflection_ints(F._packed())
+    return BinaryCubic(*(Fraction(c, scale) for c in ints))
+
+
+def _inflection_ints(terms: dict) -> tuple[list[int], int]:
+    """(ints, scale) with ints / scale the coefficients (c30, c21, c12,
+    c03) of ``inflection_lines`` of a cubic packed in ``_CUBIC_PLACES``.
 
     The elimination runs on integers.  For a fixed cone the resultant is
     linear in the lam-free part c: it is -(mu^2+nu^2)(8c + h) with h the
     lam-free part of the Hessian, linear in c.  So c is cleared to
     integers by the lcm d of its denominators, which multiplies the
-    resultant by d; the Hessian of that integer cubic is integral too, so
-    ``_int_resultant`` gives the resultant as ints with scale 1.
-    (mu^2+nu^2) is stripped by integer synthetic division, harmonicity is
-    tested on the integer cubic, and the cubic's coefficients are divided
-    by 8 * d once, the only Fractions built.
+    resultant by d, and lam is rescaled so that the cone is exactly
+    -(mu^2+nu^2).  The Hessian (``_int_hessian``) of that int cubic is
+    integral too, and both are split by their exponent of lam for
+    ``_int_resultant``.  (mu^2+nu^2) is stripped by integer synthetic
+    division, harmonicity is tested on the integer cubic, and the scale
+    is 8 * d.
     """
-    cone = tangent_cone(F)
-    if not cone.is_multiple_of_circle():
+    if not _is_circle_multiple(*_packed_cone(terms)):
         raise ValueError("tangent cone is not a multiple of mu^2+nu^2")
-    lam_free = {e: c for e, c in F.poly.coeffs.items() if not e[0]}
+    lam_free = {key: c for key, c in terms.items() if key < _CUBIC_PLACES[0]}
     d = lcm(*(c.denominator for c in lam_free.values()))
-    terms = {e: c.numerator * (d // c.denominator) for e, c in lam_free.items()}
-    # rescale lam so the cone is exactly -(mu^2+nu^2)
-    terms[1, 2, 0] = terms[1, 0, 2] = -1
-    normalized = TernaryCubic(HomPoly._trusted(3, 3, terms))
-    hess = normalized.hessian()
-    if hess.is_zero():
+    normalized = {key: c.numerator * (d // c.denominator) for key, c in lam_free.items()}
+    normalized[_CONE_KEYS[0]] = normalized[_CONE_KEYS[2]] = -1
+    hess = _int_hessian(normalized)
+    if not hess:
         raise ValueError("degenerate elimination: the Hessian vanishes")
-    # both forms are integral, so the resultant's scale is 1
-    res = _int_resultant(normalized.poly, hess.poly, 0)[0]
+    res = _int_resultant(_split_in_lam(normalized), 3, _split_in_lam(hess), 3)
     if not any(res):
         raise ValueError("degenerate elimination: zero resultant")
     stripped = _strip_circle(res)
@@ -690,5 +790,4 @@ def inflection_lines(F: TernaryCubic) -> BinaryCubic:
     c30, c21, c12, c03 = stripped
     if c12 != -3 * c30 or c21 != -3 * c03:
         raise ValueError("inflection cubic has a nonzero non-harmonic component")
-    scale = _RESULTANT_SCALE * d
-    return BinaryCubic(*(Fraction(c, scale) for c in stripped))
+    return stripped, _RESULTANT_SCALE * d

@@ -26,13 +26,11 @@ zeros.  Every other path wraps its result with the private
   D and the polynomial by its own d, multiplies packed int term dicts
   with ``_mul_terms`` (each image form's powers once per call) and
   divides the sum once by d * D^weight with ``_ratio``.
-* ``nodal`` wraps the cubics of ``det_cubic`` and
-  ``TernaryCubic.hessian``: each builds packed int term dicts straight
-  from its input, expands their determinant with ``nodal._int_det`` and
-  divides once with ``_ratio`` (zeros dropped), then unpacks.  It also
-  wraps the integer cubic of ``inflection_lines``; ``invariants`` wraps
-  the primitive integer cubic it clears a net's determinant cubic to
-  (nonzero ints, each divided by their gcd).
+* ``nodal._packed_cubic`` wraps every cubic that ``nodal`` and
+  ``invariants`` build on packed int term dicts (``det_cubic``,
+  ``TernaryCubic.hessian``, ``invariants._normalize_cone``): the
+  nonzero int terms of ``nodal._int_det`` or of a primitive cubic,
+  divided once with ``_ratio`` (zeros dropped), then unpacked.
 
 They rely on the dict they pass being clean: int-tuple keys of length
 ``nvars`` that sum to the weight, and nonzero canonical values.
@@ -44,8 +42,10 @@ Pearce, CASC 2007); ``graded`` packs its monomials the same way.  When
 every exponent of a product stays below the base no digit carries, so
 the key of a product is the sum of the keys, and ``_mul_terms`` adds
 keys where it would add tuples.  ``*`` and ``substitute`` pack with
-base weight + 1 of the result, and so do ``nodal``'s cubic determinants
-(base 4); each packs on entry and unpacks once on exit.
+base weight + 1 of the result, and each packs on entry and unpacks once
+on exit.  ``nodal`` keeps its cubics packed in base 4 from a net's
+determinant to the inflection cubic, and unpacks only the cubics its
+public functions return.
 ``_mul_terms`` keeps int coefficients int and leaves
 cancelled ones as zeros; its callers drop them.  A coefficient read
 back (``coeffs``, ``coefficient``, ``evaluate``) may be an int, so a

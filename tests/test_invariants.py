@@ -16,7 +16,7 @@ from biquo.invariants import (
     MonicQuadratic,
     T1Invariant,
     _normalize_cone,
-    _primitive_cubic,
+    _primitive_terms,
     parse_t1_invariant,
     rank_one_elements,
     rotate_alpha_beta,
@@ -100,22 +100,21 @@ def test_t1_members_are_conjugate():
 
 
 def test_t1_pipeline_matches_closed_form():
-    rng = random.Random(2)
-    seen = 0
-    while seen < 30:
-        b1, c1 = rng.randint(-10, 10), rng.randint(-10, 10)
-        if (b1, c1) == (0, 0):
-            continue
-        assert t1_invariant_pipeline(b1, c1) == t1_invariant(b1, c1)
-        seen += 1
+    # every pair of the golden t1 grid, r = 20
+    for b1 in range(-20, 21):
+        for c1 in range(-20, 21):
+            if (b1, c1) != (0, 0):
+                assert t1_invariant_pipeline(b1, c1) == t1_invariant(b1, c1), (b1, c1)
 
 
 def test_t1_pipeline_tail_runs_no_substitution_division_or_gram(monkeypatch):
     # the node of a family net is [1, 0, 0] and the cone is turned on binary
     # forms, so nothing substitutes into a HomPoly; (mu^2+nu^2) is stripped
-    # on integers, so nothing calls up_divmod; and det_cubic reads the net's
-    # integer rows, so no Fraction Gram is built
-    from biquo import graded, univar
+    # on integers, so nothing calls up_divmod; and the determinant is read
+    # from the net's integer rows, so no Fraction Gram is built.  From the
+    # net on, one packed int cubic runs through the tail: no partial is
+    # built and no packed cubic is unpacked into a HomPoly
+    from biquo import graded, poly, univar
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
 
     calls = {"substitute": 0, "up_divmod": 0}
@@ -126,15 +125,28 @@ def test_t1_pipeline_tail_runs_no_substitution_division_or_gram(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def no_grams(*args):
-        raise AssertionError("the t1 tail built Fraction Grams")
+    def forbidden(what):
+        def fail(*args):
+            raise AssertionError(f"the t1 tail {what}")
+        return fail
 
     monkeypatch.setattr(HomPoly, "substitute", counted("substitute", HomPoly.substitute))
     monkeypatch.setattr(univar, "up_divmod", counted("up_divmod", univar.up_divmod))
-    monkeypatch.setattr(graded, "_grams", no_grams)
-    for b1, c1 in ((7, -3), (1, 0), (0, 8), (-13, 5), (20, 19)):
+    monkeypatch.setattr(graded, "_grams", forbidden("built Fraction Grams"))
+    pairs = ((7, -3), (1, 0), (0, 8), (-13, 5), (20, 19))
+    nets = []
+    for b1, c1 in pairs:
         assert t1_invariant_pipeline(b1, c1) == t1_invariant(b1, c1)
-        net = t1_relation_net(*t1_parameters(b1, c1))
+        nets.append((quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map(), (b1, c1)))
+        nets.append((t1_relation_net(*t1_parameters(b1, c1)), (b1, c1)))
+    # the ring itself multiplies HomPolys, so these two are forbidden on
+    # the tail alone, wherever a module bound _unpack by name
+    monkeypatch.setattr(TernaryCubic, "partials", forbidden("built partials"))
+    unpack = poly._unpack
+    for module in [m for name, m in sys.modules.items() if name.startswith("biquo")]:
+        if getattr(module, "_unpack", None) is unpack:
+            monkeypatch.setattr(module, "_unpack", forbidden("unpacked a cubic"))
+    for net, (b1, c1) in nets:
         assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
     assert calls == {"substitute": 0, "up_divmod": 0}
 
@@ -852,6 +864,14 @@ def test_normalize_cone_returns_the_primitive_integer_cubic():
     assert tangent_cone(out) == BinaryQuadratic(1, 0, 1)
 
 
+def _primitive_cubic(F):
+    """The reference primitive integer cubic: the positive rational
+    multiple of F that ``_primitive_terms`` gives (zero stays zero)."""
+    if not F.poly.coeffs:
+        return F
+    return TernaryCubic(HomPoly._trusted(3, 3, _primitive_terms(F.poly.coeffs)))
+
+
 def _substitution_normalize_cone(F):
     """The reference normalization by ``HomPoly.substitute``: the mu <-> nu
     swap when a = 0, then the integer matrix [[1,0,0],[0,2ap,-bq],[0,0,2aq]]
@@ -955,3 +975,67 @@ def test_normalize_cone_matches_the_fraction_reference_on_the_t1_grid():
             assert T1Invariant.from_alpha_beta(ref.alpha, ref.beta) == T1Invariant.from_alpha_beta(
                 got.alpha, got.beta
             ), (b1, c1)
+
+
+def test_normalize_cone_without_a_mu_squared_term_raises_at_once(monkeypatch):
+    # a cone b mu nu + c nu^2 is never definite: with c = 0 it is
+    # degenerate, otherwise it is not equivalent to a multiple of the
+    # circle; both raise before any substitution
+    from biquo import invariants
+
+    def no_substitution(*args):
+        raise AssertionError("substituted into a cone with a = 0")
+
+    monkeypatch.setattr(invariants, "_binary_substitute", no_substitution)
+    messages = {
+        "tangent cone is degenerate (no definite part)": [(0, 0, 0), (0, 3, 0), (0, Fraction(1, 2), 0)],
+        "tangent cone is not equivalent to a multiple of mu^2+nu^2": [
+            (0, 0, 1), (0, 2, 1), (0, -3, Fraction(5, 2)), (0, 0, -7),
+        ],
+    }
+    for message, cones in messages.items():
+        for cone in cones:
+            terms = {(1, 2 - j, j): x for j, x in enumerate(cone)}
+            terms.update({(0, 3, 0): 1, (0, 1, 2): -2, (0, 0, 3): 5})
+            with pytest.raises(ValueError) as info:
+                _normalize_cone(TernaryCubic.from_coefficients(terms))
+            assert str(info.value) == message, cone
+
+
+def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
+    # the net's integer determinant divided by its content gcd is the
+    # primitive integer multiple of det_cubic, on ring nets, their rescaled
+    # and mixed presentations, and relation nets
+    from biquo import invariants
+    from biquo.invariants import t1_invariant_from_net, t1_relation_net
+    from biquo.nodal import _CUBIC_PLACES, det_cubic
+    from biquo.poly import _pack
+
+    seen = []
+    family_locus = invariants._family_locus
+    monkeypatch.setattr(
+        invariants, "_family_locus", lambda terms: seen.append(terms) or family_locus(terms)
+    )
+    rng = random.Random(73)
+    for b1 in range(-6, 7):
+        for c1 in range(-6, 7):
+            if (b1, c1) == (0, 0):
+                continue
+            ring_net = quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map()
+            while True:
+                M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                     for _ in range(3)]
+                if linalg.det(M) != 0:
+                    break
+            mixed = QuadricSystem(3, tuple(
+                tuple(
+                    tuple(sum(M[r][k] * ring_net.basis[k][i][j] for k in range(3)) for j in range(3))
+                    for i in range(3)
+                )
+                for r in range(3)
+            ))
+            for net in (ring_net, mixed, t1_relation_net(*t1_parameters(b1, c1))):
+                seen.clear()
+                assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
+                want = _pack(_primitive_cubic(det_cubic(net)).poly.coeffs, _CUBIC_PLACES)
+                assert seen == [want], (b1, c1)

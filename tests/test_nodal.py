@@ -12,6 +12,7 @@ from biquo import nodal
 from biquo.nodal import (
     BinaryCubic,
     BinaryQuadratic,
+    SingularLocus,
     TernaryCubic,
     det_cubic,
     inflection_lines,
@@ -179,6 +180,15 @@ def test_singular_points_triangle():
     locus = singular_points(TernaryCubic.from_coefficients({(1, 1, 1): 1}))
     assert set(locus.points) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert locus.complete
+
+
+def test_singular_points_split_cone_takes_the_elimination():
+    # lam (mu^2 - nu^2) has the node shape, but its cone splits over Q, so
+    # the closed form does not apply: the lines meet in two more points
+    locus = singular_points(TernaryCubic.from_coefficients({(1, 2, 0): 1, (1, 0, 2): -1}))
+    assert locus == SingularLocus(
+        ((0, 1, -1), (0, 1, 1), (1, 0, 0)), True, "resultant-elimination"
+    )
 
 
 def test_singular_points_bounded_search_on_a_singular_line():
@@ -445,11 +455,14 @@ def test_inflection_lines_error_messages(monkeypatch):
         "elimination did not produce a binary cubic": [1, 0, 0],
     }
     for message, form in forms.items():
-        monkeypatch.setattr(nodal, "_int_resultant", lambda *_, form=form: (form, 1))
+        monkeypatch.setattr(nodal, "_int_resultant", lambda *_, form=form: form)
         raises(message)
     monkeypatch.setattr(nodal, "_int_resultant", resultant)
-    monkeypatch.setattr(TernaryCubic, "hessian", lambda self: TernaryCubic(HomPoly.zero(3, 3)))
-    raises("degenerate elimination: the Hessian vanishes")
+    # a determinant with no nonzero permutation product, and one whose
+    # products cancel
+    for det in (None, {}):
+        monkeypatch.setattr(nodal, "_int_hessian", lambda terms, det=det: det)
+        raises("degenerate elimination: the Hessian vanishes")
 
 
 def test_hessian_matches_sympy():
@@ -961,7 +974,8 @@ def _fraction_gram_det_cubic(net):
         }
         for entry in entries
     ]
-    return nodal._cubic_from_det([[forms[k] for k in row] for row in nodal._SYMMETRIC], den**3)
+    det = nodal._int_det([[forms[k] for k in row] for row in nodal._SYMMETRIC])
+    return nodal._packed_cubic(det, den**3)
 
 
 def _assert_same_cubic(got, want):
@@ -1045,3 +1059,41 @@ def test_binary_substitute_matches_hompoly_substitute():
     # int forms under int matrices stay int before any coercion
     moved = nodal._binary_substitute([1, 2, 3, 4], 2, -1, 0, 3)
     assert moved == [8, 12, 36, 86] and all(type(c) is int for c in moved)
+
+
+def test_singular_points_of_family_cubics_build_no_partials(monkeypatch):
+    # the closed form reads the node and cone off the coefficients of every
+    # t1 r=20 determinant cubic, as the net gives it and cleared to integers
+    def no_partials(self):
+        raise AssertionError("the family closed form built partials")
+
+    monkeypatch.setattr(TernaryCubic, "partials", no_partials)
+    for b1 in range(-20, 21):
+        for c1 in range(-20, 21):
+            if (b1, c1) == (0, 0):
+                continue
+            F = det_cubic(t1_relation_net(*t1_parameters(b1, c1)))
+            den = lcm(*(c.denominator for c in F.poly.coeffs.values()))
+            for cubic in (F, F.scale(den)):
+                locus = singular_points(cubic)
+                assert locus == SingularLocus(((1, 0, 0),), True, "family-closed-form"), (b1, c1)
+
+
+def test_singular_points_finds_the_origin_exactly_on_the_node_shape():
+    # the gradient at [1,0,0] is (3 [lam^3], [lam^2 mu], [lam^2 nu]): seeded
+    # cubics with each of those terms alone, all of them, or none
+    rng = random.Random(71)
+    entries = (1, -2, 3, Fraction(1, 2), Fraction(-5, 3))
+    lam_squared = [(3, 0, 0), (2, 1, 0), (2, 0, 1)]
+    shapes = set()
+    for case in range(120):
+        terms = {e: rng.choice(entries) for e in monomials(3, 3) if e[0] <= 1 and rng.random() < 0.6}
+        picked = [lam_squared[case % 3]] if case % 4 else lam_squared if case % 8 else []
+        terms.update({e: rng.choice(entries) for e in picked})
+        F = TernaryCubic.from_coefficients(terms)
+        if F.is_zero():
+            continue
+        singular = all(p.evaluate((1, 0, 0)) == 0 for p in F.partials())
+        assert ((1, 0, 0) in singular_points(F, 2).points) == singular == F.is_node_shape(), F
+        shapes.add((singular, tuple(picked)))
+    assert len(shapes) == 5, shapes
