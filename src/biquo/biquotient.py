@@ -207,10 +207,6 @@ class KleinRing:
                                 total += t * x * y * z
         return total
 
-    def cubic(self, u: Sequence[Fraction]) -> Fraction:
-        """The integral of the cube of a degree-2 class: sum u_i^2 u_{i+1}."""
-        return self.trilinear(u, u, u)
-
     def h2_dim(self) -> int:
         return self.DIM
 

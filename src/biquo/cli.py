@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_scan(args) -> int:
     from .report import scan
 
-    report = scan(args.family, args.radius, jobs=max(1, args.jobs))
+    report = scan(args.family, args.radius, jobs=args.jobs)
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
         with open(args.out, "w") as fh:

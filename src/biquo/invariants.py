@@ -5,7 +5,9 @@
   and the inflection-line binary cubic yields alpha + beta*i whose class
   in Q(i)* mod cubes and rational scalars (together with its mirror) is
   the invariant.  Both the closed form alpha + beta*i = 4(a+b*i)^2 and
-  the full pipeline through the ring are implemented; they agree.
+  the full pipeline through the ring are implemented; they agree.  The
+  pipeline's tail, from the net's determinant to alpha and beta, is
+  ``nodal._t1_alpha_beta``; this module takes its cube classes.
 
 * t2: circle bundles over the Klein-cubic 6-manifold indexed by nonzero
   rationals (a0, a1).  The cup product induces a quadratic form on a
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -43,22 +45,7 @@ from .biquotient import (
     t1_action_matrix,
 )
 from .graded import QuadricSystem
-from .nodal import (
-    _CONE_KEYS,
-    _CUBIC_PART_KEYS,
-    TernaryCubic,
-    _binary_substitute,
-    _eliminants,
-    _family_locus,
-    _inflection_ints,
-    _is_circle_multiple,
-    _line_gcd,
-    _net_det,
-    _normalize_point,
-    _packed_cone,
-    _packed_cubic,
-    singular_points,
-)
+from .nodal import _eliminants, _line_gcd, _net_det, _normalize_point, _t1_alpha_beta
 from .poly import HomPoly, monomials
 from .univar import (
     UPoly,
@@ -157,78 +144,6 @@ def t1_invariant(b1: int, c1: int) -> T1Invariant:
     return T1Invariant.from_alpha_beta(value.re, value.im)
 
 
-def _primitive_terms(terms: dict) -> dict:
-    """Nonzero int or Fraction terms as the primitive int terms of a
-    positive rational multiple: cleared by the lcm of the denominators,
-    divided by the content gcd."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    g = gcd(*ints.values())
-    return {e: c // g for e, c in ints.items()}
-
-
-def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic:
-    if node == (1, 0, 0):
-        return F  # the substitution below would be the identity
-    pivot = max(range(3), key=lambda i: (abs(node[i]), -i))
-    others = [i for i in range(3) if i != pivot]
-    cols = [list(node)] + [
-        [1 if i == j else 0 for i in range(3)] for j in others
-    ]
-    return F.substitute([[cols[j][i] for j in range(3)] for i in range(3)])
-
-
-def _normalize_cone(F: TernaryCubic) -> TernaryCubic:
-    """F with its tangent cone turned into A*(mu^2 + nu^2), as a primitive
-    integer cubic: ``_normalized_cone_terms`` on F's packed terms."""
-    return _packed_cubic(_normalized_cone_terms(F._packed()))
-
-
-def _normalized_cone_terms(terms: dict) -> dict[int, int]:
-    """A cubic packed in ``nodal._CUBIC_PLACES`` with its tangent cone
-    turned into A*(mu^2 + nu^2), as a primitive packed int cubic.
-
-    F = lam*q(mu, nu) + c(mu, nu).  With the cone q = a mu^2 + b mu nu +
-    c nu^2, a != 0, and w = p/q the rational square root of (4ac - b^2) /
-    (4a^2), mu -> mu - b/(2aw) nu and nu -> nu/w take the cone to a(mu^2
-    + nu^2).  w is found on the cone cleared to ints (the ratio does not
-    change): 4ac - b^2 must be a positive integer square s^2, and w =
-    s / (2|a|) in lowest terms.  Both images are scaled by 2ap, so the
-    substitution is mu -> 2ap mu - bq nu, nu -> 2aq nu, applied to the
-    binary forms q and c alone (``nodal._binary_substitute``): lam stays
-    fixed, the cone is multiplied by (2ap)^2 and c by (2ap)^3.  That
-    multiplies the inflection cubic's alpha + beta*i by a rational
-    scalar, which the cube classes quotient out, as they do the positive
-    rational that the content gcd divides by.  A cone with a = 0 is
-    c nu^2 + b mu nu, which is never definite: it raises at once.
-    """
-    a, b, c = _packed_cone(terms)
-    if a == 0:
-        if c == 0:
-            raise ValueError("tangent cone is degenerate (no definite part)")
-        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    a_int, b_int, c_int = (x.numerator * (den // x.denominator) for x in (a, b, c))
-    disc = 4 * a_int * c_int - b_int * b_int
-    root = isqrt(disc) if disc > 0 else 0
-    if not root or root * root != disc:
-        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
-    g = gcd(root, 2 * a_int)
-    p, q = root // g, abs(2 * a_int) // g
-    image = (2 * a * p, -b * q, 0, 2 * a * q)
-    cubic = [terms.get(key, 0) for key in _CUBIC_PART_KEYS]
-    normalized = {
-        key: x
-        for keys, form in ((_CONE_KEYS, [a, b, c]), (_CUBIC_PART_KEYS, cubic))
-        for key, x in zip(keys, _binary_substitute(form, *image))
-        if x
-    }
-    out = _primitive_terms(normalized)
-    if not _is_circle_multiple(*_packed_cone(out)):
-        raise CertificateError("cone normalization failed")
-    return out
-
-
 def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     """The invariant of any net presenting a family degree-<=4 ring.
 
@@ -238,30 +153,12 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     stabilizer of the cone) acts through rational scalings, cubes, and
     conjugation, all of which the invariant quotients out, so any basis
     of the same net gives the same value.  So the net's integer
-    determinant (``nodal._net_det``) is divided by its content gcd, a
-    positive rational multiple of the determinant cubic that the cube
-    classes quotient out too, and one packed int cubic runs through the
-    tail: the node is read off its coefficients (``nodal._family_locus``),
-    the cone is normalized on its binary forms and the inflection cubic
-    eliminated on ints, with Fractions built for alpha and beta alone.  A
-    cubic of another shape (a mixed net puts the node elsewhere) takes
-    the general ``singular_points`` and ``_node_to_origin`` on a
-    ``TernaryCubic`` before it rejoins the packed tail.
+    determinant (``nodal._net_det``) runs through ``nodal._t1_alpha_beta``,
+    which divides it by its content gcd (a positive rational multiple of
+    the determinant cubic, which the cube classes quotient out too) and
+    keeps one packed int cubic from the node to alpha and beta.
     """
-    det, _ = _net_det(net)
-    terms = _primitive_terms(det) if det else {}
-    locus = _family_locus(terms)
-    if locus is None:
-        F = _packed_cubic(terms)
-        locus = singular_points(F)
-    if not (locus.complete and len(locus.points) == 1):
-        raise ValueError("expected exactly one rational node")
-    if locus.points[0] != (1, 0, 0):  # found by the general search alone
-        terms = _node_to_origin(F, locus.points[0])._packed()
-    ints, scale = _inflection_ints(_normalized_cone_terms(terms))
-    # _inflection_ints certified the harmonic shape, so alpha and beta
-    # are c03 and c30
-    return T1Invariant.from_alpha_beta(Fraction(ints[3], scale), Fraction(ints[0], scale))
+    return T1Invariant.from_alpha_beta(*_t1_alpha_beta(_net_det(net)[0]))
 
 
 def t1_invariant_pipeline(b1: int, c1: int) -> T1Invariant:

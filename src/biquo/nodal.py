@@ -12,22 +12,26 @@ node-shaped input what remains is harmonic, and the elimination carries
 one universal constant which is divided out so the result is exact, not
 just exact-up-to-scale.
 
-One packed int cubic runs through the t1 tail.  A cubic is packed in
-base 4 (``_CUBIC_PLACES``, ``poly._places``): lam^i mu^j nu^k has the
-key 16 i + 4 j + k, so the key of a product of terms is the sum of their
-keys, key >> 4 is the exponent of lam and key & 3 that of nu.  The
-kernels take such dicts: ``_net_det`` (the net's determinant, from its
-integer rows, never its Fraction Grams), ``_family_locus`` (the node and
-cone read off coefficients, with no partial built), ``_packed_cone``,
-``_int_hessian`` and ``_inflection_ints``, which eliminates lam on ints,
-strips (mu^2+nu^2) and checks harmonicity, and leaves the one division
-to its caller.  ``invariants`` divides the net's determinant by its
-content gcd and turns the cone on the int binary forms of F with
-``_binary_substitute``, so no ``HomPoly``, partial or Fraction is built
-between the net and alpha and beta.  The public functions are readers
-of the same kernels: ``det_cubic`` and ``TernaryCubic.hessian`` divide
-once and unpack (``_packed_cubic``), and ``singular_points``,
-``tangent_cone`` and ``inflection_lines`` pack their cubic first.
+One packed int cubic runs through the t1 tail, and this module alone
+packs cubics.  A cubic is packed in base 4 (``_CUBIC_PLACES``,
+``poly._places``): lam^i mu^j nu^k has the key 16 i + 4 j + k, so the
+key of a product of terms is the sum of their keys, key >> 4 is the
+exponent of lam and key & 3 that of nu.  The kernels take such dicts:
+``_net_det`` (the net's determinant, from its integer rows, never its
+Fraction Grams), ``_family_locus`` (the node and cone read off
+coefficients, with no partial built), ``_packed_cone``,
+``_normalized_cone_terms`` (the cone turned on the int binary forms of F
+with ``_binary_substitute``), ``_int_hessian`` and ``_inflection_ints``,
+which eliminates lam on ints, strips (mu^2+nu^2) and checks
+harmonicity, and leaves the one division to its caller.
+``_t1_alpha_beta`` is the whole tail, from a net's determinant divided
+by its content gcd to alpha and beta, with no ``HomPoly``, partial or
+Fraction built in between; ``invariants`` takes the cube classes of its
+result.  The public functions are readers of the same kernels:
+``det_cubic`` and ``TernaryCubic.hessian`` divide once and decode the
+ten cubic keys (``_packed_cubic``, through ``_CUBIC_EXPONENTS``), and
+``singular_points``, ``tangent_cone`` and ``inflection_lines`` pack
+their cubic first.
 
 The three determinants (the net's, the Hessian and the Sylvester
 determinant of ``_int_resultant``) share one kernel, ``_int_det``, on
@@ -41,8 +45,8 @@ Sylvester matrix binary forms keyed by the exponent of one variable,
 split from the packed cubics (``_split_in_lam``) or from ``HomPoly``
 forms (``_split_in_var``, for ``resultant_in_var``, the only place the
 resultant becomes Fractions).  Binary forms are substituted into by one
-helper, ``_binary_substitute`` (``BinaryCubic.substitute``, and the cone
-normalization in ``invariants``).
+helper, ``_binary_substitute`` (``BinaryCubic.substitute`` and the cone
+normalization).
 
 Rational common zeros of a few forms (the singular points of a cubic
 here, the squares in a system of conics in ``invariants``) come from
@@ -61,12 +65,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
+from .arith import CertificateError
 from .graded import QuadricSystem, _pairs
-from .poly import HomPoly, _coerce, _pack, _places, _ratio, _unpack, monomials
+from .poly import HomPoly, _coerce, _pack, _places, _ratio, monomials
 from .univar import (
     UPoly,
     bf_gcd,
@@ -94,6 +99,9 @@ def _cubic_key(*e: int) -> int:
     return sum(map(mul, e, _CUBIC_PLACES))
 
 
+# The exponent tuple of each of the ten cubic monomials, by its key.
+_CUBIC_EXPONENTS = {_cubic_key(*e): e for e in monomials(3, 3)}
+
 # The keys of lam*mu^2, lam*mu*nu, lam*nu^2 (the tangent cone at [1,0,0]
 # of a node-shaped cubic) and of mu^3, mu^2 nu, mu nu^2, nu^3 (its
 # lam-free part).  A key has a lam exponent of at least 2 exactly when it
@@ -117,12 +125,12 @@ _DOUBLED = tuple(2 if i == j else 1 for i, j in _pairs(3))
 # _pairs(3), the packed key of the derivative's monomial, the factor it
 # takes).  Distinct monomials keep distinct keys under one partial.
 _SECOND_PARTIALS = {
-    _cubic_key(*e): tuple(
-        (k, _cubic_key(*e) - _CUBIC_PLACES[i] - _CUBIC_PLACES[j], factor)
+    key: tuple(
+        (k, key - _CUBIC_PLACES[i] - _CUBIC_PLACES[j], factor)
         for k, (i, j) in enumerate(_pairs(3))
         if (factor := e[i] * (e[j] - (i == j)))
     )
-    for e in monomials(3, 3)
+    for key, e in _CUBIC_EXPONENTS.items()
 }
 
 
@@ -297,11 +305,12 @@ def _is_node_shape(terms: dict) -> bool:
 def _packed_cubic(terms: dict | None, scale: int = 1) -> TernaryCubic:
     """terms / scale as a cubic, for nonzero int terms packed in
     ``_CUBIC_PLACES`` (a determinant of ``_int_det`` or a primitive
-    cubic); the zero cubic when there are none."""
+    cubic); the zero cubic when there are none.  Each term is divided
+    once (``poly._ratio``) and wrapped unchecked (``HomPoly._trusted``)."""
     if not terms:
         return TernaryCubic(HomPoly.zero(3, 3))
     return TernaryCubic(HomPoly._trusted(
-        3, 3, _unpack({e: _ratio(c, scale) for e, c in terms.items()}, _CUBIC_PLACES)
+        3, 3, {_CUBIC_EXPONENTS[key]: _ratio(c, scale) for key, c in terms.items()}
     ))
 
 
@@ -791,3 +800,104 @@ def _inflection_ints(terms: dict) -> tuple[list[int], int]:
     if c12 != -3 * c30 or c21 != -3 * c03:
         raise ValueError("inflection cubic has a nonzero non-harmonic component")
     return stripped, _RESULTANT_SCALE * d
+
+
+# ---------------------------------------------------------------------------
+# The t1 tail: a net's determinant cubic to (alpha, beta)
+# ---------------------------------------------------------------------------
+
+
+def _primitive_terms(terms: dict) -> dict:
+    """Nonzero int or Fraction terms as the primitive int terms of a
+    positive rational multiple: cleared by the lcm of the denominators,
+    divided by the content gcd."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    return {e: c // g for e, c in ints.items()}
+
+
+def _node_to_origin(F: TernaryCubic, node: tuple[int, int, int]) -> TernaryCubic:
+    if node == (1, 0, 0):
+        return F  # the substitution below would be the identity
+    pivot = max(range(3), key=lambda i: (abs(node[i]), -i))
+    others = [i for i in range(3) if i != pivot]
+    cols = [list(node)] + [
+        [1 if i == j else 0 for i in range(3)] for j in others
+    ]
+    return F.substitute([[cols[j][i] for j in range(3)] for i in range(3)])
+
+
+def _normalized_cone_terms(terms: dict) -> dict[int, int]:
+    """A cubic packed in ``_CUBIC_PLACES`` with its tangent cone turned
+    into A*(mu^2 + nu^2), as a primitive packed int cubic.
+
+    F = lam*q(mu, nu) + c(mu, nu).  With the cone q = a mu^2 + b mu nu +
+    c nu^2, a != 0, and w = p/q the rational square root of (4ac - b^2) /
+    (4a^2), mu -> mu - b/(2aw) nu and nu -> nu/w take the cone to a(mu^2
+    + nu^2).  w is found on the cone cleared to ints (the ratio does not
+    change): 4ac - b^2 must be a positive integer square s^2, and w =
+    s / (2|a|) in lowest terms.  Both images are scaled by 2ap, so the
+    substitution is mu -> 2ap mu - bq nu, nu -> 2aq nu, applied to the
+    binary forms q and c alone (``_binary_substitute``): lam stays fixed,
+    the cone is multiplied by (2ap)^2 and c by (2ap)^3.  That multiplies
+    the inflection cubic's alpha + beta*i by a rational scalar, which the
+    cube classes quotient out, as they do the positive rational that the
+    content gcd divides by.  A cone with a = 0 is c nu^2 + b mu nu, which
+    is never definite: it raises at once.
+    """
+    a, b, c = _packed_cone(terms)
+    if a == 0:
+        if c == 0:
+            raise ValueError("tangent cone is degenerate (no definite part)")
+        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    a_int, b_int, c_int = (x.numerator * (den // x.denominator) for x in (a, b, c))
+    disc = 4 * a_int * c_int - b_int * b_int
+    root = isqrt(disc) if disc > 0 else 0
+    if not root or root * root != disc:
+        raise ValueError("tangent cone is not equivalent to a multiple of mu^2+nu^2")
+    g = gcd(root, 2 * a_int)
+    p, q = root // g, abs(2 * a_int) // g
+    image = (2 * a * p, -b * q, 0, 2 * a * q)
+    cubic = [terms.get(key, 0) for key in _CUBIC_PART_KEYS]
+    normalized = {
+        key: x
+        for keys, form in ((_CONE_KEYS, [a, b, c]), (_CUBIC_PART_KEYS, cubic))
+        for key, x in zip(keys, _binary_substitute(form, *image))
+        if x
+    }
+    out = _primitive_terms(normalized)
+    if not _is_circle_multiple(*_packed_cone(out)):
+        raise CertificateError("cone normalization failed")
+    return out
+
+
+def _t1_alpha_beta(cubic: dict | None) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) of the inflection cubic of a nodal cubic packed in
+    ``_CUBIC_PLACES`` (int or Fraction terms, None or empty for zero, as
+    ``_net_det`` gives a net's determinant), up to a rational scalar,
+    which the t1 cube classes quotient out.
+
+    The cubic is divided by its content gcd, and that primitive int cubic
+    runs through the tail: the node is read off its coefficients
+    (``_family_locus``), the cone is normalized on its binary forms
+    (``_normalized_cone_terms``) and the inflection cubic eliminated on
+    ints (``_inflection_ints``), with Fractions built for alpha and beta
+    alone.  A cubic of another shape (a mixed net puts the node
+    elsewhere) takes the general ``singular_points`` and ``_node_to_origin``
+    on a ``TernaryCubic`` before it rejoins the packed tail.
+    """
+    terms = _primitive_terms(cubic) if cubic else {}
+    locus = _family_locus(terms)
+    if locus is None:
+        F = _packed_cubic(terms)
+        locus = singular_points(F)
+    if not (locus.complete and len(locus.points) == 1):
+        raise ValueError("expected exactly one rational node")
+    if locus.points[0] != (1, 0, 0):  # found by the general search alone
+        terms = _node_to_origin(F, locus.points[0])._packed()
+    ints, scale = _inflection_ints(_normalized_cone_terms(terms))
+    # _inflection_ints certified the harmonic shape, so alpha and beta
+    # are c03 and c30
+    return Fraction(ints[3], scale), Fraction(ints[0], scale)

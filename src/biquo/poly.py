@@ -23,44 +23,36 @@ zeros.  Every other path wraps its result with the private
   their exponent tuples are unit vectors by construction.
 * ``coefficients_in_var`` only re-keys the terms of a valid polynomial.
 * ``substitute`` clears the matrix to integers by one common denominator
-  D and the polynomial by its own d, multiplies packed int term dicts
-  with ``_mul_terms`` (each image form's powers once per call) and
-  divides the sum once by d * D^weight with ``_ratio``.
-* ``nodal._packed_cubic`` wraps every cubic that ``nodal`` and
-  ``invariants`` build on packed int term dicts (``det_cubic``,
-  ``TernaryCubic.hessian``, ``invariants._normalize_cone``): the
-  nonzero int terms of ``nodal._int_det`` or of a primitive cubic,
-  divided once with ``_ratio`` (zeros dropped), then unpacked.
+  D and the polynomial by its own d, multiplies int term dicts with
+  ``_mul_terms`` (each image form's powers once per call) and divides the
+  sum once by d * D^weight with ``_ratio``.
 
 They rely on the dict they pass being clean: int-tuple keys of length
 ``nvars`` that sum to the weight, and nonzero canonical values.
 
-Products run on packed keys.  ``_places(nvars, base)`` reads an
-exponent tuple as the digits of one int in that base, the first
-exponent the most significant (packed exponent vectors: Monagan and
-Pearce, CASC 2007); ``graded`` packs its monomials the same way.  When
-every exponent of a product stays below the base no digit carries, so
-the key of a product is the sum of the keys, and ``_mul_terms`` adds
-keys where it would add tuples.  ``*`` and ``substitute`` pack with
-base weight + 1 of the result, and each packs on entry and unpacks once
-on exit.  ``nodal`` keeps its cubics packed in base 4 from a net's
-determinant to the inflection cubic, and unpacks only the cubics its
-public functions return.
-``_mul_terms`` keeps int coefficients int and leaves
-cancelled ones as zeros; its callers drop them.  A coefficient read
-back (``coeffs``, ``coefficient``, ``evaluate``) may be an int, so a
-caller that divides one goes through ``Fraction``: ``int / int`` is a
-float.
+``_mul_terms`` multiplies two term dicts keyed by exponent tuples; it
+keeps int coefficients int and leaves cancelled ones as zeros, which its
+callers drop.  A coefficient read back (``coeffs``, ``coefficient``,
+``evaluate``) may be an int, so a caller that divides one goes through
+``Fraction``: ``int / int`` is a float.
+
+``_places(nvars, base)`` reads an exponent tuple as the digits of one
+int in that base, the first exponent the most significant (packed
+exponent vectors: Monagan and Pearce, CASC 2007), and ``_pack`` re-keys
+a term dict that way.  While every exponent of a product stays below the
+base no digit carries, so the key of a product is the sum of the keys.
+``graded`` builds its pieces on such keys and ``nodal`` its cubics; no
+``HomPoly`` operation does.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .arith import CertificateError, _parse_rational
@@ -102,23 +94,6 @@ def _places(nvars: int, base: int) -> tuple[int, ...]:
 def _pack(terms: dict, places: Sequence[int]) -> dict:
     """A tuple-keyed term dict re-keyed by packed exponents (``_places``)."""
     return {sum(map(mul, e, places)): c for e, c in terms.items()}
-
-
-def _unpack(terms: dict, places: tuple[int, ...]) -> dict:
-    """A packed term dict re-keyed by exponent tuples (``_pack`` inverted)."""
-    return {_exponents(key, places): c for key, c in terms.items()}
-
-
-@lru_cache(maxsize=1 << 12)
-def _exponents(key: int, places: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent tuple of a packed key: its digits at the places.
-    Memoised (bounded): products keep meeting the same few monomials,
-    and decoding one digit by digit costs more than a small product."""
-    e = []
-    for place in places:
-        digit, key = divmod(key, place)
-        e.append(digit)
-    return tuple(e)
 
 
 def monomials(nvars: int, weight: int) -> list[tuple[int, ...]]:
@@ -250,10 +225,8 @@ class HomPoly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        weight = self.weight + other.weight
-        places = _places(self.nvars, weight + 1)
-        terms = _mul_terms(_pack(self.coeffs, places), _pack(other.coeffs, places))
-        return HomPoly._trusted(self.nvars, weight, _unpack(_clean(terms), places))
+        terms = _mul_terms(self.coeffs, other.coeffs)
+        return HomPoly._trusted(self.nvars, self.weight + other.weight, _clean(terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,20 +262,21 @@ class HomPoly:
             raise ValueError("substitution matrix has the wrong shape")
         rows = [[_coerce(c) for c in row] for row in matrix]
         big = lcm(*(c.denominator for row in rows for c in row))
-        places = _places(n, self.weight + 1)
-        # powers[i][k] is the k-th power of image i, as a packed int term dict
+        one = (0,) * n
+        units = [one[:j] + (1,) + one[j + 1 :] for j in range(n)]
+        # powers[i][k] is the k-th power of image i, as an int term dict
         powers = [
-            [{0: 1}, {
-                place: c.numerator * (big // c.denominator)
-                for place, c in zip(places, row)
+            [{one: 1}, {
+                unit: c.numerator * (big // c.denominator)
+                for unit, c in zip(units, row)
                 if c
             }]
             for row in rows
         ]
         den = lcm(*(c.denominator for c in self.coeffs.values()))
-        out: dict[int, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.coeffs.items():
-            term = {0: c.numerator * (den // c.denominator)}
+            term = {one: c.numerator * (den // c.denominator)}
             for i, k in enumerate(e):
                 if k:
                     power = powers[i]
@@ -312,9 +286,9 @@ class HomPoly:
             for m, v in term.items():
                 out[m] = out[m] + v if m in out else v
         scale = den * big**self.weight
-        return HomPoly._trusted(n, self.weight, _unpack(
-            {m: _ratio(v, scale) for m, v in out.items() if v}, places
-        ))
+        return HomPoly._trusted(
+            n, self.weight, {m: _ratio(v, scale) for m, v in out.items() if v}
+        )
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         """The exact value; on ints when the point and coefficients are."""
@@ -387,13 +361,13 @@ class HomPoly:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """The product of two packed term dicts (``_places``); a coefficient
-    that cancels stays as 0."""
-    out: dict[int, object] = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    """The product of two term dicts keyed by exponent tuples; a
+    coefficient that cancels stays as 0."""
+    out: dict[tuple[int, ...], object] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return out
 
 

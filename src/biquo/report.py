@@ -123,13 +123,16 @@ def _grid(family: str, radius: int) -> list[tuple[int, ...]]:
 def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
     """Scan all parameters with coordinates up to the radius.
 
-    ``jobs`` worker processes share the rows, at most one per CPU.
+    ``jobs`` (at least 1) worker processes share the rows, at most one
+    per CPU.
 
     >>> scan("t1", 1).distinct_count
     2
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if family not in _ROW_FUNCS:
         raise ValueError(f"unknown family {family!r}")
     rows = _row_count(family, radius)

@@ -59,6 +59,54 @@ def test_stabilizer_oracle_examples():
         stabilizer_oracle([[1]], 13)
 
 
+def _subset_stabilizer_oracle(A, m):
+    """The reference search: every coordinate subset S and every nonzero t
+    in (Z/m)^S, checked against the principal block A[S, S] alone."""
+    k = len(A)
+    for r in range(1, k + 1):
+        for S in itertools.combinations(range(k), r):
+            for t in itertools.product(range(m), repeat=r):
+                if any(t) and all(sum(A[i][j] * x for j, x in zip(S, t)) % m == 0 for i in S):
+                    return False
+    return True
+
+
+def test_stabilizer_oracle_matches_the_subset_search():
+    # seeded random and perturbed unit lower triangular matrices (free or
+    # not), every order 2..12 up to rank 3 and orders up to 7 at rank 4
+    rng = random.Random(26)
+    outcomes = set()
+    for trial in range(240):
+        k = 1 + trial % 4
+        if trial % 2:
+            A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        else:
+            A = [[rng.choice((1, -1)) if i == j else rng.randint(-3, 3) if j < i else 0
+                  for j in range(k)] for i in range(k)]
+            A[rng.randrange(k)][rng.randrange(k)] += rng.choice((0, 1, -1, 2))
+        for m in range(2, 13 if k < 4 else 8):
+            want = _subset_stabilizer_oracle(A, m)
+            assert stabilizer_oracle(A, m) == want, (A, m)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+    # entries are reduced mod m first, so a huge weight cannot overflow
+    assert stabilizer_oracle([[1 + 12 * 10**30, 0], [5 * 10**40, -1]], 12)
+    assert not stabilizer_oracle([[12 * 10**30]], 12)
+
+
+def test_stabilizer_oracle_bounds_its_search():
+    # one pass holds all of (Z/m)^k, so m^k is at most 12^5; the bound is
+    # checked before anything is built
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    assert stabilizer_oracle(eye(5), 12)
+    assert not stabilizer_oracle([[2] + [0] * 7] + eye(8)[1:], 2)
+    for k, m in ((6, 12), (8, 5), (8, 12)):
+        with pytest.raises(ValueError, match=f"^oracle search over \\(Z/{m}\\)\\^{k} is too large$"):
+            stabilizer_oracle(eye(k), m)
+
+
 def test_criterion_matches_oracle():
     rng = random.Random(20250717)
     for trial in range(200):
@@ -121,7 +169,7 @@ def test_klein_trilinear_symmetric_and_cubic():
         )
         vals = {ring.trilinear(*perm) for perm in itertools.permutations((u, v, w))}
         assert len(vals) == 1
-        assert ring.cubic(u) == sum(u[i] ** 2 * u[(i + 1) % 5] for i in range(5))
+        assert ring.trilinear(u, u, u) == sum(u[i] ** 2 * u[(i + 1) % 5] for i in range(5))
 
 
 def test_klein_trilinear_matches_permutation_expansion():

@@ -15,8 +15,6 @@ from biquo.invariants import (
     DegenerateFamilyMember,
     MonicQuadratic,
     T1Invariant,
-    _normalize_cone,
-    _primitive_terms,
     parse_t1_invariant,
     rank_one_elements,
     rotate_alpha_beta,
@@ -30,7 +28,14 @@ from biquo.invariants import (
     t3_kernel_system,
     t3_membership_quadratic,
 )
-from biquo.nodal import BinaryQuadratic, TernaryCubic, tangent_cone
+from biquo.nodal import (
+    BinaryQuadratic,
+    TernaryCubic,
+    _normalized_cone_terms,
+    _packed_cubic,
+    _primitive_terms,
+    tangent_cone,
+)
 from biquo.oracles import rank_one_residual
 from biquo.poly import HomPoly, monomials
 from biquo.univar import is_rational_square
@@ -114,7 +119,7 @@ def test_t1_pipeline_tail_runs_no_substitution_division_or_gram(monkeypatch):
     # from the net's integer rows, so no Fraction Gram is built.  From the
     # net on, one packed int cubic runs through the tail: no partial is
     # built and no packed cubic is unpacked into a HomPoly
-    from biquo import graded, poly, univar
+    from biquo import graded, nodal, univar
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
 
     calls = {"substitute": 0, "up_divmod": 0}
@@ -140,12 +145,9 @@ def test_t1_pipeline_tail_runs_no_substitution_division_or_gram(monkeypatch):
         nets.append((quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map(), (b1, c1)))
         nets.append((t1_relation_net(*t1_parameters(b1, c1)), (b1, c1)))
     # the ring itself multiplies HomPolys, so these two are forbidden on
-    # the tail alone, wherever a module bound _unpack by name
+    # the tail alone
     monkeypatch.setattr(TernaryCubic, "partials", forbidden("built partials"))
-    unpack = poly._unpack
-    for module in [m for name, m in sys.modules.items() if name.startswith("biquo")]:
-        if getattr(module, "_unpack", None) is unpack:
-            monkeypatch.setattr(module, "_unpack", forbidden("unpacked a cubic"))
+    monkeypatch.setattr(nodal, "_packed_cubic", forbidden("unpacked a cubic"))
     for net, (b1, c1) in nets:
         assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
     assert calls == {"substitute": 0, "up_divmod": 0}
@@ -849,6 +851,12 @@ def test_rank_one_splitting_class_invariance():
         done += 1
 
 
+def _normalize_cone(F):
+    """F with its tangent cone turned into A*(mu^2 + nu^2), as a primitive
+    integer cubic: ``nodal._normalized_cone_terms`` on F's packed terms."""
+    return _packed_cubic(_normalized_cone_terms(F._packed()))
+
+
 def test_normalize_cone_returns_the_primitive_integer_cubic():
     # lam*(2 mu^2 + 2 mu nu + nu^2) + mu^3 + nu^3: the cone (a, b, c) =
     # (2, 2, 1) has w = 1/2, so the substitution is [[1,0,0],[0,4,-4],[0,0,8]]
@@ -901,7 +909,7 @@ def test_normalize_cone_on_binary_forms_matches_the_substitution_reference(monke
     # seeded lam*q + c: cones that are images of a multiple of the circle,
     # random cones (mostly not), cones with a = 0 or degenerate, int and
     # Fraction coefficients, and a few cubics without the node shape
-    from biquo import invariants
+    from biquo import nodal
 
     rng = random.Random(67)
     entries = (0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3))
@@ -939,7 +947,7 @@ def test_normalize_cone_on_binary_forms_matches_the_substitution_reference(monke
     assert outcomes["normalized"] >= 500
     # the certificate on the output cone: a substitution that leaves the
     # forms alone fails it
-    monkeypatch.setattr(invariants, "_binary_substitute", lambda form, *image: list(form))
+    monkeypatch.setattr(nodal, "_binary_substitute", lambda form, *image: list(form))
     F = TernaryCubic.from_coefficients({(1, 2, 0): 2, (1, 1, 1): 2, (1, 0, 2): 1, (0, 3, 0): 1})
     with pytest.raises(CertificateError, match="^cone normalization failed$"):
         _normalize_cone(F)
@@ -960,8 +968,8 @@ def _fraction_normalize_cone(F):
 def test_normalize_cone_matches_the_fraction_reference_on_the_t1_grid():
     # on every t1 r=20 net the integer normalization moves alpha + beta*i
     # by a rational factor only, so both give the same invariant
-    from biquo.invariants import _node_to_origin, t1_relation_net
-    from biquo.nodal import det_cubic, inflection_lines, singular_points
+    from biquo.invariants import t1_relation_net
+    from biquo.nodal import _node_to_origin, det_cubic, inflection_lines, singular_points
 
     for b1 in range(-20, 21):
         for c1 in range(-20, 21):
@@ -981,12 +989,12 @@ def test_normalize_cone_without_a_mu_squared_term_raises_at_once(monkeypatch):
     # a cone b mu nu + c nu^2 is never definite: with c = 0 it is
     # degenerate, otherwise it is not equivalent to a multiple of the
     # circle; both raise before any substitution
-    from biquo import invariants
+    from biquo import nodal
 
     def no_substitution(*args):
         raise AssertionError("substituted into a cone with a = 0")
 
-    monkeypatch.setattr(invariants, "_binary_substitute", no_substitution)
+    monkeypatch.setattr(nodal, "_binary_substitute", no_substitution)
     messages = {
         "tangent cone is degenerate (no definite part)": [(0, 0, 0), (0, 3, 0), (0, Fraction(1, 2), 0)],
         "tangent cone is not equivalent to a multiple of mu^2+nu^2": [
@@ -1005,16 +1013,18 @@ def test_normalize_cone_without_a_mu_squared_term_raises_at_once(monkeypatch):
 def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
     # the net's integer determinant divided by its content gcd is the
     # primitive integer multiple of det_cubic, on ring nets, their rescaled
-    # and mixed presentations, and relation nets
-    from biquo import invariants
+    # and mixed presentations, and relation nets.  singular_points, which
+    # a mixed net reaches, calls _family_locus too, so the tail's cubic is
+    # the first argument recorded
+    from biquo import nodal
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
     from biquo.nodal import _CUBIC_PLACES, det_cubic
     from biquo.poly import _pack
 
     seen = []
-    family_locus = invariants._family_locus
+    family_locus = nodal._family_locus
     monkeypatch.setattr(
-        invariants, "_family_locus", lambda terms: seen.append(terms) or family_locus(terms)
+        nodal, "_family_locus", lambda terms: seen.append(terms) or family_locus(terms)
     )
     rng = random.Random(73)
     for b1 in range(-6, 7):
@@ -1038,4 +1048,4 @@ def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
                 seen.clear()
                 assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
                 want = _pack(_primitive_cubic(det_cubic(net)).poly.coeffs, _CUBIC_PLACES)
-                assert seen == [want], (b1, c1)
+                assert seen[0] == want, (b1, c1)

@@ -376,12 +376,14 @@ def _flip_first_free(monkeypatch):
 
 
 def test_freeness_check_accepts_minors_beyond_the_oracle(monkeypatch):
-    # seed 155 draws [[1,1,3],[2,1,0],[0,-3,-1]] (det -17) and 827693100 a
-    # det -19 matrix: not free, but the oracle's orders 2..12 cannot see it
+    # seed 155 draws [[1,1,3],[2,1,0],[0,-3,-1]] (det -17) and 827693100
+    # the perturbed unit lower triangular [[1,0,2],[3,-1,0],[1,3,1]] (det
+    # 19): not free, but the oracle's orders 2..12 cannot see them
     for seed in (155, 827693100):
         assert all(r.ok for r in checks.verify("freeness", seed))
-    # a wrong is_free on a free matrix (every minor +-1) still fails; the
-    # default seed draws one free matrix among the 200
+    # a wrong is_free on a free matrix (every minor +-1) still fails; half
+    # the matrices are drawn unit lower triangular, so the default seed
+    # draws free ones
     flipped = _flip_first_free(monkeypatch)
     result = checks.verify("freeness")[0]
     assert result.name == "criterion_vs_oracle_200" and not result.ok

@@ -21,7 +21,7 @@ from biquo.nodal import (
     tangent_cone,
 )
 from biquo.oracles import inflection_residual
-from biquo.poly import HomPoly, _coerce, _pack, _places, _ratio, _unpack, monomials
+from biquo.poly import HomPoly, _coerce, _pack, _places, _ratio, monomials
 from biquo.univar import up_divmod, up_trim
 
 
@@ -514,6 +514,30 @@ def test_hessian_matches_sympy():
 
 
 # -- _int_det against a permutation expansion and sympy ------------------------
+
+
+def _unpack(terms, places):
+    """A packed term dict re-keyed by exponent tuples: each key's digits
+    at the places (``_pack`` inverted)."""
+    out = {}
+    for key, c in terms.items():
+        e = []
+        for place in places:
+            digit, key = divmod(key, place)
+            e.append(digit)
+        out[tuple(e)] = c
+    return out
+
+
+def test_cubic_exponents_invert_the_cubic_key():
+    # the ten cubic monomials, each decoded from its key in _CUBIC_PLACES
+    # by the table and by the digits of the key
+    cubics = monomials(3, 3)
+    assert len(cubics) == len(nodal._CUBIC_EXPONENTS) == 10
+    for e in cubics:
+        assert nodal._CUBIC_EXPONENTS[nodal._cubic_key(*e)] == e
+    packed = {nodal._cubic_key(*e): k for k, e in enumerate(cubics)}
+    assert _unpack(packed, nodal._CUBIC_PLACES) == dict(zip(cubics, range(10)))
 
 
 def _poly_det(mat):

@@ -507,12 +507,13 @@ def test_zero_operand_of_another_weight():
         x1 + p
 
 
-# -- packed-exponent kernels against the tuple-key reference ------------------
+# -- product kernels against the tuple-key reference --------------------------
 
 
 def _tuple_mul_terms(a, b):
-    """The product of two term dicts keyed by exponent tuples, the kernel
-    ``_mul_terms`` replaced; a coefficient that cancels stays as 0."""
+    """The reference product of two term dicts keyed by exponent tuples,
+    written apart from ``poly._mul_terms``; a coefficient that cancels
+    stays as 0."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -571,6 +572,28 @@ def test_packed_product_matches_the_tuple_kernel():
                     {tuple((w1 + w2) * (j == i) for j in range(n)): 1},
                 )
     assert checked > 100
+
+
+def test_mul_terms_matches_the_tuple_kernel_with_its_coefficient_types():
+    # raw term dicts, not cleaned: int, integral and non-integral Fraction
+    # values and zeros, so int * int stays int, anything times a Fraction
+    # is a Fraction, and a cancelled sum stays as 0
+    from biquo.poly import _mul_terms
+
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a, b = (
+            {e: _mixed_number(rng) for e in rng.sample(monos, rng.randint(0, min(len(monos), 5)))}
+            for monos in (monomials(n, rng.randint(0, 3)), monomials(n, rng.randint(0, 3)))
+        )
+        got, want = _mul_terms(a, b), _tuple_mul_terms(a, b)
+        assert got == want and list(got) == list(want)
+        for e, c in want.items():
+            assert type(got[e]) is type(c), (e, got[e], c)
+            seen.add((type(c), c == 0))
+    assert seen == {(int, False), (int, True), (Fraction, False), (Fraction, True)}
 
 
 def _tuple_substitute(p, matrix):

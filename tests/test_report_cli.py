@@ -472,6 +472,16 @@ def test_cli_integer_options_exit_2_on_other_text(argv, option):
     assert f"argument {option}: invalid integer value: {argv[argv.index(option) + 1]!r}" in last
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_scan_refuses_fewer_than_one_job(jobs):
+    # no longer clamped up to one worker: a bad input, with no rows written
+    proc = run_cli("scan", "t1", "--radius", "1", "--jobs", jobs)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: jobs must be at least 1, not {jobs}\n"
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, not {jobs}$"):
+        scan("t1", 1, jobs=int(jobs))
+
+
 def test_cli_reads_signed_integers_as_arith_does():
     plus = run_cli("invariant", "t1", "--b1", "+10", "--c1", "4")
     plain = run_cli("invariant", "t1", "--b1", "10", "--c1", "4")
