@@ -29,7 +29,9 @@ from fractions import Fraction
 from typing import Mapping
 
 # Trial division stops at this prime bound and Pollard rho takes the cofactor.
-# Below 10^8 the bound never binds (the t1 scan factors integers < 4 * 10^6).
+# Below _TRIAL_LIMIT**2 = 10^8 the bound never binds, and the golden scans
+# stay below it: the largest integers they factor are 1 921 (t1 r=20),
+# 4 194 304 (t2 r=20) and 186 913 (t3 r=12).
 _TRIAL_LIMIT = 10**4
 
 # Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
@@ -41,8 +43,8 @@ _MR_LIMIT = 3317044064679887385961981
 # Pollard rho gives up rather than take more than this many steps (about
 # 0.15 s).  A prime factor p takes on the order of sqrt(p) steps: products
 # of two primes below 10^9 split, while a 25-digit product of two 13-digit
-# primes (millions of steps) is refused.  No cofactor the scans meet
-# exceeds 4 194 304.
+# primes (millions of steps) is refused.  The golden scans never run it
+# (see _TRIAL_LIMIT).
 _RHO_STEPS = 2**18
 
 
@@ -392,13 +394,19 @@ class GaussianFactorization:
 def gaussian_factor(z: Gaussian) -> GaussianFactorization:
     """Factor a nonzero Gaussian integer into canonical primes.
 
-    The divisions run on the integer pair (re, im); Gaussians are built
-    only for the result.
+    The primes come from the factored norm x^2 + y^2.  A norm that is a
+    perfect square (every unit times w^2 has one, as do many primitive
+    inputs) is factored through its integer root, with the exponents
+    doubled: the same dict as ``factor(norm)`` from an integer of half
+    the digits.  The divisions run on the integer pair (re, im);
+    Gaussians are built only for the result.
 
     >>> gaussian_factor(Gaussian(2, 1)).factors
     ((Gaussian(2, 1), 1),)
     >>> gaussian_factor(Gaussian(5, 0)).factors
     ((Gaussian(2, 1), 1), (Gaussian(2, -1), 1))
+    >>> gaussian_factor(Gaussian(3, 4)).factors  # norm 25 = 5^2
+    ((Gaussian(2, 1), 2),)
     """
     if not z:
         raise ValueError("cannot factor zero")
@@ -406,7 +414,12 @@ def gaussian_factor(z: Gaussian) -> GaussianFactorization:
         raise ValueError(f"{z} is not a Gaussian integer")
     x, y = z.re.numerator, z.im.numerator
     norm = x * x + y * y
-    _, norm_factors = factor(norm) if norm > 1 else (1, {})
+    root = math.isqrt(norm)
+    if root * root == norm:
+        _, root_factors = factor(root)
+        norm_factors = {p: 2 * e for p, e in root_factors.items()}
+    else:
+        _, norm_factors = factor(norm)
     found: list[tuple[Gaussian, int]] = []
     for p, e in norm_factors.items():
         if p == 2:
@@ -569,17 +582,25 @@ def cube_class_mod_q(z: Gaussian) -> CubeClass:
     and ramified orders are absorbed by rational scalars, and units are
     cubes, so only the split-prime order differences survive.
 
+    So z is first scaled to the primitive Gaussian integer among its
+    rational multiples: cleared to the integer pair (x, y) = (re.num *
+    im.den, im.num * re.den), which is z times re.den * im.den, and
+    divided by the content gcd(x, y).  ``gaussian_factor`` runs once, on
+    that primitive x + yi.
+
     >>> cube_class_mod_q(Gaussian(2, 1)).as_dict()
     {5: 1}
     >>> cube_class_mod_q(Gaussian(12, 16)).as_dict()
     {5: 2}
+    >>> cube_class_mod_q(Gaussian(Fraction(3 * 10**30, 7), Fraction(4 * 10**30, 7)))
+    CubeClass(residues=((5, 2),))
     """
     if not z:
         raise ValueError("zero has no cube class")
-    scale = z.re.denominator * z.im.denominator
-    w = Gaussian(z.re * scale, z.im * scale)  # rational scaling: same class
+    x, y = z.re.numerator * z.im.denominator, z.im.numerator * z.re.denominator
+    g = math.gcd(x, y)  # rational scaling: same class
     residues: dict[int, int] = {}
-    for prime, exp in gaussian_factor(w).factors:
+    for prime, exp in gaussian_factor(Gaussian(x // g, y // g)).factors:
         a, b = prime.re.numerator, prime.im.numerator
         if b and a != b:  # a split prime: a+bi canonical, a-bi its conjugate
             p = a * a + b * b

@@ -551,13 +551,18 @@ def singular_points(
     ``search_height`` are searched instead (not a proof).  A whole
     singular line of directions also clears ``complete``.
     """
-    if F.is_zero():
-        raise ValueError("the zero cubic is singular everywhere")
     terms = F._packed()
     locus = _family_locus(terms)
-    if locus is not None:
-        return locus
+    return _searched_locus(F, terms, search_height) if locus is None else locus
 
+
+def _searched_locus(
+    F: TernaryCubic, terms: dict, search_height: int = 50
+) -> SingularLocus:
+    """The general search of ``singular_points`` on F, whose terms packed
+    in ``_CUBIC_PLACES`` are given (callers have them already)."""
+    if not terms:
+        raise ValueError("the zero cubic is singular everywhere")
     partials = F.partials()
     eliminant = None
     for r in _eliminants(partials):
@@ -885,14 +890,15 @@ def _t1_alpha_beta(cubic: dict | None) -> tuple[Fraction, Fraction]:
     (``_normalized_cone_terms``) and the inflection cubic eliminated on
     ints (``_inflection_ints``), with Fractions built for alpha and beta
     alone.  A cubic of another shape (a mixed net puts the node
-    elsewhere) takes the general ``singular_points`` and ``_node_to_origin``
-    on a ``TernaryCubic`` before it rejoins the packed tail.
+    elsewhere) takes the general search of ``singular_points``
+    (``_searched_locus``) and ``_node_to_origin`` on a ``TernaryCubic``
+    before it rejoins the packed tail.
     """
     terms = _primitive_terms(cubic) if cubic else {}
     locus = _family_locus(terms)
     if locus is None:
         F = _packed_cubic(terms)
-        locus = singular_points(F)
+        locus = _searched_locus(F, terms)
     if not (locus.complete and len(locus.points) == 1):
         raise ValueError("expected exactly one rational node")
     if locus.points[0] != (1, 0, 0):  # found by the general search alone

@@ -1013,9 +1013,9 @@ def test_normalize_cone_without_a_mu_squared_term_raises_at_once(monkeypatch):
 def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
     # the net's integer determinant divided by its content gcd is the
     # primitive integer multiple of det_cubic, on ring nets, their rescaled
-    # and mixed presentations, and relation nets.  singular_points, which
-    # a mixed net reaches, calls _family_locus too, so the tail's cubic is
-    # the first argument recorded
+    # and mixed presentations, and relation nets.  The tail reads it once:
+    # a mixed net goes on to the general search without a second
+    # _family_locus
     from biquo import nodal
     from biquo.invariants import t1_invariant_from_net, t1_relation_net
     from biquo.nodal import _CUBIC_PLACES, det_cubic
@@ -1048,4 +1048,4 @@ def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
                 seen.clear()
                 assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
                 want = _pack(_primitive_cubic(det_cubic(net)).poly.coeffs, _CUBIC_PLACES)
-                assert seen[0] == want, (b1, c1)
+                assert seen == [want], (b1, c1)

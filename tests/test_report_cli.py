@@ -427,6 +427,23 @@ def test_cli_invariant_errors_name_the_family_and_arguments(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: " + prefix), captured.err
 
 
+def test_cli_invariant_t1_at_large_primes():
+    # N = nextprime(10^8) exited 2 until the cube classes factored square
+    # norms through their root (tests/test_arith.py checks the value against
+    # sympy); at nextprime(10^14) a 29-digit cofactor is still refused
+    proc = run_cli("invariant", "t1", "--b1", "100000007", "--c1", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5:1,13:1,622337:1,494414357:2|5:2,13:2,622337:2,494414357:1\n"
+    n = 100000000000031
+    proc = run_cli("invariant", "t1", "--b1", str(n), "--c1", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: invariant t1 (b1={n}, c1=1): primality of a 29-digit integer "
+        "is beyond the certified range"
+    ]
+
+
 @pytest.mark.parametrize("text", ["1.5", "-.5", "+2", "-3/4", "0.25"])
 def test_cli_rational_accepts_integers_fractions_decimals(text):
     assert _rational(text) == Fraction(text)
