@@ -1,7 +1,8 @@
 """Exact arithmetic over Q and Q(i), plus the two class-group canonical forms.
 
-Everything here is exact: rationals are `fractions.Fraction`, Gaussian
-numbers are pairs of Fractions.  The two canonical forms are
+Everything here is exact: rationals are ints or `fractions.Fraction`s,
+and Gaussian numbers are pairs of them, an int part kept as an int.  The
+two canonical forms are
 
   * ``SquareClass``   -- the image of a nonzero rational in Q*/(Q*)^2,
     stored as a sign and the squarefree set of primes;
@@ -29,9 +30,10 @@ from fractions import Fraction
 from typing import Mapping
 
 # Trial division stops at this prime bound and Pollard rho takes the cofactor.
-# Below _TRIAL_LIMIT**2 = 10^8 the bound never binds, and the golden scans
-# stay below it: the largest integers they factor are 1 921 (t1 r=20),
-# 4 194 304 (t2 r=20) and 186 913 (t3 r=12).
+# Below _TRIAL_LIMIT**2 = 10^8 the bound never binds: trial division stops
+# because p * p exceeds the cofactor, which certifies the cofactor prime with
+# no Miller-Rabin.  The golden scans stay below it: the largest integers they
+# factor are 1 921 (t1 r=20), 4 194 304 (t2 r=20) and 186 913 (t3 r=12).
 _TRIAL_LIMIT = 10**4
 
 # Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
@@ -39,6 +41,14 @@ _TRIAL_LIMIT = 10**4
 # are proven only below 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+# A Miller-Rabin witness certifies compositeness at any size, but the bases
+# and Pollard rho's steps cost more as n grows: on one core of a 2-vCPU x86
+# guest, a 776-digit composite took 16 s to reach the _RHO_STEPS refusal.
+# So the bases run below this bound only, which holds every product of two
+# primes below _MR_LIMIT (at 50 digits Pollard rho refuses within 0.15 s);
+# at or above it is_prime refuses.
+_WITNESS_LIMIT = _MR_LIMIT**2
 
 # Pollard rho gives up rather than take more than this many steps (about
 # 0.15 s).  A prime factor p takes on the order of sqrt(p) steps: products
@@ -58,32 +68,35 @@ class CertificateError(AssertionError):
 def is_prime(n: int) -> bool:
     """Deterministic primality test below ``_MR_LIMIT``.
 
-    Raises ``ValueError`` at or above it, where no answer is certified.
+    Above it a base that witnesses compositeness still certifies False,
+    by division at any size and by Miller-Rabin below ``_WITNESS_LIMIT``.
+    Otherwise it raises ``ValueError``: no answer True is certified there.
     """
     if n < 2:
         return False
-    if n >= _MR_LIMIT:
-        raise ValueError(
-            f"primality of a {len(str(n))}-digit integer is beyond the certified range"
-        )
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _WITNESS_LIMIT:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < _MR_LIMIT:
+            return True
+    raise ValueError(
+        f"primality of a {len(str(n))}-digit integer is beyond the certified range"
+    )
 
 
 def _pollard_rho(n: int) -> int:
@@ -132,11 +145,14 @@ def _pollard_rho(n: int) -> int:
 def factor(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as sign * prod(p^e).
 
-    Returns ``(sign, {prime: exponent})`` with the primes sorted.  A
-    cofactor left after trial division at or above ``_MR_LIMIT`` raises
-    ``ValueError`` from ``is_prime`` at once, as no factor of it could be
-    certified prime; so does a composite cofactor that Pollard rho does
-    not split within ``_RHO_STEPS`` steps.
+    Returns ``(sign, {prime: exponent})`` with the primes sorted.  When
+    trial division stops because p * p exceeds the cofactor (always, for
+    n below ``_TRIAL_LIMIT**2``), that stop certifies the cofactor prime.
+    Otherwise ``is_prime`` sorts each cofactor into a certified prime or a
+    composite for Pollard rho to split.  A cofactor that it cannot sort (a
+    strong probable prime at or above ``_MR_LIMIT``, or any cofactor at
+    or above ``_WITNESS_LIMIT``) raises ``ValueError``, as does a
+    composite that Pollard rho does not split within ``_RHO_STEPS`` steps.
 
     >>> factor(12)
     (1, {2: 2, 3: 1})
@@ -163,7 +179,10 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
         else:
             p += wheel[i]
             i = (i + 1) % 8
-    if n > 1:
+    if p * p > n:  # no prime factor up to sqrt(n): n is 1 or prime
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+    else:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -182,23 +201,34 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
+_PARTS = (int, Fraction)
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """An element of Q(i), held as exact rational real/imaginary parts.
+
+    Each part is an int or a Fraction: an int stays an int, so Gaussian
+    integers do int arithmetic, and a Fraction stays a Fraction even when
+    it is integral.  Equality, hashing, ``str`` and ``repr`` do not see
+    the difference.
 
     >>> Gaussian(2, 1) * Gaussian(2, -1)
     Gaussian(5, 0)
     >>> print(Gaussian(Fraction(3, 4), -2))
     3/4-2i
+    >>> Gaussian(3, 0) == Gaussian(Fraction(3), 0)
+    True
     """
 
-    re: Fraction
-    im: Fraction
+    re: int | Fraction
+    im: int | Fraction
 
     def __init__(self, re=0, im=0):
-        # arithmetic results are Fractions already; skip the re-conversion
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # ints and Fractions are kept as they are (arithmetic results are
+        # one or the other); anything else, a bool or a str, is converted
+        object.__setattr__(self, "re", re if type(re) in _PARTS else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) in _PARTS else Fraction(im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -246,14 +276,14 @@ class Gaussian:
     def conjugate(self) -> "Gaussian":
         return Gaussian(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     def is_integral(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 
     def __repr__(self) -> str:
-        def short(q: Fraction):
+        def short(q: int | Fraction):
             return q.numerator if q.denominator == 1 else q
 
         return f"Gaussian({short(self.re)!r}, {short(self.im)!r})"
@@ -601,7 +631,7 @@ def cube_class_mod_q(z: Gaussian) -> CubeClass:
     g = math.gcd(x, y)  # rational scaling: same class
     residues: dict[int, int] = {}
     for prime, exp in gaussian_factor(Gaussian(x // g, y // g)).factors:
-        a, b = prime.re.numerator, prime.im.numerator
+        a, b = prime.re, prime.im
         if b and a != b:  # a split prime: a+bi canonical, a-bi its conjugate
             p = a * a + b * b
             residues[p] = residues.get(p, 0) + (exp if b > 0 else -exp)

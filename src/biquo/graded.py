@@ -32,7 +32,9 @@ kernels read integer kernel rows and build their system through
 from the rows only when they are read, so no Gram is cleared back to
 integers.
 Rings are immutable; graded pieces and the table are cached (idempotent
-writes, so concurrent readers are safe).
+writes, so concurrent readers are safe).  The column index of a weight
+(``_column_index``) depends only on the packing places, so it is cached
+once per process and shared by every ring with the same places.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ from typing import Sequence
 from . import linalg
 from .arith import CertificateError
 from .poly import HomPoly, _pack, _places, monomials
+
+
+@cache
+def _column_index(places: tuple[int, ...], weight: int) -> dict[int, int]:
+    """{key: column} for the monomials of a weight, in column order.
+
+    A monomial's exponents pack to one key, read as digits in a ring's
+    one base, max(max_degree // 2, 2) + 1 (``places``).  No exponent
+    reaches the base, so no digit carries: the key of a product is the
+    sum of the keys, and descending keys are the columns' descending lex
+    order (``monomials``).  Built once per process for each (places,
+    weight), shared by every ring with those places; read only.
+    """
+    keys = map(sum, combinations_with_replacement(places, weight))
+    return {key: i for i, key in enumerate(sorted(keys, reverse=True))}
 
 
 def hilbert_coefficients(
@@ -98,7 +115,6 @@ class GradedQuotient:
         self._pieces: dict[int, linalg.QuotientSpace] = {}
         # owner[col] = i: the pivot at col was stored inserting relation i's multiples
         self._owners: dict[int, dict[int, int]] = {}
-        self._indexes: dict[int, dict[int, int]] = {}
         self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None
         # lowest degree of a built zero piece; max_degree while none is known
         self._zero_degree = self.max_degree
@@ -127,20 +143,6 @@ class GradedQuotient:
         g = gcd(*row.values()) * (1 if c > 0 else -1)
         return lead, [(key, x // g) for key, x in terms]
 
-    def _columns(self, weight: int) -> dict[int, int]:
-        """{key: column} for the monomials of weight w, in column order.
-        A monomial's exponents pack to one key, read as digits in the
-        ring's one base, max(max_degree // 2, 2) + 1.  No exponent reaches
-        the base, so no digit carries: the key of a product is the sum of
-        the keys, and descending keys are the columns' descending lex
-        order (``monomials``)."""
-        index = self._indexes.get(weight)
-        if index is None:
-            keys = map(sum, combinations_with_replacement(self._places, weight))
-            index = {key: i for i, key in enumerate(sorted(keys, reverse=True))}
-            self._indexes[weight] = index
-        return index
-
     def piece(self, degree: int) -> linalg.QuotientSpace:
         """The piece of a degree: ``monomials(n, degree // 2)`` modulo relations.
 
@@ -161,13 +163,13 @@ class GradedQuotient:
         cached = self._pieces.get(degree)
         if cached is not None:
             return cached
-        index = self._columns(degree // 2)
+        index = _column_index(self._places, degree // 2)
         echelon: dict[int, linalg.SparseRow] = {}
         owner: dict[int, int] = {}
         if degree >= 4:
             self.piece(degree - 4)
             below = self._owners[degree - 4]
-            multipliers = self._columns(degree // 2 - 2).items()
+            multipliers = _column_index(self._places, degree // 2 - 2).items()
             for i, (lead, terms) in enumerate(self._packed):
                 for shift, m in multipliers:
                     if below.get(m, i) < i:
@@ -200,7 +202,7 @@ class GradedQuotient:
         if poly.nvars != self.generators:
             raise ValueError("polynomial has the wrong number of variables")
         piece = self.piece(poly.degree)
-        index = self._columns(poly.weight)
+        index = _column_index(self._places, poly.weight)
         packed = _pack(poly.coeffs, self._places)
         return piece.coords({index[k]: c for k, c in packed.items()})
 

@@ -7,7 +7,10 @@
   the invariant.  Both the closed form alpha + beta*i = 4(a+b*i)^2 and
   the full pipeline through the ring are implemented; they agree.  The
   pipeline's tail, from the net's determinant to alpha and beta, is
-  ``nodal._t1_alpha_beta``; this module takes its cube classes.
+  ``nodal._t1_alpha_beta``, which returns them as ints up to a positive
+  scalar; this module takes their cube classes on those ints, so the
+  pipeline builds no Fraction from the net to the classes.  The closed
+  form runs on Fractions.
 
 * t2: circle bundles over the Klein-cubic 6-manifold indexed by nonzero
   rationals (a0, a1).  The cup product induces a quadratic form on a
@@ -64,7 +67,7 @@ class DegenerateFamilyMember(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def rotate_alpha_beta(alpha, beta, c, d) -> tuple[Fraction, Fraction]:
+def rotate_alpha_beta(alpha, beta, c, d) -> tuple[int | Fraction, int | Fraction]:
     """(alpha', beta') with alpha' + beta' i = (alpha + beta i)(c + d i)^3.
 
     This is how the identity component of the stabilizer of mu^2+nu^2
@@ -88,11 +91,13 @@ class T1Invariant:
 
     @classmethod
     def from_alpha_beta(cls, alpha, beta) -> "T1Invariant":
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        if alpha == 0 and beta == 0:
+        """The pair for rational alpha and beta, ints or Fractions; an int
+        pair stays on ints through the cube classes."""
+        z = Gaussian(alpha, beta)
+        if not z:
             raise ValueError("alpha and beta must not both vanish")
-        first = cube_class_mod_q(Gaussian(alpha, beta))
-        second = cube_class_mod_q(Gaussian(beta, alpha))
+        first = cube_class_mod_q(z)
+        second = cube_class_mod_q(Gaussian(z.im, z.re))
         if second != first.conjugate():
             raise CertificateError("mirror class must be the conjugate")
         pair = sorted((first, second), key=lambda c: c.serialize())
@@ -156,7 +161,7 @@ def t1_invariant_from_net(net: QuadricSystem) -> T1Invariant:
     determinant (``nodal._net_det``) runs through ``nodal._t1_alpha_beta``,
     which divides it by its content gcd (a positive rational multiple of
     the determinant cubic, which the cube classes quotient out too) and
-    keeps one packed int cubic from the node to alpha and beta.
+    keeps one packed int cubic from the node to an int alpha and beta.
     """
     return T1Invariant.from_alpha_beta(*_t1_alpha_beta(_net_det(net)[0]))
 

@@ -113,9 +113,12 @@ def solve(rows: Matrix, rhs: Vector) -> Vector | None:
 
 def _integer_row(row) -> tuple[SparseRow, int]:
     """The nonzero entries of a dense or ``{column: value}`` row of ints or
-    Fractions, times the lcm of their denominators; returns (row, lcm)."""
+    Fractions, times the lcm of their denominators; returns (row, lcm).
+    An all-int row is returned as it is, with lcm 1."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     nonzero = [(j, x) for j, x in items if x]
+    if all(type(x) is int for _, x in nonzero):
+        return dict(nonzero), 1
     den = lcm(*(x.denominator for _, x in nonzero))
     return {j: x.numerator * (den // x.denominator) for j, x in nonzero}, den
 

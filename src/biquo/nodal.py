@@ -25,13 +25,13 @@ with ``_binary_substitute``), ``_int_hessian`` and ``_inflection_ints``,
 which eliminates lam on ints, strips (mu^2+nu^2) and checks
 harmonicity, and leaves the one division to its caller.
 ``_t1_alpha_beta`` is the whole tail, from a net's determinant divided
-by its content gcd to alpha and beta, with no ``HomPoly``, partial or
-Fraction built in between; ``invariants`` takes the cube classes of its
-result.  The public functions are readers of the same kernels:
-``det_cubic`` and ``TernaryCubic.hessian`` divide once and decode the
-ten cubic keys (``_packed_cubic``, through ``_CUBIC_EXPONENTS``), and
-``singular_points``, ``tangent_cone`` and ``inflection_lines`` pack
-their cubic first.
+by its content gcd to alpha and beta as ints (up to a positive scalar),
+with no ``HomPoly``, partial or Fraction built on the way; ``invariants``
+takes the cube classes of its result.  The public functions are readers
+of the same kernels: ``det_cubic`` and ``TernaryCubic.hessian`` divide
+once and decode the ten cubic keys (``_packed_cubic``, through
+``_CUBIC_EXPONENTS``), and ``singular_points``, ``tangent_cone`` and
+``inflection_lines`` pack their cubic first.
 
 The three determinants (the net's, the Hessian and the Sylvester
 determinant of ``_int_resultant``) share one kernel, ``_int_det``, on
@@ -878,21 +878,22 @@ def _normalized_cone_terms(terms: dict) -> dict[int, int]:
     return out
 
 
-def _t1_alpha_beta(cubic: dict | None) -> tuple[Fraction, Fraction]:
+def _t1_alpha_beta(cubic: dict | None) -> tuple[int, int]:
     """(alpha, beta) of the inflection cubic of a nodal cubic packed in
     ``_CUBIC_PLACES`` (int or Fraction terms, None or empty for zero, as
-    ``_net_det`` gives a net's determinant), up to a rational scalar,
-    which the t1 cube classes quotient out.
+    ``_net_det`` gives a net's determinant), as ints, up to a positive
+    rational scalar, which the t1 cube classes quotient out.
 
     The cubic is divided by its content gcd, and that primitive int cubic
     runs through the tail: the node is read off its coefficients
     (``_family_locus``), the cone is normalized on its binary forms
     (``_normalized_cone_terms``) and the inflection cubic eliminated on
-    ints (``_inflection_ints``), with Fractions built for alpha and beta
-    alone.  A cubic of another shape (a mixed net puts the node
-    elsewhere) takes the general search of ``singular_points``
-    (``_searched_locus``) and ``_node_to_origin`` on a ``TernaryCubic``
-    before it rejoins the packed tail.
+    ints (``_inflection_ints``).  Its int coefficients (c03, c30) are the
+    answer: the scale 8 * d that ``inflection_lines`` divides by is
+    positive, so no Fraction is built.  A cubic of another shape (a mixed
+    net puts the node elsewhere) takes the general search of
+    ``singular_points`` (``_searched_locus``) and ``_node_to_origin`` on a
+    ``TernaryCubic`` before it rejoins the packed tail.
     """
     terms = _primitive_terms(cubic) if cubic else {}
     locus = _family_locus(terms)
@@ -903,7 +904,7 @@ def _t1_alpha_beta(cubic: dict | None) -> tuple[Fraction, Fraction]:
         raise ValueError("expected exactly one rational node")
     if locus.points[0] != (1, 0, 0):  # found by the general search alone
         terms = _node_to_origin(F, locus.points[0])._packed()
-    ints, scale = _inflection_ints(_normalized_cone_terms(terms))
+    ints, _ = _inflection_ints(_normalized_cone_terms(terms))
     # _inflection_ints certified the harmonic shape, so alpha and beta
     # are c03 and c30
-    return Fraction(ints[3], scale), Fraction(ints[0], scale)
+    return ints[3], ints[0]

@@ -13,6 +13,7 @@ from biquo.arith import (
     _MR_BASES,
     _MR_LIMIT,
     _TRIAL_LIMIT,
+    _WITNESS_LIMIT,
     CubeClass,
     Gaussian,
     SquareClass,
@@ -103,14 +104,59 @@ def test_is_prime_agrees_with_sympy_below_the_limit():
             assert is_prime(n) == sympy.isprime(n), n
 
 
+# Mersenne primes above _MR_LIMIT: no answer True is certified for them
+_PRIMES_ABOVE_THE_LIMIT = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
 def test_is_prime_refuses_at_the_limit():
-    for n in (_MR_LIMIT, _MR_LIMIT + 1, 10**80 + 1):
+    # the limit is a strong pseudoprime to every base and primes above it
+    # are strong probable primes: both raise rather than answer True; at or
+    # above _WITNESS_LIMIT no base runs, so a composite raises too
+    assert all(_MR_LIMIT < p < _WITNESS_LIMIT for p in _PRIMES_ABOVE_THE_LIMIT)
+    semiprime = (2**89 - 1) * (2**107 - 1)
+    assert _WITNESS_LIMIT < semiprime < 10**80 + 1
+    for n in (_MR_LIMIT, *_PRIMES_ABOVE_THE_LIMIT, semiprime, 10**80 + 1):
         with pytest.raises(ValueError, match="certified range"):
             is_prime(n)
-    # a cofactor above the limit stops factor at once
+    # a prime cofactor above the limit stops factor, and so does any
+    # cofactor above the witness limit, at once
+    with pytest.raises(ValueError, match="certified range"):
+        factor(2**5 * 3 * (2**89 - 1))
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="certified range"):
         factor(2**5 * (10**40 + 1) * (10**40 + 3))
+    with pytest.raises(ValueError, match="certified range"):
+        factor(10**2999 + 7)
+    assert time.perf_counter() - start < 0.5
     assert factor(2**100 * 3**60) == (1, {2: 100, 3: 60})
+
+
+def _chernick_carmichael(rng, low):
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three are prime
+    k = rng.randrange(low, 2 * low)
+    while not all(trial_division_prime(m * k + 1) for m in (6, 12, 18)):
+        k += 1
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def test_is_prime_answers_composites_above_the_limit():
+    # a base that witnesses compositeness certifies False at any size
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(28)
+    cases = [_MR_LIMIT + 1, _MR_LIMIT + 2, 10**40 + 1, 3 * (2**89 - 1), 10**80]
+    for _ in range(20):
+        p = int(sympy.nextprime(rng.randrange(10**12, 10**14)))
+        q = int(sympy.nextprime(rng.randrange(10**12, 10**14)))
+        cases.append(p * q)
+    carmichael = [_chernick_carmichael(rng, 2 * 10**7) for _ in range(6)]
+    for n in carmichael:  # Fermat liars to every coprime base
+        assert all(pow(a, n - 1, n) == 1 for a in _MR_BASES)
+    cases += carmichael
+    for n in cases:
+        assert n >= _MR_LIMIT and not sympy.isprime(n)
+        assert is_prime(n) is False, n
+    # above the witness limit only division by the bases answers
+    assert is_prime(3 * _WITNESS_LIMIT) is False
 
 
 def test_factor_refuses_an_unsplit_semiprime_fast():
@@ -124,6 +170,57 @@ def test_factor_refuses_an_unsplit_semiprime_fast():
     # a product of two primes near 10^9 still splits within the budget
     p, q = int(sympy.nextprime(10**9)), int(sympy.nextprime(7 * 10**9))
     assert factor(p * q) == (1, {p: 1, q: 1})
+
+
+def _factor_cases(rng, sympy):
+    below = [rng.randrange(2, 10**8) for _ in range(300)]
+    above = [rng.randrange(10**8, 10**18) for _ in range(150)]
+    near = []  # primes around the trial limit, where the trial loop stops
+    for start in (_TRIAL_LIMIT - 300, _TRIAL_LIMIT - 20, _TRIAL_LIMIT, _TRIAL_LIMIT + 500):
+        p = int(sympy.nextprime(start))
+        q = int(sympy.nextprime(rng.randrange(_TRIAL_LIMIT // 2, 3 * _TRIAL_LIMIT)))
+        near += [p * p, p * q, p * int(sympy.nextprime(p)), p**3, 2 * 3 * p * p]
+    # composites above _MR_LIMIT with a factor that Pollard rho reaches
+    big = [
+        int(sympy.nextprime(rng.randrange(10**6, 10**8)))
+        * int(sympy.nextprime(rng.randrange(10**18, 10**20)))
+        for _ in range(6)
+    ]
+    assert all(n >= _MR_LIMIT for n in big)
+    return below + above + near + big
+
+
+def test_factor_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2828)
+    for n in _factor_cases(rng, sympy):
+        for m in (n, -n):
+            want = sympy.factorint(abs(m))
+            assert factor(m) == (1 if m > 0 else -1, dict(sorted(want.items()))), m
+
+
+def test_factor_certifies_a_trial_cofactor_without_miller_rabin(monkeypatch):
+    # trial division that stops because p * p exceeds the cofactor has
+    # proved it prime: below _TRIAL_LIMIT**2 factor never tests primality
+    from biquo import arith
+
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) after trial division")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    rng = random.Random(29)
+    cases = [rng.randrange(2, _TRIAL_LIMIT**2) for _ in range(2000)]
+    cases += [_TRIAL_LIMIT**2 - 1, 99999989, 2 * 99999989, 9973**2, 9973 * 10007]
+    for n in cases:
+        sign, found = factor(n)
+        assert sign == 1 and all(trial_division_prime(p) for p in found), n
+        product = 1
+        for p, e in found.items():
+            product *= p**e
+        assert product == n
+    # a cofactor the trial bound cut short is still certified
+    with pytest.raises(AssertionError, match="after trial division"):
+        factor(10007**2)
 
 
 def test_factor_rejects_zero():
@@ -381,6 +478,57 @@ def test_cube_class_factors_once(monkeypatch):
         assert calls == {"gaussian_factor": 1, "factor": 1}, z
 
 
+def _twin(z: Gaussian) -> Gaussian:
+    # the same value with every part a Fraction
+    return Gaussian(Fraction(z.re), Fraction(z.im))
+
+
+def test_gaussian_int_and_fraction_twins_agree():
+    rng = random.Random(30)
+    parts = [(0, 0), (1, 0), (0, -1), (-7, 3)]
+    for _ in range(200):
+        parts.append((rng.randint(-50, 50), rng.randint(-50, 50)))
+        parts.append((Fraction(rng.randint(-50, 50), rng.randint(1, 6)), rng.randint(-50, 50)))
+    for re, im in parts:
+        z, t = Gaussian(re, im), Gaussian(Fraction(re), Fraction(im))
+        assert (type(z.re), type(z.im)) == (type(re), type(im))  # kept as given
+        assert type(t.re) is type(t.im) is Fraction
+        assert z == t and hash(z) == hash(t)
+        assert str(z) == str(t) and repr(z) == repr(t)
+        assert parse_gaussian(str(z)) == z
+        assert z.norm() == t.norm() and bool(z) == bool(t)
+        assert z.is_integral() == t.is_integral()
+    assert repr(Gaussian(3, -4)) == "Gaussian(3, -4)"
+    assert str(Gaussian(Fraction(6, 2), Fraction(-1))) == "3-i"
+    # other inputs are read as Fractions, as before
+    assert Gaussian("3/4", True) == Gaussian(Fraction(3, 4), 1)
+    assert type(Gaussian(True, 0).re) is Fraction
+
+
+def test_gaussian_operations_never_give_a_float_part():
+    rng = random.Random(31)
+
+    def part(kind):
+        n = rng.randint(-20, 20)
+        return n if kind == "i" else Fraction(n, rng.randint(1, 5))
+
+    for _ in range(300):
+        z = Gaussian(part(rng.choice("if")), part(rng.choice("if")))
+        w = Gaussian(part(rng.choice("if")), part(rng.choice("if")))
+        results = [z + w, z - w, z * w, -z, z.conjugate(), z**3, z * 2, 2 * z]
+        results += [z * Fraction(1, 3), z + 1]
+        if w:
+            results += [z / w, w**-2]
+        for r in results:
+            assert type(r.re) in (int, Fraction) and type(r.im) in (int, Fraction)
+        assert type(z.norm()) in (int, Fraction)
+        # int parts stay ints under ring operations
+        if type(z.re) is type(z.im) is type(w.re) is type(w.im) is int:
+            for r in (z + w, z - w, z * w, -z, z.conjugate(), z**3):
+                assert type(r.re) is type(r.im) is int
+        assert z * w == _twin(z) * _twin(w) and z + w == _twin(z) + _twin(w)
+
+
 def test_gaussian_rejects_zero():
     with pytest.raises(ValueError):
         gaussian_factor(Gaussian(0, 0))
@@ -491,12 +639,14 @@ def test_gaussian_factor_and_cube_class_match_sympy_zzi():
         assert cube_class_mod_q(z).as_dict() == expected, z
 
 
-@pytest.mark.parametrize("k", [5, 6, 8, 12])
+@pytest.mark.parametrize("k", [5, 6, 8, 12, 14])
 def test_t1_at_the_next_prime_after_a_power_of_ten_matches_sympy_zzi(k):
     # t1_invariant(N, 1) raised here until square norms were factored
     # through their root: with e = 2N - 1, alpha + beta i is (1 + ei)^2 / 4,
     # and its primitive multiple (1 - e^2)/2 + ei has the norm
-    # ((1 + e^2)/2)^2, about 4 N^4, whose cofactors were out of reach
+    # ((1 + e^2)/2)^2, about 4 N^4, whose cofactors were out of reach.  At
+    # k = 14 a 29-digit composite cofactor was refused before any
+    # Miller-Rabin base could witness it; Pollard rho splits it now
     pytest.importorskip("sympy")
     from sympy import factorint, nextprime
     from sympy.polys.domains import ZZ_I

@@ -191,6 +191,25 @@ def test_pieces_reduce_their_integer_rows_without_clearing(monkeypatch):
     assert ring.is_complete_intersection()
 
 
+def test_column_index_is_monomial_order_and_shared_by_rings():
+    # the column of a packed monomial is its place in monomials(n, w); the
+    # index depends only on the places, so rings with the same places read
+    # one dict, built once per process
+    from biquo.graded import _column_index
+    from biquo.poly import _pack, _places
+
+    for n, base, weight in ((3, 4, 3), (4, 5, 2), (5, 6, 4), (2, 3, 0)):
+        places = _places(n, base)
+        index = _column_index(places, weight)
+        keys = _pack({e: 1 for e in monomials(n, weight)}, places)
+        assert list(index.items()) == [(key, i) for i, key in enumerate(keys)]
+    first, second = quotient_ring(t1_action_matrix(1, 2)), quotient_ring(t1_action_matrix(3, -1))
+    assert first._places == second._places
+    assert [first.graded_dim(d) for d in range(0, 7, 2)] == [1, 3, 3, 1]
+    assert _column_index(first._places, 2) is _column_index(second._places, 2)
+    assert not hasattr(first, "_indexes")
+
+
 def test_no_relation_multiple_of_a_complete_intersection_reduces_to_zero(monkeypatch):
     # the rows of a complete intersection that vanish are the Koszul
     # syzygies; the F5 criterion skips each before it is built, and a row

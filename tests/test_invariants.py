@@ -1049,3 +1049,49 @@ def test_t1_tail_runs_on_the_primitive_determinant_cubic(monkeypatch):
                 assert t1_invariant_from_net(net) == t1_invariant(b1, c1)
                 want = _pack(_primitive_cubic(det_cubic(net)).poly.coeffs, _CUBIC_PLACES)
                 assert seen == [want], (b1, c1)
+
+
+def test_t1_tail_gives_ints_and_builds_no_fraction(monkeypatch):
+    # _t1_alpha_beta returns the int pair (c03, c30), a positive multiple of
+    # the inflection cubic's (alpha, beta); the cube classes take it on
+    # ints, so no Fraction is built from the net's determinant to the pair
+    from biquo.nodal import _net_det, _t1_alpha_beta, inflection_lines
+
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(28)
+    for _ in range(40):
+        b1, c1 = rng.randint(-20, 20), rng.randint(-20, 20)
+        if (b1, c1) == (0, 0):
+            continue
+        ring_net = quotient_ring(t1_action_matrix(b1, c1)).kernel_of_square_map()
+        M = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        nets = [ring_net]
+        if linalg.det(M) != 0:
+            nets.append(QuadricSystem(3, tuple(
+                tuple(
+                    tuple(sum(M[r][k] * ring_net.basis[k][i][j] for k in range(3)) for j in range(3))
+                    for i in range(3)
+                )
+                for r in range(3)
+            )))
+        for net in nets:
+            cubic = _net_det(net)[0]
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", counting_new)
+            alpha, beta = _t1_alpha_beta(cubic)
+            invariant = T1Invariant.from_alpha_beta(alpha, beta)
+            monkeypatch.undo()
+            assert type(alpha) is type(beta) is int
+            assert invariant == t1_invariant(b1, c1)
+            if net is ring_net:
+                assert built == [], (b1, c1)
+                F = _packed_cubic(_normalized_cone_terms(_primitive_terms(cubic)))
+                ref = inflection_lines(F)
+                assert alpha * ref.beta == beta * ref.alpha
+                assert alpha * ref.alpha + beta * ref.beta > 0

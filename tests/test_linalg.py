@@ -713,6 +713,24 @@ def _check(ncols, rows, rng):
         assert _rank(rows + [rest], ncols) == span_rank
 
 
+def test_integer_row_keeps_an_int_row_and_clears_a_fraction_row():
+    rng = random.Random(28)
+    for _ in range(200):
+        ints = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(6)]
+        row, den = linalg._integer_row(ints)
+        assert den == 1 and row == {j: x for j, x in enumerate(ints) if x}
+        assert all(type(x) is int for x in row.values())
+        assert linalg._integer_row({j: x for j, x in enumerate(ints)}) == (row, 1)
+        assert linalg._integer_row([Fraction(x) for x in ints]) == (row, 1)
+        dens = [rng.randint(1, 6) for _ in ints]
+        fracs = [Fraction(x, d) for x, d in zip(ints, dens)]
+        row, den = linalg._integer_row(fracs)
+        assert all(type(x) is int for x in row.values())
+        assert {j: Fraction(x, den) for j, x in row.items()} == {
+            j: x for j, x in enumerate(fracs) if x
+        }
+
+
 def test_empty_span_keeps_every_coordinate():
     rng = random.Random(1)
     for ncols in range(1, 6):

@@ -429,19 +429,41 @@ def test_cli_invariant_errors_name_the_family_and_arguments(capsys):
 
 def test_cli_invariant_t1_at_large_primes():
     # N = nextprime(10^8) exited 2 until the cube classes factored square
-    # norms through their root (tests/test_arith.py checks the value against
-    # sympy); at nextprime(10^14) a 29-digit cofactor is still refused
+    # norms through their root, and N = nextprime(10^14) until a composite
+    # cofactor above the Miller-Rabin limit went to Pollard rho
+    # (tests/test_arith.py checks both values against sympy); at
+    # nextprime(10^15) a 25-digit prime cofactor is still refused
     proc = run_cli("invariant", "t1", "--b1", "100000007", "--c1", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5:1,13:1,622337:1,494414357:2|5:2,13:2,622337:2,494414357:1\n"
-    n = 100000000000031
+    proc = run_cli("invariant", "t1", "--b1", "100000000000031", "--c1", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "9002801:1,2221530832461164031061:1|9002801:2,2221530832461164031061:2\n"
+    )
+    n = 1000000000000037
     proc = run_cli("invariant", "t1", "--b1", str(n), "--c1", "1")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        f"error: invariant t1 (b1={n}, c1=1): primality of a 29-digit integer "
+        f"error: invariant t1 (b1={n}, c1=1): primality of a 25-digit integer "
         "is beyond the certified range"
     ]
+
+
+def test_cli_invariant_t2_factors_a_composite_above_the_limit():
+    # the determinant has 29 digits, above arith._MR_LIMIT; it exited 2
+    # while is_prime refused every integer that large, and a Miller-Rabin
+    # witness now sends it to Pollard rho
+    sympy = pytest.importorskip("sympy")
+    a0, a1 = 10000019, 10000079
+    proc = run_cli("invariant", "t2", "--a0", str(a0), "--a1", str(a1))
+    assert proc.returncode == 0, proc.stderr
+    odd = [p for p, e in sympy.factorint(a0 * a1).items() if e % 2]
+    want = -1
+    for p in odd:
+        want *= p
+    assert proc.stdout == f"{want}\n"
 
 
 @pytest.mark.parametrize("text", ["1.5", "-.5", "+2", "-3/4", "0.25"])
