@@ -65,6 +65,15 @@ class CertificateError(AssertionError):
     """
 
 
+def _digit_count(n: int) -> int:
+    """The decimal digits of n >= 1 without ``str``, which refuses integers
+    above 4300 digits: raised from a lower bound, as 1233/4096 < log10(2)."""
+    digits = ((n.bit_length() - 1) * 1233 >> 12) + 1
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test below ``_MR_LIMIT``.
 
@@ -95,7 +104,7 @@ def is_prime(n: int) -> bool:
         if n < _MR_LIMIT:
             return True
     raise ValueError(
-        f"primality of a {len(str(n))}-digit integer is beyond the certified range"
+        f"primality of a {_digit_count(n)}-digit integer is beyond the certified range"
     )
 
 
@@ -117,7 +126,7 @@ def _pollard_rho(n: int) -> int:
             steps += 2 * r  # the r steps of x and at most r more of y below
             if steps > _RHO_STEPS:
                 raise ValueError(
-                    f"no factor of a {len(str(n))}-digit integer found in "
+                    f"no factor of a {_digit_count(n)}-digit integer found in "
                     f"{_RHO_STEPS} Pollard rho steps"
                 )
             x = y
@@ -142,6 +151,19 @@ def _pollard_rho(n: int) -> int:
         seed += 1  # cycle degenerated; retry with a new polynomial
 
 
+def _power_root(n: int) -> int | None:
+    """The root r of n = r^k for the least prime k <= log2(n) with an exact
+    root, else None: Newton's method on ints falls to the floor of the root
+    from 2^ceil(bits / k), which is above it, or from ``math.isqrt(n)``."""
+    for k in filter(is_prime, range(2, n.bit_length() + 1)):
+        r = math.isqrt(n) if k == 2 else 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n:
+            return r
+    return None
+
+
 def factor(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as sign * prod(p^e).
 
@@ -149,10 +171,12 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
     trial division stops because p * p exceeds the cofactor (always, for
     n below ``_TRIAL_LIMIT**2``), that stop certifies the cofactor prime.
     Otherwise ``is_prime`` sorts each cofactor into a certified prime or a
-    composite for Pollard rho to split.  A cofactor that it cannot sort (a
-    strong probable prime at or above ``_MR_LIMIT``, or any cofactor at
-    or above ``_WITNESS_LIMIT``) raises ``ValueError``, as does a
-    composite that Pollard rho does not split within ``_RHO_STEPS`` steps.
+    composite, split as r * r^(k-1) when it is an exact power r^k (Pollard
+    rho cannot split a prime power) and by Pollard rho otherwise.  A
+    cofactor that it cannot sort (a strong probable prime at or above
+    ``_MR_LIMIT``, or any cofactor at or above ``_WITNESS_LIMIT``) raises
+    ``ValueError``, as does a composite that Pollard rho does not split
+    within ``_RHO_STEPS`` steps.
 
     >>> factor(12)
     (1, {2: 2, 3: 1})
@@ -191,9 +215,8 @@ def factor(n: int) -> tuple[int, dict[int, int]]:
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            d = _power_root(m) or _pollard_rho(m)
+            stack += [d, m // d]
     return sign, dict(sorted(out.items()))
 
 

@@ -28,6 +28,7 @@ from .graded import (
     GradedQuotient,
     MultiplicationMap,
     QuadricSystem,
+    _class_coeffs,
     _pairs,
     multiplication_map,
     square_map_kernel,
@@ -297,8 +298,7 @@ def circle_bundle_degree4(base, y) -> CircleBundleData:
     the construction is deterministic.
     """
     if isinstance(y, HomPoly):
-        n = y.nvars
-        y = [y.coefficient(tuple(int(k == i) for k in range(n))) for i in range(n)]
+        y = _class_coeffs(y, y.nvars)
     y = [Fraction(c) for c in y]
     if all(c == 0 for c in y):
         raise ValueError("Euler class must be nonzero")

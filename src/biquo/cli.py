@@ -3,9 +3,7 @@
 Subcommands:
   scan t1|t2|t3 --radius N [--format json|csv] [--out FILE] [--jobs N]
                                     (at most report.MAX_SCAN_ROWS rows)
-  invariant t1 --b1 B --c1 C
-  invariant t2 --a0 A --a1 B
-  invariant t3 --a A --b B --c C
+  invariant t1|t2|t3 --PARAM V ...  (the family's parameters in FAMILIES)
   ring --matrix "1,0,0;2,1,1;4,2,1" [--max-degree D]  (D <= MAX_DEGREE)
   free --matrix ...                 (ring and free: rank <= MAX_RANK)
   verify --suite arith|ring|freeness|t1|t2|t3|all
@@ -14,6 +12,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 
 Each subcommand imports only the modules it runs: `--help` and usage
 errors load argparse alone, and only `verify` loads `checks`.
+
+``FAMILIES`` declares the three families for these parsers and for
+``report``; it lives here so that importing the CLI loads no math module.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ MAX_RANK = 8
 # yet each one is still built and printed (10^7 took about 4.5 s and printed
 # 15 MB for a rank-2 ring).
 MAX_DEGREE = 1000
-
-# invariant subcommand: the family's function in `invariants` and its
-# argument names
-_INVARIANTS = {
-    "t1": ("t1_invariant", ("b1", "c1")),
-    "t2": ("t2_det_class", ("a0", "a1")),
-    "t3": ("t3_discriminant_class", ("a", "b", "c")),
-}
 
 # the suites `verify` runs, here so that the parser does not import `checks`
 SUITE_NAMES = ("arith", "ring", "freeness", "t1", "t2", "t3")
@@ -85,6 +78,15 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
 
 
+# The families: each one's invariant function in `invariants`, its
+# parameter names and the argparse type of a parameter.
+FAMILIES = {
+    "t1": ("t1_invariant", ("b1", "c1"), _integer),
+    "t2": ("t2_det_class", ("a0", "a1"), _rational),
+    "t3": ("t3_discriminant_class", ("a", "b", "c"), _rational),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biquo",
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="scan a parameter family")
-    p_scan.add_argument("family", choices=("t1", "t2", "t3"))
+    p_scan.add_argument("family", choices=tuple(FAMILIES))
     p_scan.add_argument("--radius", type=_integer, required=True)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--out", help="output file (default: stdout)")
@@ -102,16 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariant", help="one invariant value")
     inv_sub = p_inv.add_subparsers(dest="family", required=True)
-    p_t1 = inv_sub.add_parser("t1")
-    p_t1.add_argument("--b1", type=_integer, required=True)
-    p_t1.add_argument("--c1", type=_integer, required=True)
-    p_t2 = inv_sub.add_parser("t2")
-    p_t2.add_argument("--a0", type=_rational, required=True)
-    p_t2.add_argument("--a1", type=_rational, required=True)
-    p_t3 = inv_sub.add_parser("t3")
-    p_t3.add_argument("--a", type=_rational, required=True)
-    p_t3.add_argument("--b", type=_rational, required=True)
-    p_t3.add_argument("--c", type=_rational, required=True)
+    for family, (_, names, kind) in FAMILIES.items():
+        p_family = inv_sub.add_parser(family)
+        p_family._negative_number_matcher = _NEGATIVE_VALUE
+        for name in names:
+            p_family.add_argument(f"--{name}", type=kind, required=True)
 
     p_ring = sub.add_parser("ring", help="quotient ring of a free torus action")
     p_ring.add_argument("--matrix", required=True, help='rows like "1,0,0;2,1,1;4,2,1"')
@@ -120,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_free = sub.add_parser("free", help="freeness of a torus action")
     p_free.add_argument("--matrix", required=True)
 
-    for valued_parser in (p_scan, p_t1, p_t2, p_t3, p_ring, p_free):
+    for valued_parser in (p_scan, p_ring, p_free):
         valued_parser._negative_number_matcher = _NEGATIVE_VALUE
 
     p_verify = sub.add_parser("verify", help="run the property suites")
@@ -150,7 +147,7 @@ def _cmd_scan(args) -> int:
 def _cmd_invariant(args) -> int:
     from . import invariants
 
-    name, names = _INVARIANTS[args.family]
+    name, names, _ = FAMILIES[args.family]
     invariant = getattr(invariants, name)
     values = [getattr(args, name) for name in names]
     try:

@@ -258,11 +258,7 @@ class GradedQuotient:
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
         if y.degree != 2:
             raise ValueError("multiplier must have cohomological degree 2")
-        return multiplication_map(
-            self.product_table(),
-            [y.coefficient(tuple(int(k == i) for k in range(self.generators)))
-             for i in range(self.generators)],
-        )
+        return multiplication_map(self.product_table(), _class_coeffs(y, self.generators))
 
     def change_of_variables(self, matrix: Sequence[Sequence]) -> "GradedQuotient":
         """Rewrite the relations under x_i -> sum_j P[i][j] x_j (P invertible)."""
@@ -315,10 +311,7 @@ class QuadricSystem:
                     raise ValueError("Gram matrix has the wrong shape")
                 if list(map(tuple, g)) != list(zip(*g)):
                     raise ValueError("Gram matrix is not symmetric")
-            rows = tuple(
-                linalg._integer_row([g[i][j] if i == j else 2 * g[i][j] for i, j in _pairs(k)])
-                for g in self.basis
-            )
+            rows = tuple(linalg._integer_row(_gram_coeffs(g)) for g in self.basis)
             object.__setattr__(self, "_rows", rows)
         span = _span_of(k, self._rows)
         if span is None:
@@ -351,7 +344,7 @@ class QuadricSystem:
         return len(self._rows)
 
     def contains(self, gram) -> bool:
-        return self._span.contains(self._flatten(gram))
+        return self._span.contains(_gram_coeffs(gram))
 
     def polys(self) -> list[HomPoly]:
         return [gram_to_poly(g) for g in self.basis]
@@ -376,6 +369,16 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
+def _gram_coeffs(gram) -> list:
+    """A quadric's coefficients from its Gram: G_ii at x_i^2, 2 G_ij at x_i x_j."""
+    return [gram[i][j] if i == j else 2 * gram[i][j] for i, j in _pairs(len(gram))]
+
+
+def _class_coeffs(y: HomPoly, n: int) -> list:
+    """A degree-2 class's coefficients at x_0, ..., x_{n-1}."""
+    return [y.coefficient(e) for e in monomials(n, 1)]
+
+
 def _grams(n: int, rows) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """The Gram matrices of the quadrics r/d at ``_pairs(n)``, from integer
     rows (r, d), d > 0: x_i^2 gives r/d at (i, i), and x_i x_j is split
@@ -392,17 +395,13 @@ def _grams(n: int, rows) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
 
 
 def _span_of(n: int, rows) -> linalg.QuotientSpace | None:
-    """The span of the flattened Grams of the quadrics r/d, reduced from
-    2r at a diagonal pair and r elsewhere (2d times the flattened Gram);
-    None when a row reduces to zero."""
-    pairs, echelon = _pairs(n), {}
+    """The span of the quadrics' coefficients, reduced from their integer
+    rows (r, d); None when a row reduces to zero."""
+    echelon = {}
     for row, _ in rows:
-        flat = {
-            col: 2 * x if pairs[col][0] == pairs[col][1] else x for col, x in row.items()
-        }
-        if not linalg._reduce(echelon, flat)[0]:
+        if not linalg._reduce(echelon, row)[0]:
             return None
-    return linalg.QuotientSpace._trusted(len(pairs), echelon)
+    return linalg.QuotientSpace._trusted(len(_pairs(n)), echelon)
 
 
 def _quadric_row(p: HomPoly) -> tuple[linalg.SparseRow, int]:
@@ -418,10 +417,7 @@ def poly_to_gram(p: HomPoly) -> tuple[tuple[Fraction, ...], ...]:
 
 def gram_to_poly(gram) -> HomPoly:
     n = len(gram)
-    return HomPoly(n, 2, {
-        e: gram[i][j] if i == j else 2 * gram[i][j]
-        for e, (i, j) in zip(monomials(n, 2), _pairs(n))
-    })
+    return HomPoly(n, 2, dict(zip(monomials(n, 2), _gram_coeffs(gram))))
 
 
 def square_map_kernel(table) -> QuadricSystem:

@@ -18,6 +18,8 @@ from .graded import QuadricSystem
 from .invariants import MonicQuadratic
 from .nodal import BinaryCubic, TernaryCubic
 
+_MEMBERSHIP_TOL = 1e-7  # largest relative residual of a kept root
+
 
 def stabilizer_oracle(A, m: int) -> bool:
     """Brute-force cross-check: no nontrivial m-torsion element fixes any
@@ -100,9 +102,7 @@ def inflection_residual(F: TernaryCubic, cubic: BinaryCubic) -> float:
     return worst
 
 
-def numeric_rank_one_roots(
-    system: QuadricSystem, a, b, tol: float = 1e-7
-) -> list[complex]:
+def numeric_rank_one_roots(system: QuadricSystem, a, b) -> list[complex]:
     """Parameters t with (a x1 + b x2 + t x3)^2 in the system, numerically.
 
     The two membership conditions come from a numpy null-space basis of
@@ -136,7 +136,7 @@ def numeric_rank_one_roots(
                     continue
                 val = pq[0] + pq[1] * r + pq[2] * r * r
                 norm = np.max(np.abs(pq)) * max(1.0, abs(r)) ** 2
-                if norm > 1e-12 and abs(val) / norm > tol:
+                if norm > 1e-12 and abs(val) / norm > _MEMBERSHIP_TOL:
                     others_ok = False
                     break
             if others_ok and not any(abs(r - c) < 1e-6 for c in candidates):

@@ -1,28 +1,25 @@
 """Parameter scans over the three families, with deterministic reports.
 
-Rows are computed independently (optionally by a worker pool) and merged
-in sorted parameter order, so serial and parallel runs emit byte
-identical output.  Degenerate rows of the t3 family are flagged with the
-sentinel invariant string and excluded from the distinct count.
+The families' parameters and invariant functions come from the one table
+``cli.FAMILIES``.  Rows are computed independently (optionally by a
+worker pool) in sorted parameter order, so serial and parallel runs emit
+byte identical output.  Degenerate rows (only t3 has them) are flagged
+with the sentinel invariant string and excluded from the distinct count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
 
-from . import __version__
-from .invariants import (
-    DegenerateFamilyMember,
-    t1_invariant,
-    t2_det_class,
-    t3_discriminant_class,
-)
+from . import __version__, invariants
+from .cli import FAMILIES
+from .invariants import DegenerateFamilyMember
 
 DEGENERATE = "degenerate"
-
-PARAM_NAMES = {"t1": ("b1", "c1"), "t2": ("a0", "a1"), "t3": ("a", "b", "c")}
 
 # Largest grid a scan builds: the rows are materialised before the first
 # one is computed (t3 at radius 50 has exactly this many).
@@ -43,7 +40,7 @@ class ScanReport:
             "searchRadius": self.search_radius,
             "toolVersion": self.tool_version,
             "distinctCount": self.distinct_count,
-            "parameters": list(PARAM_NAMES[self.family]),
+            "parameters": list(FAMILIES[self.family][1]),
             "rows": [
                 {"params": list(params), "invariant": inv}
                 for params, inv in self.rows
@@ -57,7 +54,7 @@ class ScanReport:
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(PARAM_NAMES[self.family]) + ["invariant"])
+        writer.writerow(list(FAMILIES[self.family][1]) + ["invariant"])
         for params, inv in self.rows:
             writer.writerow(list(params) + [inv])
         return buf.getvalue()
@@ -77,47 +74,33 @@ class ScanReport:
         )
 
 
-def _t1_row(params: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    b1, c1 = params
-    return params, t1_invariant(b1, c1).serialize()
-
-
-def _t2_row(params: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    a0, a1 = params
-    return params, t2_det_class(a0, a1).serialize()
-
-
-def _t3_row(params: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    a, b, c = params
+def _row(family: str, params: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    # looked up in `invariants` on every call, so that a wrapper bound there
+    # later (perfbench's row timers) sees each row
+    invariant = getattr(invariants, FAMILIES[family][0])
     try:
-        return params, t3_discriminant_class(a, b, c).serialize()
+        return params, invariant(*params).serialize()
     except DegenerateFamilyMember:
         return params, DEGENERATE
 
 
-_ROW_FUNCS = {"t1": _t1_row, "t2": _t2_row, "t3": _t3_row}
+def _values(family: str, radius: int) -> tuple[range, range]:
+    """A coordinate's values in [-radius, radius], ascending, 0 only in t1:
+    two ranges, which ``_row_count`` measures without listing them."""
+    return range(-radius, 0), range(0 if family == "t1" else 1, radius + 1)
 
 
 def _row_count(family: str, radius: int) -> int:
     """The length of ``_grid(family, radius)``, without building it."""
-    side = 2 * radius  # nonzero values in [-radius, radius]
-    return {"t1": (side + 1) ** 2 - 1, "t2": side**2, "t3": side**3}[family]
+    below, above = _values(family, radius)
+    return (len(below) + len(above)) ** len(FAMILIES[family][1]) - (0 in above)
 
 
 def _grid(family: str, radius: int) -> list[tuple[int, ...]]:
-    span = range(-radius, radius + 1)
-    if family == "t1":
-        return sorted(
-            (b1, c1) for b1 in span for c1 in span if (b1, c1) != (0, 0)
-        )
-    nonzero = [v for v in span if v != 0]
-    if family == "t2":
-        return sorted((a0, a1) for a0 in nonzero for a1 in nonzero)
-    if family == "t3":
-        return sorted(
-            (a, b, c) for a in nonzero for b in nonzero for c in nonzero
-        )
-    raise ValueError(f"unknown family {family!r}")
+    """The family's parameter tuples but all zeros, in sorted order."""
+    zero = (0,) * len(FAMILIES[family][1])
+    values = list(itertools.chain(*_values(family, radius)))
+    return [p for p in itertools.product(values, repeat=len(zero)) if p != zero]
 
 
 def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
@@ -133,7 +116,7 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
         raise ValueError("radius must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    if family not in _ROW_FUNCS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     rows = _row_count(family, radius)
     if rows > MAX_SCAN_ROWS:
@@ -141,7 +124,7 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
             f"{family} radius {radius} gives {rows} rows, above the limit {MAX_SCAN_ROWS}"
         )
     grid = _grid(family, radius)
-    func = _ROW_FUNCS[family]
+    func = functools.partial(_row, family)
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only add overhead
     if jobs > 1:
         import multiprocessing  # only a parallel scan pays for its import
@@ -150,7 +133,6 @@ def scan(family: str, radius: int, jobs: int = 1) -> ScanReport:
             rows = pool.map(func, grid, chunksize=64)
     else:
         rows = [func(p) for p in grid]
-    rows.sort(key=lambda row: row[0])
     distinct = len({inv for _, inv in rows if inv != DEGENERATE})
     return ScanReport(
         family=family,

@@ -11,6 +11,8 @@ import pytest
 
 from biquo.arith import (
     _MR_BASES,
+    _digit_count,
+    _power_root,
     _MR_LIMIT,
     _TRIAL_LIMIT,
     _WITNESS_LIMIT,
@@ -170,6 +172,38 @@ def test_factor_refuses_an_unsplit_semiprime_fast():
     # a product of two primes near 10^9 still splits within the budget
     p, q = int(sympy.nextprime(10**9)), int(sympy.nextprime(7 * 10**9))
     assert factor(p * q) == (1, {p: 1, q: 1})
+
+
+def test_digit_count_matches_str_at_powers_of_ten():
+    # str refuses integers above 4300 digits; 10^4299 + 1 has exactly 4300
+    for k in range(4300):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            if n:
+                assert _digit_count(n) == len(str(n)), n
+    assert _digit_count(10**5000) == 5001
+
+
+def test_factor_splits_prime_powers_that_pollard_rho_cannot():
+    sympy = pytest.importorskip("sympy")
+    p = 1000000000039
+    assert sympy.isprime(p)
+    for n in (p**2, p**3, 7 * p**2, (10**9 + 7) ** 5, (10007 * 10009) ** 2, 10007**12):
+        start = time.perf_counter()
+        assert factor(n) == (1, dict(sorted(sympy.factorint(n).items()))), n
+        assert time.perf_counter() - start < 0.1
+
+
+def test_power_root_finds_exact_roots_only():
+    rng = random.Random(29)
+    for _ in range(300):
+        r, k = rng.randrange(2, 10**12), rng.choice((2, 3, 5, 7, 11))
+        root = _power_root(r**k)
+        assert root is not None and r**k in {root**j for j in range(2, k + 1)}
+        # r^k + 1 is an exact power only where r^k and a power are consecutive
+        assert _power_root(r**k + 1) is None or (r, k) == (2, 3)
+    assert [n for n in range(2, 200) if _power_root(n)] == sorted(
+        {r**k for r in range(2, 15) for k in range(2, 8) if r**k < 200}
+    )
 
 
 def _factor_cases(rng, sympy):

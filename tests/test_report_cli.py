@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from biquo.arith import parse_square_class
-from biquo.cli import MAX_DEGREE, MAX_RANK, _integer, _rational, main
+from biquo import invariants
+from biquo.cli import FAMILIES, MAX_DEGREE, MAX_RANK, _build_parser, _integer, _rational, main
 from biquo.invariants import parse_t1_invariant
 from biquo.report import DEGENERATE, MAX_SCAN_ROWS, ScanReport, _grid, _row_count, scan
 
@@ -249,9 +250,13 @@ def test_cli_ring_above_the_max_degree_limit_exit_2(degree, capsys):
 
 
 def test_scan_row_count_matches_the_grid():
-    for family in ("t1", "t2", "t3"):
+    for family in FAMILIES:
         for radius in (1, 2, 5):
-            assert _row_count(family, radius) == len(_grid(family, radius))
+            grid = _grid(family, radius)
+            assert _row_count(family, radius) == len(grid)
+            assert grid == sorted(set(grid)) and (0,) * len(grid[0]) not in grid
+            # t1 takes 0 in one coordinate, t2 and t3 never
+            assert any(0 in p for p in grid) == (family == "t1")
     # t3 at radius 50 is exactly the limit, one more is above it
     assert _row_count("t3", 50) == MAX_SCAN_ROWS
     assert _row_count("t3", 51) > MAX_SCAN_ROWS
@@ -272,6 +277,58 @@ def test_scan_refuses_a_grid_above_the_row_limit(family, radius, capsys):
     assert time.process_time() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {info.value}\n"
+
+
+def test_scan_rows_look_up_their_invariant_on_every_call(monkeypatch):
+    # a wrapper bound in `invariants` after import (as the benchmark's row
+    # timers bind one) sees every row of a scan
+    calls = []
+    original = invariants.t2_det_class
+
+    def counting(*params):
+        calls.append(params)
+        return original(*params)
+
+    monkeypatch.setattr(invariants, "t2_det_class", counting)
+    report = scan("t2", 2)
+    assert calls == [params for params, _ in report.rows] and len(calls) == 16
+
+
+def test_parsers_and_report_columns_follow_the_family_table():
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    commands = subcommands(_build_parser())
+    (family_arg,) = [a for a in commands["scan"]._actions if a.dest == "family"]
+    assert family_arg.choices == tuple(FAMILIES) == ("t1", "t2", "t3")
+    parsers = subcommands(commands["invariant"])
+    assert list(parsers) == list(FAMILIES)
+    for family, (name, params, kind) in FAMILIES.items():
+        options = [a for a in parsers[family]._actions if a.dest != "help"]
+        assert [a.option_strings for a in options] == [[f"--{p}"] for p in params]
+        assert all(a.type is kind and a.required for a in options)
+        assert callable(getattr(invariants, name))
+        report = scan(family, 1)
+        assert json.loads(report.to_json())["parameters"] == list(params)
+        assert report.to_csv().splitlines()[0] == ",".join(params) + ",invariant"
+
+
+def test_cli_invariant_t2_with_a_prime_power_in_the_determinant():
+    # the determinant of t2 (1, p) holds p^3, which factor splits as a power
+    proc = run_cli("invariant", "t2", "--a0", "1", "--a1", "1000000000039")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1000000000039\n", "")
+
+
+def test_cli_refusal_counts_the_digits_of_an_integer_str_refuses():
+    # the refused integer is a1^3, 6001 digits: more than str() converts
+    a1 = 10**2000 + 3
+    proc = run_cli("invariant", "t2", "--a0", "1", "--a1", str(a1))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: invariant t2 (a0=1, a1={a1}): primality of a 6001-digit "
+        "integer is beyond the certified range\n"
+    )
 
 
 def test_cli_ring_non_free_exit_2(capsys):
