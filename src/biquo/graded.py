@@ -375,7 +375,10 @@ def _gram_coeffs(gram) -> list:
 
 
 def _class_coeffs(y: HomPoly, n: int) -> list:
-    """A degree-2 class's coefficients at x_0, ..., x_{n-1}."""
+    """A degree-2 class's coefficients at x_0, ..., x_{n-1}; a class in
+    another number of variables raises ``ValueError``."""
+    if y.nvars != n:
+        raise ValueError("polynomial has the wrong number of variables")
     return [y.coefficient(e) for e in monomials(n, 1)]
 
 

@@ -15,7 +15,11 @@
 * t2: circle bundles over the Klein-cubic 6-manifold indexed by nonzero
   rationals (a0, a1).  The cup product induces a quadratic form on a
   4-dimensional space; the class of its determinant in Q*/(Q*)^2 is the
-  invariant, equal to the class of -a0*a1.
+  invariant, equal to the class of -a0*a1.  ``t2_det_class`` runs on
+  ints from the Klein table to the determinant: 3 T is a 0/1 table, so
+  clearing z gives an int Gram matrix, and the determinant is divided
+  by the known square that the clearing multiplied in before its class
+  is taken.  ``t2_quadratic_form`` keeps the Fraction Gram matrix.
 
 * t3: circle bundles over the 8-manifold, indexed by nonzero (a, b, c).
   The squares of linear forms inside the degree-4 kernel system are
@@ -226,22 +230,48 @@ def _klein_gram(bundle: KleinBundleInput) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+# 3T is a 0/1 table (every nonzero entry of _KLEIN_PAIRS is 1/3), so
+# 3 T(e_i, e_j, z) is the sum of z_l over the triples (i, j, l) listed here.
+_KLEIN_SUPPORT = tuple(
+    (i, j, l)
+    for i, rows in enumerate(_KLEIN_PAIRS)
+    for j, row in enumerate(rows)
+    for l, t in enumerate(row)
+    if t
+)
+
+
 def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> SquareClass:
     """Square class of the determinant of the form induced on V/<y>.
 
     ``complement`` may give four explicit vectors spanning a complement
     of y; the default drops y's highest pivot coordinate.  The class
     does not depend on the choice, and equals square_class(-a0*a1).
+
+    The route runs on ints: with z cleared by the lcm lam of its
+    denominators, 3*lam times ``_klein_gram`` is an int matrix, and each
+    complement vector is cleared by the lcm mu of its denominators.  The
+    int form's determinant is then (3 lam)^4 prod(mu^2) times the
+    induced form's.  It is divided by that square before
+    ``square_class``, so the same rational is factored as on Fractions.
     """
     bundle = klein_ring(a0, a1)
-    gram = _klein_gram(bundle)
+    z, lam = linalg._integer_row(bundle.z)
+    gram = [[0] * 5 for _ in range(5)]
+    for i, j, l in _KLEIN_SUPPORT:
+        if l in z:
+            gram[i][j] += z[l]
     y = list(bundle.y)
-    if any(linalg.mat_vec(gram, y)):
+    y_int = linalg._integer_row(y)[0].items()
+    if any(sum(row[s] * x for s, x in y_int) for row in gram):
         raise CertificateError("y must lie in the radical")
+    scale = (3 * lam) ** 4
     if complement is None:
         drop = _dropped_index(y)
-        vectors = [
-            [Fraction(int(i == j)) for j in range(5)] for i in range(5) if i != drop
+        induced = [
+            [x for s, x in enumerate(row) if s != drop]
+            for r, row in enumerate(gram)
+            if r != drop
         ]
     else:
         vectors = [[Fraction(c) for c in vec] for vec in complement]
@@ -254,26 +284,22 @@ def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> Square
                 )
         if linalg.det([y] + vectors) == 0:
             raise ValueError("complement must be four vectors independent of y")
-    induced = [
-        [
-            sum(
-                (
-                    va * gram[r][s] * vb
-                    for r, va in enumerate(vec_a)
-                    if va
-                    for s, vb in enumerate(vec_b)
-                    if vb
-                ),
-                Fraction(0),
-            )
-            for vec_b in vectors
+        cleared = []
+        for vec in vectors:
+            row, mu = linalg._integer_row(vec)
+            cleared.append(row.items())
+            scale *= mu * mu
+        induced = [
+            [
+                sum(va * gram[r][s] * vb for r, va in vec_a for s, vb in vec_b)
+                for vec_b in cleared
+            ]
+            for vec_a in cleared
         ]
-        for vec_a in vectors
-    ]
     d = linalg.det(induced)
     if d == 0:
         raise ValueError("induced form is degenerate")
-    return square_class(d)
+    return square_class(d / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,6 @@ def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
     return out
 
 
-def mat_vec(rows: Matrix, v: Vector) -> Vector:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
-
-
 def det(rows: Matrix) -> Fraction:
     """Determinant of a square matrix: reduced as in ``QuotientSpace``,
     the rows sorted by pivot column are triangular; the pivot columns in

@@ -14,6 +14,7 @@ from biquo.arith import (
     _digit_count,
     _power_root,
     _MR_LIMIT,
+    _POWER_ROOT_LIMIT,
     _TRIAL_LIMIT,
     _WITNESS_LIMIT,
     CubeClass,
@@ -191,6 +192,29 @@ def test_factor_splits_prime_powers_that_pollard_rho_cannot():
         start = time.perf_counter()
         assert factor(n) == (1, dict(sorted(sympy.factorint(n).items()))), n
         assert time.perf_counter() - start < 0.1
+
+
+def test_factor_splits_prime_powers_that_is_prime_cannot_sort():
+    # at or above _WITNESS_LIMIT is_prime refuses every cofactor, but an
+    # exact power below _POWER_ROOT_LIMIT is still split through its root
+    sympy = pytest.importorskip("sympy")
+    p, q = int(sympy.nextprime(10**17)), int(sympy.nextprime(10**20))
+    r = int(sympy.nextprime(10**12))
+    m = int(sympy.nextprime(10**8)) * int(sympy.nextprime(2 * 10**8))
+    cases = (p**3, p**4, 6 * p**3, q**3, r**5, m**6, p**55)
+    for n in cases:
+        assert n >= _WITNESS_LIMIT and n < _POWER_ROOT_LIMIT
+        assert factor(-n) == (-1, dict(sorted(sympy.factorint(n).items()))), n
+    # a root that is_prime cannot sort is refused under its own digits
+    with pytest.raises(ValueError, match="primality of a 27-digit integer"):
+        factor((2**89 - 1) ** 2)
+    # so is a power at or above the bound, at once
+    big = p**60
+    assert big >= _POWER_ROOT_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="primality of a 1021-digit integer"):
+        factor(big)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_power_root_finds_exact_roots_only():

@@ -315,6 +315,16 @@ def test_mult_by_class():
     assert zero_map.kernel_dim == 3  # multiplying by zero kills everything
 
 
+def test_mult_by_class_refuses_a_class_in_another_number_of_variables():
+    ring = family_ring(1, 1)
+    assert ring.mult_by_class(V(3, 0)).kernel_dim == 1
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="wrong number of variables"):
+            ring.mult_by_class(V(n, 0))
+    # circle_bundle_degree4 reads a HomPoly class in its own variables
+    assert circle_bundle_degree4(ring, V(3, 0) + V(3, 1)).y == (1, 1, 0)
+
+
 def test_poly_to_gram_halves_int_coefficients_as_fractions():
     x1, x2 = HomPoly.variable(2, 0), HomPoly.variable(2, 1)
     gram = poly_to_gram(x1 * x2 + (x2 * x2).scale(3))

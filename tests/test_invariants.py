@@ -352,13 +352,214 @@ def test_t2_quadratic_form_2_1_via_polarization():
             assert G[i][j] == klein_polarization_oracle(a0, a1, basis[i], basis[j], z)
 
 
+def mat_vec(rows, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
 def test_t2_y_in_radical():
     from biquo.biquotient import klein_ring
 
     for a0, a1 in [(1, 1), (2, 3), (Fraction(1, 2), Fraction(-5, 3))]:
         gram = [list(row) for row in t2_quadratic_form(a0, a1)]
         y = list(klein_ring(a0, a1).y)
-        assert all(v == 0 for v in linalg.mat_vec(gram, y))
+        assert all(v == 0 for v in mat_vec(gram, y))
+
+
+def fraction_t2_det_class(a0, a1, complement=None):
+    # the route on Fractions, the reference for t2_det_class: the Gram
+    # matrix of _klein_gram, then a double sum per induced entry
+    from biquo.biquotient import _dropped_index, klein_ring
+    from biquo.invariants import _klein_gram
+
+    bundle = klein_ring(a0, a1)
+    gram = _klein_gram(bundle)
+    y = list(bundle.y)
+    if any(mat_vec(gram, y)):
+        raise CertificateError("y must lie in the radical")
+    if complement is None:
+        drop = _dropped_index(y)
+        vectors = [
+            [Fraction(int(i == j)) for j in range(5)] for i in range(5) if i != drop
+        ]
+    else:
+        vectors = [[Fraction(c) for c in vec] for vec in complement]
+        if len(vectors) != 4:
+            raise ValueError(f"complement must be four vectors, got {len(vectors)}")
+        for vec in vectors:
+            if len(vec) != 5:
+                raise ValueError(
+                    f"complement vectors must have 5 entries, got one with {len(vec)}"
+                )
+        if linalg.det([y] + vectors) == 0:
+            raise ValueError("complement must be four vectors independent of y")
+    induced = [
+        [
+            sum(
+                (
+                    va * gram[r][s] * vb
+                    for r, va in enumerate(vec_a)
+                    if va
+                    for s, vb in enumerate(vec_b)
+                    if vb
+                ),
+                Fraction(0),
+            )
+            for vec_b in vectors
+        ]
+        for vec_a in vectors
+    ]
+    d = linalg.det(induced)
+    if d == 0:
+        raise ValueError("induced form is degenerate")
+    return square_class(d)
+
+
+def _t2_outcome(route, *args, **kwargs):
+    # the class, or the refusal's type and message
+    try:
+        return route(*args, **kwargs).serialize()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _next_prime(n):
+    from biquo.arith import is_prime
+
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_klein_support_is_the_tables_nonzero_thirds():
+    from biquo.biquotient import _KLEIN_PAIRS
+    from biquo.invariants import _KLEIN_SUPPORT
+
+    entries = {
+        (i, j, l): t
+        for i, rows in enumerate(_KLEIN_PAIRS)
+        for j, row in enumerate(rows)
+        for l, t in enumerate(row)
+    }
+    assert {3 * t for t in entries.values()} == {0, 1}
+    assert set(_KLEIN_SUPPORT) == {key for key, t in entries.items() if t}
+    assert len(_KLEIN_SUPPORT) == 15
+
+
+def test_t2_int_route_matches_the_fraction_route_on_the_r20_grid():
+    from biquo.report import _grid
+
+    for a0, a1 in _grid("t2", 20):
+        assert t2_det_class(a0, a1) == fraction_t2_det_class(a0, a1), (a0, a1)
+
+
+def test_t2_int_route_matches_the_fraction_route_on_large_denominators():
+    rng = random.Random(30)
+    for _ in range(150):
+        a0, a1 = (
+            Fraction(rng.randint(1, 10**5) * rng.choice((1, -1)), rng.randint(1, 10**5))
+            for _ in range(2)
+        )
+        want = _t2_outcome(fraction_t2_det_class, a0, a1)
+        assert _t2_outcome(t2_det_class, a0, a1) == want, (a0, a1)
+
+
+def test_t2_int_route_matches_the_fraction_route_on_explicit_complements():
+    rng = random.Random(31)
+    pool = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 12))
+    for _ in range(150):
+        a0, a1 = (
+            Fraction(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 30))
+            for _ in range(2)
+        )
+        comp = [
+            [rng.choice(pool) * Fraction(1, rng.randint(1, 40)) for _ in range(5)]
+            for _ in range(4)
+        ]
+        want = _t2_outcome(fraction_t2_det_class, a0, a1, complement=comp)
+        assert _t2_outcome(t2_det_class, a0, a1, complement=comp) == want
+    for bad in ([[1, 0, 0, 0, 0]] * 4, [[1, 0, 0, 0, 0, 9]] * 4, [[0, 1, 0, 0, 0]] * 3):
+        want = _t2_outcome(fraction_t2_det_class, 2, 3, complement=bad)
+        assert want[0] == "ValueError"
+        assert _t2_outcome(t2_det_class, 2, 3, complement=bad) == want
+
+
+def test_t2_int_route_matches_the_fraction_route_at_large_primes():
+    # answers, or the same refusal: both routes factor the same rational
+    refused = 0
+    for k in range(6, 15):
+        n = _next_prime(10**k)
+        n2 = _next_prime(n)
+        for a0, a1 in ((1, n), (n, 1), (n, n2), (n2, -n)):
+            want = _t2_outcome(fraction_t2_det_class, a0, a1)
+            assert _t2_outcome(t2_det_class, a0, a1) == want, (a0, a1)
+            refused += isinstance(want, tuple)
+    assert 0 < refused < 36
+
+
+def test_t2_scan_factors_no_integer_above_4194304(monkeypatch):
+    from biquo import arith
+    from biquo.report import _grid
+
+    seen = []
+    factor = arith.factor
+
+    def recording(n):
+        seen.append(abs(n))
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factor", recording)
+    for a0, a1 in _grid("t2", 20):
+        t2_det_class(a0, a1)
+    assert max(seen) == 4194304
+
+
+def test_t2_det_class_never_builds_the_fraction_gram(monkeypatch):
+    from biquo import invariants
+
+    def fail(bundle):
+        raise AssertionError("_klein_gram called")
+
+    monkeypatch.setattr(invariants, "_klein_gram", fail)
+    assert t2_det_class(Fraction(2, 3), -5) == square_class(Fraction(10, 3))
+    good = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    assert t2_det_class(2, 3, complement=good) == square_class(-6)
+    with pytest.raises(AssertionError):
+        t2_quadratic_form(2, 3)
+
+
+def test_t2_radical_certificate_survives_optimized_mode():
+    # under -O every assert vanishes; a y outside the radical must still raise
+    script = """
+from fractions import Fraction
+
+import biquo
+from biquo import invariants
+from biquo.biquotient import KleinBundleInput
+
+assert False, "unreachable under -O"
+print(invariants.t2_det_class(2, 3))
+klein_ring = invariants.klein_ring
+
+def shifted(a0, a1):
+    bundle = klein_ring(a0, a1)
+    return KleinBundleInput(bundle.ring, bundle.y[:4] + (Fraction(1),), bundle.z)
+
+invariants.klein_ring = shifted
+for complement in (None, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0]]):
+    try:
+        invariants.t2_det_class(2, 3, complement)
+    except biquo.CertificateError as exc:
+        print(f"certificate: {exc}")
+"""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-6"] + ["certificate: y must lie in the radical"] * 2
 
 
 def test_t2_det_class_examples():

@@ -320,6 +320,15 @@ def test_cli_invariant_t2_with_a_prime_power_in_the_determinant():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1000000000039\n", "")
 
 
+def test_cli_invariant_t2_with_a_prime_power_above_the_witness_limit():
+    # p = nextprime(10^17): the determinant holds p^3, 52 digits, which
+    # is_prime cannot sort; factor splits it through its cube root
+    proc = run_cli("invariant", "t2", "--a0", "1", "--a1", "100000000000000003")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "-100000000000000003\n", ""
+    )
+
+
 def test_cli_refusal_counts_the_digits_of_an_integer_str_refuses():
     # the refused integer is a1^3, 6001 digits: more than str() converts
     a1 = 10**2000 + 3
