@@ -197,16 +197,8 @@ class KleinRing:
     DIM = 5
 
     def trilinear(self, u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-        """T(u, v, w): the product table contracted with u, v and w."""
-        total = Fraction(0)
-        for x, rows in zip(u, _KLEIN_PAIRS):
-            if x:
-                for y, row in zip(v, rows):
-                    if y:
-                        for z, t in zip(w, row):
-                            if z and t:
-                                total += t * x * y * z
-        return total
+        """T(u, v, w): 1/3 of the sum of u_i v_j w_l over ``_KLEIN_SUPPORT``."""
+        return sum((u[i] * v[j] * w[l] for i, j, l in _KLEIN_SUPPORT), Fraction(0)) / 3
 
     def h2_dim(self) -> int:
         return self.DIM
@@ -224,20 +216,24 @@ class KleinRing:
         return square_map_kernel(_KLEIN_PAIRS)
 
 
-def _klein_pairs() -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """The tensor as a table, T(e_i, e_j, e_l) at [i][j][l]: row (i, j) is
-    x_i * x_j in H^4 = V*.  The cubic's monomial a_i^2 a_{i+1} polarizes
-    to 1/3 at each arrangement of its index triple (i, i, i+1)."""
-    table = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
-    for i in range(5):
-        j = (i + 1) % 5
-        table[i][i][j] = table[i][j][i] = table[j][i][i] = Fraction(1, 3)
-    return tuple(tuple(map(tuple, rows)) for rows in table)
+# The one copy of the Klein tensor: the index triples (i, j, l) where
+# 3 T(e_i, e_j, e_l) = 1, and T is 0 elsewhere.  The cubic's monomial
+# a_i^2 a_{i+1} polarizes to 1/3 at each arrangement of (i, i, i+1).
+_KLEIN_SUPPORT = tuple(sorted(
+    triple
+    for i in range(5)
+    for triple in ((i, i, (i + 1) % 5), (i, (i + 1) % 5, i), ((i + 1) % 5, i, i))
+))
 
-
-# The only copy of the Klein tensor; plain data, so no ``trilinear`` call
-# runs at import.
-_KLEIN_PAIRS = _klein_pairs()
+# The tensor as a table, T(e_i, e_j, e_l) at [i][j][l]: row (i, j) is
+# x_i * x_j in H^4 = V*.
+_KLEIN_PAIRS = tuple(
+    tuple(
+        tuple(Fraction(int((i, j, l) in _KLEIN_SUPPORT), 3) for l in range(5))
+        for j in range(5)
+    )
+    for i in range(5)
+)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .cli import SUITE_NAMES
 from .graded import GradedQuotient, QuadricSystem, hilbert_coefficients, poly_to_gram
 from .invariants import (
     DegenerateFamilyMember,
+    _klein_gram,
     rank_one_elements,
     rotate_alpha_beta,
     t1_invariant,
@@ -98,6 +99,20 @@ def _family_cubic(alpha: Fraction, beta: Fraction) -> TernaryCubic:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _congruent(rows: list[list[int]], gram: list[list[int]]) -> list[list[int]]:
+    """C G C^T for int matrices: the form of G on the span of C's rows.
+    On the int Gram (G, 3 lam) of ``invariants._klein_gram`` a 4 x 4
+    determinant has the class of the t2 form's, as 3 lam enters it as a
+    4th power."""
+    return [
+        [
+            sum(a * gram[r][s] * b for r, a in enumerate(ca) if a for s, b in enumerate(cb) if b)
+            for cb in rows
+        ]
+        for ca in rows
+    ]
 
 
 def _suite_arith(rng: random.Random) -> list[CheckResult]:
@@ -523,14 +538,13 @@ def _suite_t2(rng: random.Random) -> list[CheckResult]:
         a0, a1 = Fraction(3), Fraction(-2)
         target = t2_det_class(a0, a1)
         y = list(klein_ring(a0, a1).y)
+        gram = _klein_gram(klein_ring(a0, a1))[0]
         done = 0
         while done < 20:
-            comp = [
-                [Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(4)
-            ]
+            comp = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
             if linalg.det([y] + comp) == 0:
                 continue
-            if t2_det_class(a0, a1, complement=comp) != target:
+            if square_class(linalg.det(_congruent(comp, gram))) != target:
                 return False, f"complement={comp}"
             done += 1
         return True, ""
@@ -540,38 +554,16 @@ def _suite_t2(rng: random.Random) -> list[CheckResult]:
     def basis_change_invariance():
         a0, a1 = Fraction(2), Fraction(5)
         target = t2_det_class(a0, a1)
-        gram = [list(r) for r in t2_quadratic_form(a0, a1)]
-        y = list(klein_ring(a0, a1).y)
-        base = [
-            [Fraction(int(i == j)) for j in range(5)]
-            for i in range(5)
-            if i != 1
-        ]
+        gram = _klein_gram(klein_ring(a0, a1))[0]
         done = 0
         while done < 20:
-            P = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
+            P = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
             if linalg.det(P) == 0:
                 continue
-            scale = Fraction(rng.randint(1, 7) * rng.choice([1, -1]))
-            vectors = [
-                [
-                    sum(P[i][k] * base[k][j] for k in range(4))
-                    for j in range(5)
-                ]
-                for i in range(4)
-            ]
-            induced = [
-                [
-                    scale
-                    * sum(
-                        va * gram[r][s] * vb
-                        for r, va in enumerate(vec_a)
-                        for s, vb in enumerate(vec_b)
-                    )
-                    for vec_b in vectors
-                ]
-                for vec_a in vectors
-            ]
+            scale = rng.randint(1, 7) * rng.choice([1, -1])
+            # P's rows in the basis e0, e2, e3, e4 of a complement of y
+            vectors = [[row[0], 0, *row[1:]] for row in P]
+            induced = [[scale * x for x in row] for row in _congruent(vectors, gram)]
             d = linalg.det(induced)
             if d == 0 or square_class(d) != target:
                 return False, f"P={P} scale={scale}"

@@ -25,12 +25,12 @@ row is stored at its lead column or reduced into the echelon
 data, a ring's ``product_table()``; a quadric's coordinates are its
 coefficients at the pairs i <= j (``_pairs``).  A ``QuadricSystem``
 keeps each quadric as an integer row (r, d), the quadric r/d, and
-reduces its span from those rows (``_span_of``).  Both square-map
-kernels read integer kernel rows and build their system through
-``_net``, and ``from_polys`` clears each quadric's coefficients once;
-``_grams``, the one Gram builder, makes the Fraction Grams of ``basis``
-from the rows only when they are read, so no Gram is cleared back to
-integers.
+reduces its span from those rows, all in ``QuadricSystem._from_rows``:
+the public constructor passes it the Grams it certified, cleared; both
+square-map kernels pass it their integer kernel rows, and
+``from_polys`` clears each quadric's coefficients once.  ``_grams``,
+the one Gram builder, makes the Fraction Grams of ``basis`` from the
+rows only when they are read, so no Gram is cleared back to integers.
 Rings are immutable; graded pieces and the table are cached (idempotent
 writes, so concurrent readers are safe).  The column index of a weight
 (``_column_index``) depends only on the packing places, so it is cached
@@ -252,7 +252,7 @@ class GradedQuotient:
             row = {j: -x for j, x in residue.items()}
             row[p] = scale
             rows.append((row, scale))
-        return _net(self.generators, rows)
+        return QuadricSystem._from_rows(self.generators, rows, CertificateError)
 
     def mult_by_class(self, y: HomPoly) -> "MultiplicationMap":
         """The linear map (degree 2) -> (degree 4) given by multiplication by y."""
@@ -286,10 +286,9 @@ class QuadricSystem:
 
     A system keeps each quadric as an integer row (r, d), d > 0, the
     quadric r/d at ``_pairs``, and its span reduced from those rows
-    (``_span_of``).  The public constructor clears the Grams it is given
-    to such rows; ``from_polys`` and the net builder (``_net``) start from
-    integer rows and build the Fraction Grams (``_grams``) only when
-    ``basis`` is first read.
+    (``_from_rows``).  The public constructor clears the Grams it is given
+    to such rows; every other builder starts from integer rows, and their
+    Fraction Grams (``_grams``) are made when ``basis`` is first read.
     """
 
     ambient_dim: int
@@ -300,23 +299,19 @@ class QuadricSystem:
     _span: linalg.QuotientSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Certify the system: Grams given to the constructor are checked
-        for shape and symmetry and cleared to integer rows (x_i^2 at G_ii,
-        x_i x_j at 2 G_ij); rows that ``from_polys`` set are taken as
-        they are.  The rows must be independent."""
+        """Certify the Grams given to the constructor: shape and symmetry,
+        then their integer rows (x_i^2 at G_ii, x_i x_j at 2 G_ij) are kept
+        as ``_from_rows`` keeps them."""
         k = self.ambient_dim
-        if "_rows" not in vars(self):
-            for g in self.basis:
-                if len(g) != k or any(len(row) != k for row in g):
-                    raise ValueError("Gram matrix has the wrong shape")
-                if list(map(tuple, g)) != list(zip(*g)):
-                    raise ValueError("Gram matrix is not symmetric")
-            rows = tuple(linalg._integer_row(_gram_coeffs(g)) for g in self.basis)
-            object.__setattr__(self, "_rows", rows)
-        span = _span_of(k, self._rows)
-        if span is None:
-            raise ValueError("quadric basis is linearly dependent")
-        object.__setattr__(self, "_span", span)
+        for g in self.basis:
+            if len(g) != k or any(len(row) != k for row in g):
+                raise ValueError("Gram matrix has the wrong shape")
+            if list(map(tuple, g)) != list(zip(*g)):
+                raise ValueError("Gram matrix is not symmetric")
+        rows = [linalg._integer_row(_gram_coeffs(g)) for g in self.basis]
+        system = self._from_rows(k, rows)
+        object.__setattr__(self, "_rows", system._rows)
+        object.__setattr__(self, "_span", system._span)
 
     def __getattr__(self, name: str):
         # reached only for an attribute the instance lacks: the Grams of a
@@ -328,11 +323,19 @@ class QuadricSystem:
         return basis
 
     @classmethod
-    def _from_rows(cls, ambient_dim: int, rows) -> "QuadricSystem":
-        """A system of integer rows, with no Grams built yet."""
+    def _from_rows(cls, ambient_dim: int, rows, error=ValueError) -> "QuadricSystem":
+        """The system of the quadrics of integer rows (r, d), kept as rows
+        with their span reduced, and no Gram built yet; a row that reduces
+        to zero raises ``error``."""
+        echelon = {}
+        for row, _ in rows:
+            if not linalg._reduce(echelon, row)[0]:
+                raise error("quadric basis is linearly dependent")
         system = object.__new__(cls)
         object.__setattr__(system, "ambient_dim", ambient_dim)
         object.__setattr__(system, "_rows", tuple(rows))
+        span = linalg.QuotientSpace._trusted(len(_pairs(ambient_dim)), echelon)
+        object.__setattr__(system, "_span", span)
         return system
 
     @staticmethod
@@ -357,9 +360,7 @@ class QuadricSystem:
         rows = [_quadric_row(p) for p in polys]
         if any(p.nvars != n for p in polys):
             raise ValueError("Gram matrix has the wrong shape")
-        system = cls._from_rows(n, rows)
-        system.__post_init__()
-        return system
+        return cls._from_rows(n, rows)
 
 
 @cache
@@ -397,16 +398,6 @@ def _grams(n: int, rows) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     return tuple(grams)
 
 
-def _span_of(n: int, rows) -> linalg.QuotientSpace | None:
-    """The span of the quadrics' coefficients, reduced from their integer
-    rows (r, d); None when a row reduces to zero."""
-    echelon = {}
-    for row, _ in rows:
-        if not linalg._reduce(echelon, row)[0]:
-            return None
-    return linalg.QuotientSpace._trusted(len(_pairs(n)), echelon)
-
-
 def _quadric_row(p: HomPoly) -> tuple[linalg.SparseRow, int]:
     """A quadric's integer row (r, d): its coefficients at ``_pairs`` as r/d."""
     if p.weight != 2:
@@ -428,20 +419,7 @@ def square_map_kernel(table) -> QuadricSystem:
     n = len(table)
     pairs = _pairs(n)
     rows = list(zip(*(table[i][j] for i, j in pairs)))
-    return _net(n, linalg._kernel_rows(rows, len(pairs)))
-
-
-def _net(n: int, rows: list[tuple[linalg.SparseRow, int]]) -> QuadricSystem:
-    """The system of the quadrics of integer rows (r, d), kept as rows:
-    the echelon ``QuadricSystem`` would store, with no Gram built (its
-    ``basis`` is made on first read).  A row that reduces to zero raises
-    ``CertificateError``."""
-    span = _span_of(n, rows)
-    if span is None:
-        raise CertificateError("quadric basis is linearly dependent")
-    system = QuadricSystem._from_rows(n, rows)
-    object.__setattr__(system, "_span", span)
-    return system
+    return QuadricSystem._from_rows(n, linalg._kernel_rows(rows, len(pairs)), CertificateError)
 
 
 @dataclass(frozen=True)

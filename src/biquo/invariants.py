@@ -15,11 +15,13 @@
 * t2: circle bundles over the Klein-cubic 6-manifold indexed by nonzero
   rationals (a0, a1).  The cup product induces a quadratic form on a
   4-dimensional space; the class of its determinant in Q*/(Q*)^2 is the
-  invariant, equal to the class of -a0*a1.  ``t2_det_class`` runs on
-  ints from the Klein table to the determinant: 3 T is a 0/1 table, so
-  clearing z gives an int Gram matrix, and the determinant is divided
-  by the known square that the clearing multiplied in before its class
-  is taken.  ``t2_quadratic_form`` keeps the Fraction Gram matrix.
+  invariant, equal to the class of -a0*a1.  Both read one int Gram
+  matrix (``_klein_gram``): 3 T is 1 on the triples of
+  ``biquotient._KLEIN_SUPPORT`` and 0 elsewhere, so clearing z gives
+  ints.  ``t2_quadratic_form`` divides it back to Fractions;
+  ``t2_det_class`` drops one row and column, and divides the int
+  determinant by the square the clearing multiplied in before its class
+  is taken.
 
 * t3: circle bundles over the 8-manifold, indexed by nonzero (a, b, c).
   The squares of linear forms inside the degree-4 kernel system are
@@ -44,7 +46,7 @@ from .arith import (
     square_class,
 )
 from .biquotient import (
-    _KLEIN_PAIRS,
+    _KLEIN_SUPPORT,
     KleinBundleInput,
     _dropped_index,
     klein_ring,
@@ -185,7 +187,7 @@ def t1_invariant_pipeline(b1: int, c1: int) -> T1Invariant:
     return t1_invariant_from_net(net)
 
 
-def t1_realize_class(w: Gaussian, target: CubeClass | None = None) -> tuple[int, int]:
+def t1_realize_class(w: Gaussian) -> tuple[int, int]:
     """Integers (b1, c1) whose invariant contains the class of w.
 
     w^2 is scaled by a positive integer to an integral a + b i; then
@@ -198,10 +200,7 @@ def t1_realize_class(w: Gaussian, target: CubeClass | None = None) -> tuple[int,
     scale = lcm(w2.re.denominator, w2.im.denominator)
     g = w2 * Gaussian(scale, 0)
     a, b = int(g.re), int(g.im)
-    b1, c1 = 2 * (a + b), 4 * a
-    if target is not None and target not in t1_invariant(b1, c1):
-        raise ValueError("witness does not realize the requested class")
-    return b1, c1
+    return 2 * (a + b), 4 * a
 
 
 # ---------------------------------------------------------------------------
@@ -215,91 +214,47 @@ def t2_quadratic_form(a0, a1) -> tuple[tuple[Fraction, ...], ...]:
     Equals the displayed band matrix with rows built from a0, a1 and
     a2 = a0^2/a1, up to one global constant (1/3 from polarization).
     """
-    return _klein_gram(klein_ring(a0, a1))
+    gram, scale = _klein_gram(klein_ring(a0, a1))
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in gram)
 
 
-def _klein_gram(bundle: KleinBundleInput) -> tuple[tuple[Fraction, ...], ...]:
-    """(T(e_i, e_j, z)): the Klein table contracted with z."""
-    z = bundle.z
-    return tuple(
-        tuple(
-            sum((t * x for t, x in zip(row, z) if t and x), Fraction(0))
-            for row in rows
-        )
-        for rows in _KLEIN_PAIRS
-    )
-
-
-# 3T is a 0/1 table (every nonzero entry of _KLEIN_PAIRS is 1/3), so
-# 3 T(e_i, e_j, z) is the sum of z_l over the triples (i, j, l) listed here.
-_KLEIN_SUPPORT = tuple(
-    (i, j, l)
-    for i, rows in enumerate(_KLEIN_PAIRS)
-    for j, row in enumerate(rows)
-    for l, t in enumerate(row)
-    if t
-)
-
-
-def t2_det_class(a0, a1, complement: Sequence[Sequence] | None = None) -> SquareClass:
-    """Square class of the determinant of the form induced on V/<y>.
-
-    ``complement`` may give four explicit vectors spanning a complement
-    of y; the default drops y's highest pivot coordinate.  The class
-    does not depend on the choice, and equals square_class(-a0*a1).
-
-    The route runs on ints: with z cleared by the lcm lam of its
-    denominators, 3*lam times ``_klein_gram`` is an int matrix, and each
-    complement vector is cleared by the lcm mu of its denominators.  The
-    int form's determinant is then (3 lam)^4 prod(mu^2) times the
-    induced form's.  It is divided by that square before
-    ``square_class``, so the same rational is factored as on Fractions.
-    """
-    bundle = klein_ring(a0, a1)
+def _klein_gram(bundle: KleinBundleInput) -> tuple[list[list[int]], int]:
+    """(G, 3 lam): with z cleared by the lcm lam of its denominators, G is
+    the int matrix 3 lam (T(e_i, e_j, z)), the sum of z_l lam over the
+    triples (i, j, l) of ``_KLEIN_SUPPORT``."""
     z, lam = linalg._integer_row(bundle.z)
     gram = [[0] * 5 for _ in range(5)]
     for i, j, l in _KLEIN_SUPPORT:
         if l in z:
             gram[i][j] += z[l]
+    return gram, 3 * lam
+
+
+def t2_det_class(a0, a1) -> SquareClass:
+    """Square class of the determinant of the form induced on V/<y>.
+
+    The complement of y drops y's highest pivot coordinate; the class
+    does not depend on that choice, and equals square_class(-a0*a1).
+    The induced form is the int Gram G of ``_klein_gram`` without that
+    row and column, so its determinant is (3 lam)^4 times the induced
+    form's; it is divided by that square before ``square_class``.
+    """
+    bundle = klein_ring(a0, a1)
+    gram, scale = _klein_gram(bundle)
     y = list(bundle.y)
     y_int = linalg._integer_row(y)[0].items()
     if any(sum(row[s] * x for s, x in y_int) for row in gram):
         raise CertificateError("y must lie in the radical")
-    scale = (3 * lam) ** 4
-    if complement is None:
-        drop = _dropped_index(y)
-        induced = [
-            [x for s, x in enumerate(row) if s != drop]
-            for r, row in enumerate(gram)
-            if r != drop
-        ]
-    else:
-        vectors = [[Fraction(c) for c in vec] for vec in complement]
-        if len(vectors) != 4:
-            raise ValueError(f"complement must be four vectors, got {len(vectors)}")
-        for vec in vectors:
-            if len(vec) != 5:
-                raise ValueError(
-                    f"complement vectors must have 5 entries, got one with {len(vec)}"
-                )
-        if linalg.det([y] + vectors) == 0:
-            raise ValueError("complement must be four vectors independent of y")
-        cleared = []
-        for vec in vectors:
-            row, mu = linalg._integer_row(vec)
-            cleared.append(row.items())
-            scale *= mu * mu
-        induced = [
-            [
-                sum(va * gram[r][s] * vb for r, va in vec_a for s, vb in vec_b)
-                for vec_b in cleared
-            ]
-            for vec_a in cleared
-        ]
+    drop = _dropped_index(y)
+    induced = [
+        [x for s, x in enumerate(row) if s != drop]
+        for r, row in enumerate(gram)
+        if r != drop
+    ]
     d = linalg.det(induced)
     if d == 0:
         raise ValueError("induced form is degenerate")
-    return square_class(d / scale)
+    return square_class(d / scale**4)
 
 
 # ---------------------------------------------------------------------------

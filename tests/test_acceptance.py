@@ -179,17 +179,31 @@ def test_criterion_6_t2_pipeline():
         )
         assert t2_det_class(a0, a1) == square_class(-a0 * a1)
         assert bundle.ring.kernel_of_square_map().dim == 10  # surjectivity
-    # invariance under complements and basis changes of W
+    # invariance under complements and basis changes of W: the Gram's
+    # induced form on any complement of y has the class of the default one
     a0, a1 = Fraction(3), Fraction(-2)
     target = t2_det_class(a0, a1)
     y = list(klein_ring(a0, a1).y)
     gram = [list(r) for r in t2_quadratic_form(a0, a1)]
+
+    def induced_class(vectors, lam=1):
+        induced = [
+            [
+                lam * sum(va * gram[r][s] * vb for r, va in enumerate(vec_a) for s, vb in enumerate(vec_b))
+                for vec_b in vectors
+            ]
+            for vec_a in vectors
+        ]
+        d = linalg.det(induced)
+        assert d != 0
+        return square_class(d)
+
     done = 0
     while done < 20:
         comp = [[Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(4)]
         if linalg.det([y] + comp) == 0:
             continue
-        assert t2_det_class(a0, a1, complement=comp) == target
+        assert induced_class(comp) == target
         done += 1
     base = [[Fraction(int(i == j)) for j in range(5)] for i in range(5) if i != 0]
     done = 0
@@ -202,20 +216,7 @@ def test_criterion_6_t2_pipeline():
             [sum(P[i][k] * base[k][j] for k in range(4)) for j in range(5)]
             for i in range(4)
         ]
-        induced = [
-            [
-                lam
-                * sum(
-                    va * gram[r][s] * vb
-                    for r, va in enumerate(vec_a)
-                    for s, vb in enumerate(vec_b)
-                )
-                for vec_b in vectors
-            ]
-            for vec_a in vectors
-        ]
-        d = linalg.det(induced)
-        assert d != 0 and square_class(d) == target
+        assert induced_class(vectors, lam) == target
         done += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -13,7 +13,6 @@ from biquo.arith import CertificateError
 from biquo.graded import (
     GradedQuotient,
     QuadricSystem,
-    _net,
     _pairs,
     gram_to_poly,
     multiplication_map,
@@ -376,7 +375,7 @@ def _entry_types(grams):
 
 
 def test_systems_from_rows_read_back_the_fraction_grams():
-    # from_polys and _net keep integer rows and build .basis on first
+    # from_polys and _from_rows keep integer rows and build .basis on first
     # read; the public constructor keeps the Grams it was given.  All
     # three give the same Grams, equality, hash, repr and errors.
     rng = random.Random(61)
@@ -397,9 +396,10 @@ def test_systems_from_rows_read_back_the_fraction_grams():
                 with pytest.raises(ValueError, match="^quadric basis is linearly dependent$"):
                     QuadricSystem(n, want)
                 with pytest.raises(CertificateError, match="^quadric basis is linearly dependent$"):
-                    _net(n, rows)
+                    QuadricSystem._from_rows(n, rows, CertificateError)
                 continue
-            public, via_rows = QuadricSystem(n, want), _net(n, rows)
+            public = QuadricSystem(n, want)
+            via_rows = QuadricSystem._from_rows(n, rows, CertificateError)
             assert public.basis is want
             for system in (via_polys, via_rows):
                 assert "basis" not in vars(system)
@@ -559,6 +559,8 @@ def test_klein_and_circle_bundle_nets_match_the_fraction_route():
 
 
 def test_net_builders_skip_quadric_system_validation(monkeypatch):
+    # only the public constructor certifies Grams; every builder of integer
+    # rows goes through _from_rows
     def refuse(self):
         raise AssertionError("QuadricSystem validated a net it built itself")
 
@@ -566,12 +568,17 @@ def test_net_builders_skip_quadric_system_validation(monkeypatch):
     table = ring.product_table()
     monkeypatch.setattr(QuadricSystem, "__post_init__", refuse)
     with pytest.raises(AssertionError):
-        QuadricSystem.from_polys([V(2, 0) * V(2, 0)])
+        QuadricSystem(2, (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),))
+    assert QuadricSystem.from_polys([V(2, 0) * V(2, 0)]).dim == 1
     assert ring.kernel_of_square_map().dim == 3
     assert square_map_kernel(table).dim == 3
     assert square_map_kernel(_KLEIN_PAIRS).dim > 0
 
 
 def test_net_builder_rejects_dependent_rows():
+    rows = [({0: 1, 1: 3}, 1), ({0: 2, 1: 6}, 5)]
     with pytest.raises(CertificateError, match="dependent"):
-        _net(2, [({0: 1, 1: 3}, 1), ({0: 2, 1: 6}, 5)])
+        QuadricSystem._from_rows(2, rows, CertificateError)
+    with pytest.raises(ValueError, match="dependent") as info:
+        QuadricSystem._from_rows(2, rows)
+    assert not isinstance(info.value, CertificateError)

@@ -277,7 +277,7 @@ def test_t1_realize_examples():
     assert t1_realize_class(Gaussian(2, 1)) == (14, 12)  # (2+i)^2 = 3+4i
     assert t1_realize_class(Gaussian(3, 2)) == (34, 20)  # (3+2i)^2 = 5+12i
     target = cube_class_mod_q(Gaussian(3, 2))
-    b1, c1 = t1_realize_class(Gaussian(3, 2), target=target)
+    b1, c1 = t1_realize_class(Gaussian(3, 2))
     assert target in t1_invariant(b1, c1)
 
 
@@ -320,6 +320,8 @@ def test_t2_quadratic_form_display():
 
 
 def test_klein_gram_contracts_the_table_with_z():
+    from math import lcm
+
     from biquo.biquotient import KleinBundleInput, KleinRing
     from biquo.invariants import _klein_gram
 
@@ -331,13 +333,11 @@ def test_klein_gram_contracts_the_table_with_z():
             Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * rng.randint(0, 1)
             for _ in range(5)
         )
-        gram = _klein_gram(KleinBundleInput(ring, tuple(Fraction(0) for _ in z), z))
-        want = tuple(
-            tuple(ring.trilinear(basis[i], basis[j], list(z)) for j in range(5))
-            for i in range(5)
-        )
-        assert gram == want
-        assert all(type(c) is Fraction for row in gram for c in row)
+        gram, scale = _klein_gram(KleinBundleInput(ring, tuple(Fraction(0) for _ in z), z))
+        assert scale == 3 * lcm(*(c.denominator for c in z if c))
+        assert all(type(c) is int for row in gram for c in row)
+        want = [[ring.trilinear(basis[i], basis[j], list(z)) for j in range(5)] for i in range(5)]
+        assert [[Fraction(c, scale) for c in row] for row in gram] == want
 
 
 def test_t2_quadratic_form_2_1_via_polarization():
@@ -365,33 +365,30 @@ def test_t2_y_in_radical():
         assert all(v == 0 for v in mat_vec(gram, y))
 
 
-def fraction_t2_det_class(a0, a1, complement=None):
-    # the route on Fractions, the reference for t2_det_class: the Gram
-    # matrix of _klein_gram, then a double sum per induced entry
-    from biquo.biquotient import _dropped_index, klein_ring
-    from biquo.invariants import _klein_gram
+def fraction_t2_gram(a0, a1):
+    # the reference Gram: the Klein table contracted with z on Fractions
+    from biquo.biquotient import _KLEIN_PAIRS, klein_ring
 
-    bundle = klein_ring(a0, a1)
-    gram = _klein_gram(bundle)
-    y = list(bundle.y)
+    z = klein_ring(a0, a1).z
+    return tuple(
+        tuple(sum((t * x for t, x in zip(row, z)), Fraction(0)) for row in rows)
+        for rows in _KLEIN_PAIRS
+    )
+
+
+def fraction_t2_det_class(a0, a1, complement=None):
+    # the route on Fractions, the reference for t2_det_class: the Gram of
+    # fraction_t2_gram, then a double sum per induced entry; the default
+    # complement is the unit vectors off y's dropped index
+    from biquo.biquotient import _dropped_index, klein_ring
+
+    gram = fraction_t2_gram(a0, a1)
+    y = list(klein_ring(a0, a1).y)
     if any(mat_vec(gram, y)):
         raise CertificateError("y must lie in the radical")
     if complement is None:
         drop = _dropped_index(y)
-        vectors = [
-            [Fraction(int(i == j)) for j in range(5)] for i in range(5) if i != drop
-        ]
-    else:
-        vectors = [[Fraction(c) for c in vec] for vec in complement]
-        if len(vectors) != 4:
-            raise ValueError(f"complement must be four vectors, got {len(vectors)}")
-        for vec in vectors:
-            if len(vec) != 5:
-                raise ValueError(
-                    f"complement vectors must have 5 entries, got one with {len(vec)}"
-                )
-        if linalg.det([y] + vectors) == 0:
-            raise ValueError("complement must be four vectors independent of y")
+        complement = [[int(i == j) for j in range(5)] for i in range(5) if i != drop]
     induced = [
         [
             sum(
@@ -404,9 +401,9 @@ def fraction_t2_det_class(a0, a1, complement=None):
                 ),
                 Fraction(0),
             )
-            for vec_b in vectors
+            for vec_b in complement
         ]
-        for vec_a in vectors
+        for vec_a in complement
     ]
     d = linalg.det(induced)
     if d == 0:
@@ -432,8 +429,7 @@ def _next_prime(n):
 
 
 def test_klein_support_is_the_tables_nonzero_thirds():
-    from biquo.biquotient import _KLEIN_PAIRS
-    from biquo.invariants import _KLEIN_SUPPORT
+    from biquo.biquotient import _KLEIN_PAIRS, _KLEIN_SUPPORT
 
     entries = {
         (i, j, l): t
@@ -443,7 +439,29 @@ def test_klein_support_is_the_tables_nonzero_thirds():
     }
     assert {3 * t for t in entries.values()} == {0, 1}
     assert set(_KLEIN_SUPPORT) == {key for key, t in entries.items() if t}
-    assert len(_KLEIN_SUPPORT) == 15
+    assert len(_KLEIN_SUPPORT) == len(set(_KLEIN_SUPPORT)) == 15
+    # the polarization of sum x_i^2 x_{i+1}, not read off the table
+    basis = [[int(k == i) for k in range(5)] for i in range(5)]
+    for i, j, l in entries:
+        oracle = klein_polarization_oracle(1, 1, basis[i], basis[j], basis[l])
+        assert 3 * oracle == ((i, j, l) in _KLEIN_SUPPORT), (i, j, l)
+
+
+def test_t2_quadratic_form_matches_the_fraction_gram():
+    from biquo.report import _grid
+
+    rng = random.Random(30)
+    large = [
+        tuple(
+            Fraction(rng.randint(1, 10**5) * rng.choice((1, -1)), rng.randint(1, 10**5))
+            for _ in range(2)
+        )
+        for _ in range(150)
+    ]
+    for a0, a1 in [*_grid("t2", 20), *large]:
+        gram = t2_quadratic_form(a0, a1)
+        assert gram == fraction_t2_gram(a0, a1), (a0, a1)
+        assert all(type(c) is Fraction for row in gram for c in row)
 
 
 def test_t2_int_route_matches_the_fraction_route_on_the_r20_grid():
@@ -465,6 +483,15 @@ def test_t2_int_route_matches_the_fraction_route_on_large_denominators():
 
 
 def test_t2_int_route_matches_the_fraction_route_on_explicit_complements():
+    # the int congruence C G C^T of `verify`, on the cleared Gram, against
+    # the Fraction route; clearing a rational complement vector by mu
+    # multiplies the determinant by mu^2, which the class ignores
+    from math import lcm
+
+    from biquo.biquotient import klein_ring
+    from biquo.checks import _congruent
+    from biquo.invariants import _klein_gram
+
     rng = random.Random(31)
     pool = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 12))
     for _ in range(150):
@@ -477,11 +504,13 @@ def test_t2_int_route_matches_the_fraction_route_on_explicit_complements():
             for _ in range(4)
         ]
         want = _t2_outcome(fraction_t2_det_class, a0, a1, complement=comp)
-        assert _t2_outcome(t2_det_class, a0, a1, complement=comp) == want
-    for bad in ([[1, 0, 0, 0, 0]] * 4, [[1, 0, 0, 0, 0, 9]] * 4, [[0, 1, 0, 0, 0]] * 3):
-        want = _t2_outcome(fraction_t2_det_class, 2, 3, complement=bad)
-        assert want[0] == "ValueError"
-        assert _t2_outcome(t2_det_class, 2, 3, complement=bad) == want
+        dens = [lcm(*(x.denominator for x in vec)) for vec in comp]
+        cleared = [[int(x * den) for x in vec] for vec, den in zip(comp, dens)]
+        d = linalg.det(_congruent(cleared, _klein_gram(klein_ring(a0, a1))[0]))
+        if d:
+            assert square_class(d).serialize() == want, (a0, a1, comp)
+        else:
+            assert want == ("ValueError", "induced form is degenerate")
 
 
 def test_t2_int_route_matches_the_fraction_route_at_large_primes():
@@ -517,15 +546,22 @@ def test_t2_scan_factors_no_integer_above_4194304(monkeypatch):
 def test_t2_det_class_never_builds_the_fraction_gram(monkeypatch):
     from biquo import invariants
 
-    def fail(bundle):
-        raise AssertionError("_klein_gram called")
+    def fail(a0, a1):
+        raise AssertionError("t2_quadratic_form called")
 
-    monkeypatch.setattr(invariants, "_klein_gram", fail)
+    grams = []
+    klein_gram = invariants._klein_gram
+
+    def recording(bundle):
+        grams.append(klein_gram(bundle))
+        return grams[-1]
+
+    monkeypatch.setattr(invariants, "t2_quadratic_form", fail)
+    monkeypatch.setattr(invariants, "_klein_gram", recording)
     assert t2_det_class(Fraction(2, 3), -5) == square_class(Fraction(10, 3))
-    good = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
-    assert t2_det_class(2, 3, complement=good) == square_class(-6)
-    with pytest.raises(AssertionError):
-        t2_quadratic_form(2, 3)
+    assert t2_det_class(2, 3) == square_class(-6)
+    assert len(grams) == 2
+    assert all(type(c) is int for gram, _ in grams for row in gram for c in row)
 
 
 def test_t2_radical_certificate_survives_optimized_mode():
@@ -546,11 +582,10 @@ def shifted(a0, a1):
     return KleinBundleInput(bundle.ring, bundle.y[:4] + (Fraction(1),), bundle.z)
 
 invariants.klein_ring = shifted
-for complement in (None, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0]]):
-    try:
-        invariants.t2_det_class(2, 3, complement)
-    except biquo.CertificateError as exc:
-        print(f"certificate: {exc}")
+try:
+    invariants.t2_det_class(2, 3)
+except biquo.CertificateError as exc:
+    print(f"certificate: {exc}")
 """
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -559,7 +594,7 @@ for complement in (None, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["-6"] + ["certificate: y must lie in the radical"] * 2
+    assert proc.stdout.splitlines() == ["-6", "certificate: y must lie in the radical"]
 
 
 def test_t2_det_class_examples():
@@ -578,36 +613,22 @@ def test_t2_det_class_formula_random():
 
 
 def test_t2_det_class_complement_independent():
+    # the Gram's induced form on any complement of y has the class of
+    # the default one
     from biquo.biquotient import klein_ring
 
     rng = random.Random(4)
     a0, a1 = 2, 3
     y = list(klein_ring(a0, a1).y)
+    gram = t2_quadratic_form(a0, a1)
     done = 0
     while done < 20:
         comp = [[Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(4)]
         if linalg.det([y] + comp) == 0:
             continue
-        assert t2_det_class(a0, a1, complement=comp) == square_class(-6)
+        induced = [[sum(mat_vec(gram, v)[r] * u[r] for r in range(5)) for v in comp] for u in comp]
+        assert square_class(linalg.det(induced)) == t2_det_class(a0, a1) == square_class(-6)
         done += 1
-
-
-def test_t2_det_class_rejects_bad_complement():
-    with pytest.raises(ValueError):
-        t2_det_class(1, 1, complement=[[1, 0, 0, 0, 0]] * 4)
-
-
-def test_t2_det_class_names_the_length_of_a_bad_complement_vector():
-    good = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
-    assert t2_det_class(2, 3, complement=good) == square_class(-6)
-    too_long = [[1, 0, 0, 0, 0, 9]] + good[1:]
-    with pytest.raises(ValueError, match="5 entries, got one with 6"):
-        t2_det_class(2, 3, complement=too_long)
-    too_short = [[0, 1, 0], [0, 0, 1], [1, 0, 0], [1, 1, 0]]
-    with pytest.raises(ValueError, match="5 entries, got one with 3"):
-        t2_det_class(2, 3, complement=too_short)
-    with pytest.raises(ValueError, match="four vectors, got 3"):
-        t2_det_class(2, 3, complement=good[:3])
 
 
 def test_t2_rejects_zero_parameters():

@@ -375,6 +375,12 @@ def test_cli_verify_suite(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_cli_verify_all_matches_the_golden(capsys):
+    # the 37 check names, their order and the summary line at the default seed
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.txt").read_text()
+
+
 def test_cli_verify_failure_exit_1(monkeypatch, capsys):
     from biquo import checks, cli
     from biquo.checks import CheckResult
